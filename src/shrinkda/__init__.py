@@ -23,7 +23,6 @@ from .sampling import (ExtendedEnsemble, RngStream, draw_synthetic_members,
 from .shrinkage import (ShrinkageCovariance, apply_inverse_shrunk_covariance,
                         apply_shrunk_covariance, deviation_singular_values,
                         lw_gamma, oas_gamma, rblw_parameters)
-from .solvers import (IsmfBreakdown, ObservationSpaceSystem, ensrf_transform,
-                      entkf_factors, ismf_solve)
+from .solvers import ObservationSpaceSystem, ensrf_transform, entkf_factors, ismf_solve
 
 __version__ = "0.1.0"

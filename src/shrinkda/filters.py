@@ -29,6 +29,10 @@ FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-r
 _OBS_STREAM = 1
 _SYNTH_STREAM = 2
 
+# Default gradient tolerance of the finite-size step: the BFGS/Newton
+# target, and, relative to the gradient norm at w = 0, the abort threshold.
+ENKF_N_GRAD_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class AnalysisResult:
@@ -54,10 +58,15 @@ def _check_inputs(bg: Ensemble, y: np.ndarray, obs: ObservationSpec) -> np.ndarr
     return y
 
 
+def _require_stream(rng: RngStream | None, purpose: str) -> RngStream:
+    if rng is None:
+        raise ValueError(f"a random stream is required to {purpose}")
+    return rng
+
+
 def _innovation_matrix(bg, y, obs, rng):
     """Per-member innovations y_i^s - H x_i with perturbed observations."""
-    if rng is None:
-        raise ValueError("a random stream is required to perturb observations")
+    rng = _require_stream(rng, "perturb observations")
     perturbed = perturb_observations(y, obs, bg.nens, rng.child(_OBS_STREAM))
     return perturbed - obs.project(bg.matrix)
 
@@ -76,9 +85,9 @@ def enkf_analysis(bg: Ensemble, y, obs: ObservationSpec,
                   innovations: np.ndarray | None = None) -> AnalysisResult:
     """Stochastic EnKF step: each member assimilates its own perturbed data.
 
-    The observation-space system (R + V V.T) Z = D is solved by the
-    Sherman-Morrison recursion; ``innovations`` may inject a fixed D for
-    testing.
+    The observation-space system (R + V V.T) Z = D is solved through its
+    ensemble-space capacitance matrix; ``innovations`` may inject a fixed D
+    for testing.
     """
     y = _check_inputs(bg, y, obs)
     s = deviations(bg).columns
@@ -86,7 +95,7 @@ def enkf_analysis(bg: Ensemble, y, obs: ObservationSpec,
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
     z = ismf_solve(ObservationSpaceSystem(diagonal_inverse(obs.variances), v, d))
     analysis = bg.matrix + s @ (v.T @ z)
-    return AnalysisResult(Ensemble(analysis), {"solver_iterations": float(bg.nens)})
+    return AnalysisResult(Ensemble(analysis))
 
 
 def ensrf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
@@ -153,13 +162,15 @@ def enkf_n_hessian(w, q, rinv, nens):
 
 
 def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
-                    grad_tol: float = 1e-8, max_iter: int = 200) -> AnalysisResult:
+                    grad_tol: float = ENKF_N_GRAD_TOL, max_iter: int = 200) -> AnalysisResult:
     """Finite-size (primal, inflation-free) step.
 
     The ensemble-space weights minimize the finite-size cost by
     quasi-Newton iteration with the analytic gradient, polished by Newton
     steps with the analytic Hessian; the analysis ensemble is built from
-    the inverse Hessian at the optimum.
+    the inverse Hessian at the optimum. Raises ``RuntimeError`` when the
+    final gradient norm exceeds ``grad_tol`` times max(1, |q.T R^{-1} d0|),
+    the gradient norm at w = 0.
     """
     y = _check_inputs(bg, y, obs)
     mean, u, q, d0, rinv, _ = _enkf_n_pieces(bg, y, obs)
@@ -182,7 +193,11 @@ def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
         grad = enkf_n_gradient(w, *args)
         newton_steps += 1
     grad_norm = float(np.linalg.norm(grad))
-    if grad_norm > grad_tol * max(1.0, 1e4):
+    # Rounding keeps the gradient from falling much below machine precision
+    # times its norm at w = 0, which grows as 1/obs_std^2, so an absolute
+    # threshold aborts converged steps when obs_std is small.
+    grad_scale = max(1.0, float(np.linalg.norm(q.T @ (rinv * d0))))
+    if grad_norm > grad_tol * grad_scale:
         raise RuntimeError(
             f"finite-size optimizer did not converge: gradient norm {grad_norm:.3e}, "
             f"last iterate norm {np.linalg.norm(w):.3e}")
@@ -262,17 +277,18 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     The background covariance estimate phi*I + delta*S@S.T comes from the
     real members only; k synthetic draws widen the deviation basis, the
     observation-space system (Gamma + Pi Pi.T) Z = D with Gamma = R + phi*I
-    on the observed rows is solved by Sherman-Morrison, and only the real
-    members are updated. ``shrinkage``/``innovations`` are testing hooks
-    that bypass estimation and observation perturbation.
+    on the observed rows is solved through its (nens + k)-square capacitance
+    matrix, and only the real members are updated. ``shrinkage`` and
+    ``innovations`` are testing hooks that bypass estimation and observation
+    perturbation; the synthetic draws always need ``rng``.
     """
     y = _check_inputs(bg, y, obs)
+    rng = _require_stream(rng, "draw synthetic members")
     if shrinkage is None and bg.nens < 3:
         raise ValueError("too few members for RBLW")
     cov = shrinkage if shrinkage is not None else _estimate_shrinkage(bg)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, int(k),
-                                       rng.child(_SYNTH_STREAM) if rng is not None else RngStream(0))
+    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, int(k), rng.child(_SYNTH_STREAM))
     extended = extend_ensemble(bg, synthetic)
 
     basis = np.sqrt(cov.delta) * extended.scaled_deviations()
@@ -280,9 +296,7 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     gamma_diag = obs.variances + cov.phi
     z = ismf_solve(ObservationSpaceSystem(diagonal_inverse(gamma_diag), pi, d))
     analysis = bg.matrix + basis @ (pi.T @ z) + cov.phi * obs.scatter(z)
-    diag = _shrinkage_diagnostics(cov)
-    diag["solver_iterations"] = float(extended.nk)
-    return AnalysisResult(Ensemble(analysis), diag)
+    return AnalysisResult(Ensemble(analysis), _shrinkage_diagnostics(cov))
 
 
 def enkf_rs_system(bg: Ensemble, cov: ShrinkageCovariance, extended, obs: ObservationSpec):
@@ -328,12 +342,12 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     X^b + U @ lambda and synthetic members are discarded.
     """
     y = _check_inputs(bg, y, obs)
+    rng = _require_stream(rng, "draw synthetic members")
     if shrinkage is None and bg.nens < 3:
         raise ValueError("too few members for RBLW")
     cov = shrinkage if shrinkage is not None else _estimate_shrinkage(bg)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, int(k),
-                                       rng.child(_SYNTH_STREAM) if rng is not None else RngStream(0))
+    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, int(k), rng.child(_SYNTH_STREAM))
     extended = extend_ensemble(bg, synthetic)
 
     w_ens, q_ext = enkf_rs_system(bg, cov, extended, obs)

@@ -192,10 +192,10 @@ def make_initial_ensemble(truth0: np.ndarray, sigma_b: float, nens: int,
         scale = np.full_like(truth0, sigma_b)
     else:
         raise ValueError("mode must be 'proportional' or 'uniform'")
-    background = truth0 + scale * standard_normal(rng.member_generator(0), truth0.shape[0])
+    gens = rng.member_generators(nens + 1)
+    background = truth0 + scale * standard_normal(next(gens), truth0.shape[0])
     members = np.empty((truth0.shape[0], nens))
-    for i in range(nens):
-        gen = rng.member_generator(i + 1)
+    for i, gen in enumerate(gens):
         members[:, i] = background + scale * standard_normal(gen, truth0.shape[0])
     return Ensemble(members)
 

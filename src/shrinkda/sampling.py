@@ -29,7 +29,8 @@ class RngStream:
     Identical (seed, stream_id) pairs reproduce identical draw sequences
     bit-for-bit. ``child`` derives a collision-resistant substream for a
     purpose or cycle index; ``member_generator`` hands out one independent
-    counter-based generator per member index. A single generator must not
+    counter-based generator per member index, and ``member_generators``
+    the same generators for a run of indices. A single generator must not
     be shared across threads, but distinct streams may run concurrently.
     """
 
@@ -55,6 +56,11 @@ class RngStream:
         """Independent generator for one member; cheap for large member counts."""
         base = np.random.Philox(seed=self._seed_sequence())
         return np.random.Generator(base.jumped(index))
+
+    def member_generators(self, count: int):
+        """``member_generator(i)`` for i in range(count), seeding Philox once."""
+        base = np.random.Philox(seed=self._seed_sequence())
+        return (np.random.Generator(base.jumped(i)) for i in range(count))
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
@@ -128,8 +134,7 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
     draws = np.empty((nstate, k))
     sqrt_phi = np.sqrt(cov.phi)
     sqrt_delta = np.sqrt(cov.delta)
-    for i in range(k):
-        gen = rng.member_generator(i)
+    for i, gen in enumerate(rng.member_generators(k)):
         eps1 = standard_normal(gen, nstate)
         eps2 = standard_normal(gen, nens)
         draws[:, i] = mean + sqrt_phi * eps1 + sqrt_delta * (s @ eps2)
@@ -161,7 +166,6 @@ def perturb_observations(y: np.ndarray, obs, n: int, rng: RngStream) -> np.ndarr
     if y.shape[0] != std.shape[0]:
         raise ValueError("observation vector length must match the variances")
     out = np.empty((y.shape[0], n))
-    for i in range(n):
-        gen = rng.member_generator(i)
+    for i, gen in enumerate(rng.member_generators(n)):
         out[:, i] = y + std * standard_normal(gen, y.shape[0])
     return out

@@ -1,8 +1,10 @@
 """Observation-space linear solvers shared by the filters.
 
 The iterative Sherman-Morrison formula (ISMF) solves
-(Gamma + Pi @ Pi.T) @ Z = rhs through a sequence of rank-one updates,
-touching Gamma only through its inverse action. The square-root and
+(Gamma + Pi @ Pi.T) @ Z = rhs by folding in the columns of Pi one rank-one
+update at a time, touching Gamma only through its inverse action.
+``ismf_solve`` applies the same identity to all columns at once, as a
+Woodbury solve with an m x m capacitance matrix. The square-root and
 transform factorizations consumed by the deterministic filters live here
 as well.
 """
@@ -13,16 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-# Dense fallback after an ISMF pivot breakdown is only attempted up to
-# this system size.
-DENSE_FALLBACK_CAP = 5000
-
-_PIVOT_TOL = 1e-14
-
-
-class IsmfBreakdown(RuntimeError):
-    """Raised when an ISMF pivot vanishes; callers may fall back to a dense solve."""
 
 
 @dataclass(frozen=True)
@@ -63,41 +55,34 @@ def diagonal_inverse(variances: np.ndarray) -> Callable[[np.ndarray], np.ndarray
 
 
 def ismf_solve(sys: ObservationSpaceSystem) -> np.ndarray:
-    """Solve (Gamma + Pi @ Pi.T) @ Z = rhs by iterated Sherman-Morrison updates.
+    """Solve (Gamma + Pi @ Pi.T) @ Z = rhs with the ISMF identity applied to
+    all columns of Pi at once.
 
-    Starting from Z = Gamma^{-1} rhs and U = Gamma^{-1} Pi, each column of
-    Pi is folded in as a rank-one update; cost is O(m^2 * nobs) beyond the
-    two inverse applications. On pivot breakdown a dense solve is attempted
-    for systems up to ``DENSE_FALLBACK_CAP`` rows.
+    With U = Gamma^{-1} Pi and the capacitance matrix C = I + Pi.T @ U,
+    Z = Gamma^{-1} rhs - U @ C^{-1} @ Pi.T @ Gamma^{-1} rhs (Woodbury). C is
+    factored once by Cholesky; cost is O(m^2 * nobs + m^3) in BLAS-3
+    beyond the two inverse applications. For SPD Gamma every eigenvalue
+    of C is at least one, so a failed factorization means Gamma is not
+    SPD and raises ``ValueError``; there is no fallback.
     """
     z = np.array(sys.gamma_inverse_apply(sys.rhs), dtype=float)
-    m = sys.pi.shape[1]
-    if m == 0 or not np.any(sys.pi):
+    if sys.pi.shape[1] == 0 or not np.any(sys.pi):
         return z
-    u = np.array(sys.gamma_inverse_apply(sys.pi), dtype=float)
+    u = np.asarray(sys.gamma_inverse_apply(sys.pi), dtype=float)
+    capacitance = sys.pi.T @ u
+    capacitance[np.diag_indices_from(capacitance)] += 1.0
     try:
-        for k in range(m):
-            v_k = sys.pi[:, k]
-            u_k = u[:, k]
-            pivot = 1.0 + v_k @ u_k
-            if abs(pivot) < _PIVOT_TOL:
-                raise IsmfBreakdown("ISMF breakdown")
-            h = u_k / pivot
-            z -= np.outer(h, v_k @ z)
-            # columns up to k are never read again
-            if k + 1 < m:
-                u[:, k + 1:] -= np.outer(h, v_k @ u[:, k + 1:])
-    except IsmfBreakdown:
-        return _dense_fallback(sys)
+        lower = np.linalg.cholesky(capacitance)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite; "
+            "Gamma must be symmetric positive definite") from exc
+    # numpy.linalg has no triangular solver, and scipy.linalg links its own
+    # OpenBLAS whose threads compete with numpy's; solve() on the factors
+    # stays on numpy's
+    w = np.linalg.solve(lower.T, np.linalg.solve(lower, sys.pi.T @ z))
+    z -= u @ w
     return z
-
-
-def _dense_fallback(sys: ObservationSpaceSystem) -> np.ndarray:
-    nobs = sys.pi.shape[0]
-    if nobs > DENSE_FALLBACK_CAP:
-        raise IsmfBreakdown("ISMF breakdown")
-    gamma = np.linalg.inv(np.asarray(sys.gamma_inverse_apply(np.eye(nobs)), dtype=float))
-    return np.linalg.solve(gamma + sys.pi @ sys.pi.T, sys.rhs)
 
 
 def ensrf_transform(v: np.ndarray, z_v: np.ndarray) -> np.ndarray:

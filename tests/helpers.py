@@ -15,3 +15,24 @@ def selection_matrix(obs, nstate):
     h = np.zeros((obs.nobs, nstate))
     h[np.arange(obs.nobs), obs.indices] = 1.0
     return h
+
+
+def ismf_loop(sys):
+    """The paper's iterative Sherman-Morrison formula, one column at a time.
+
+    Solves the ``ObservationSpaceSystem`` (Gamma + Pi @ Pi.T) @ Z = rhs
+    from Z = Gamma^{-1} rhs and U = Gamma^{-1} Pi by folding in each column
+    of Pi as a rank-one update; the paper-faithful reference for
+    ``ismf_solve``.
+    """
+    z = np.array(sys.gamma_inverse_apply(sys.rhs), dtype=float)
+    u = np.array(sys.gamma_inverse_apply(sys.pi), dtype=float)
+    m = sys.pi.shape[1]
+    for k in range(m):
+        v_k = sys.pi[:, k]
+        h = u[:, k] / (1.0 + v_k @ u[:, k])
+        z -= np.outer(h, v_k @ z)
+        # columns up to k are never read again
+        if k + 1 < m:
+            u[:, k + 1:] -= np.outer(h, v_k @ u[:, k + 1:])
+    return z

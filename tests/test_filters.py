@@ -371,6 +371,16 @@ class TestLocalizeCovariance:
         np.testing.assert_allclose(out[0, 1], np.exp(-0.5), rtol=1e-12)
 
 
+@pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])
+def test_shrinkage_filters_require_a_stream(step):
+    # injected innovations skip observation perturbation, but the synthetic
+    # draws still need a stream; there is no default seed
+    gen = np.random.default_rng(96)
+    ens, obs, y = instance(gen, nens=5)
+    with pytest.raises(ValueError, match="random stream is required"):
+        step(ens, y, obs, 4, None, innovations=np.zeros((obs.nobs, ens.nens)))
+
+
 class TestRegistryAndInvariants:
     def test_unknown_key(self):
         gen = np.random.default_rng(97)

@@ -172,6 +172,17 @@ class TestRunTwinExperiment:
         res = run_twin_experiment(cfg)
         assert all(np.isfinite(r.rmse) for r in res.cycles)
 
+    @pytest.mark.parametrize("seed", [74, 3000001])
+    def test_enkf_n_converges_at_small_obs_std(self, seed):
+        # with obs_std 0.01 the gradient at w = 0 is about 1e6, and rounding
+        # leaves a final gradient near 5e-4 on these seeds; an absolute
+        # abort threshold of 1e-4 rejected the converged step
+        cfg = ExperimentConfig(model="l96-1000", filter="enkf-n", nens=40, p=0.7,
+                               sigma_b=0.05, n_cycles=1, rng_seed=seed, obs_std=0.01,
+                               steps_per_cycle=10)
+        res = run_twin_experiment(cfg)
+        assert np.isfinite(res.cycles[0].rmse)
+
 
 class TestCompareFilters:
     def test_single_filter_matches_run(self):

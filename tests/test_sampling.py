@@ -41,6 +41,13 @@ class TestRngStream:
         assert not np.array_equal(a, b)
         np.testing.assert_array_equal(a, s.member_generator(0).integers(0, 1 << 31, 8))
 
+    def test_member_generators_bit_identical_to_member_generator(self):
+        s = RngStream(7, 3)
+        for i, gen in enumerate(s.member_generators(6)):
+            np.testing.assert_array_equal(
+                standard_normal(gen, 9), standard_normal(s.member_generator(i), 9))
+        assert i == 5
+
     def test_standard_normal_moments(self):
         gen = RngStream(11).generator()
         z = standard_normal(gen, 200_000)
@@ -169,6 +176,15 @@ class TestPerturbObservations:
         out = perturb_observations(np.zeros(3), obs, 100_000, RngStream(2))
         stds = out.std(axis=1, ddof=1)
         assert np.all(np.abs(stds - 0.01) < 0.0002)
+
+    def test_member_i_uses_member_generator_i(self):
+        obs = self._obs(5, 0.3)
+        y = np.arange(5.0)
+        rng = RngStream(9, 1)
+        std = np.sqrt(obs.variances)
+        expected = np.column_stack([y + std * standard_normal(rng.member_generator(i), 5)
+                                    for i in range(4)])
+        np.testing.assert_array_equal(perturb_observations(y, obs, 4, rng), expected)
 
     def test_deterministic(self):
         obs = self._obs(5, 0.3)

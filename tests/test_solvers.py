@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from shrinkda.solvers import (DENSE_FALLBACK_CAP, IsmfBreakdown, ObservationSpaceSystem,
-                              diagonal_inverse, ensrf_transform, entkf_factors,
-                              ismf_solve)
+from shrinkda.solvers import (ObservationSpaceSystem, diagonal_inverse, ensrf_transform,
+                              entkf_factors, ismf_solve)
+
+from helpers import ismf_loop
 
 
 def random_spd(gen, n, lo=0.5, hi=2.0):
@@ -67,26 +68,40 @@ class TestIsmfSolve:
             z = ismf_solve(ObservationSpaceSystem(lambda x: inv @ x, pi[:, perm], rhs))
             assert np.linalg.norm(full @ z - rhs) / np.linalg.norm(rhs) < 1e-8
 
-    def test_breakdown_falls_back_to_dense(self):
-        # an indefinite Gamma zeroes the first pivot 1 + v.T Gamma^{-1} v
-        # while the full updated matrix stays invertible; the dense
-        # fallback must still return the correct solution
-        gamma = np.diag([1.0, -1.0])
-        inv = np.linalg.inv(gamma)
-        pi = np.array([[0.0, 0.0], [1.0, 2.0]])
-        assert abs(1.0 + pi[:, 0] @ inv @ pi[:, 0]) < 1e-12
-        rhs = np.array([1.0, 2.0])
-        z = ismf_solve(ObservationSpaceSystem(lambda m: inv @ m, pi, rhs))
-        np.testing.assert_allclose((gamma + pi @ pi.T) @ z[:, 0], rhs, atol=1e-12)
+    @pytest.mark.parametrize("nobs, m, r, dense_gamma", [
+        (673, 440, 40, False),  # qg-33 enkf-fs: nobs 673, nens + K = 440, 40 members
+        (1500, 15, 3, True),    # tall, nobs >> m, with a non-diagonal Gamma
+    ])
+    def test_matches_ismf_loop_and_dense_solve(self, nobs, m, r, dense_gamma):
+        gen = np.random.default_rng(70)
+        if dense_gamma:
+            gamma = random_spd(gen, nobs)
+            inv = np.linalg.inv(gamma)
+            apply = lambda x: inv @ x  # noqa: E731
+        else:
+            var = gen.uniform(0.5, 2.0, nobs)
+            gamma = np.diag(var)
+            apply = diagonal_inverse(var)
+        pi = 0.3 * gen.standard_normal((nobs, m))
+        rhs = gen.standard_normal((nobs, r))
+        system = ObservationSpaceSystem(apply, pi, rhs)
+        z = ismf_solve(system)
+        loop = ismf_loop(system)
+        dense = np.linalg.solve(gamma + pi @ pi.T, rhs)
+        # float64 solves of a system with condition number below 1e3
+        assert np.abs(z - loop).max() <= 1e-12 * np.abs(loop).max()
+        assert np.abs(z - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    def test_breakdown_beyond_cap_raises(self, monkeypatch):
-        import shrinkda.solvers as solvers
-        monkeypatch.setattr(solvers, "DENSE_FALLBACK_CAP", 1)
+    def test_indefinite_gamma_raises(self):
+        # an indefinite Gamma makes the capacitance matrix I + Pi.T Gamma^{-1} Pi
+        # indefinite even though Gamma + Pi Pi.T stays invertible; the solve
+        # fails fast instead of falling back
         gamma = np.diag([1.0, -1.0])
         inv = np.linalg.inv(gamma)
         pi = np.array([[0.0, 0.0], [1.0, 2.0]])
-        with pytest.raises(IsmfBreakdown, match="ISMF breakdown"):
-            ismf_solve(ObservationSpaceSystem(lambda m: inv @ m, pi, np.ones(2)))
+        assert abs(np.linalg.det(gamma + pi @ pi.T)) > 0.5
+        with pytest.raises(ValueError, match="capacitance matrix"):
+            ismf_solve(ObservationSpaceSystem(lambda x: inv @ x, pi, np.array([1.0, 2.0])))
 
 
 class TestEnsrfTransform:
