@@ -255,7 +255,10 @@ def _run_against_truth(cfg: ExperimentConfig, model: ModelDefinition,
     warned = False
     matrix = ens.matrix
     for cycle in range(1, cfg.n_cycles + 1):
-        matrix = propagate_matrix(model, matrix, cfg.steps_per_cycle)
+        try:
+            matrix = propagate_matrix(model, matrix, cfg.steps_per_cycle)
+        except Exception as exc:
+            raise RuntimeError(f"cycle {cycle}: {cfg.filter} forecast failed: {exc}") from exc
         background = Ensemble(matrix)
         started = time.perf_counter()
         try:

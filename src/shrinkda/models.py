@@ -12,6 +12,7 @@ a single state vector or an (nstate, members) batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -115,24 +116,74 @@ class QgParams:
             raise ValueError("dt must be positive")
 
 
-def _pad_interior(field: np.ndarray) -> np.ndarray:
-    """Zero Dirichlet ghost ring around the first two axes."""
-    pad = [(1, 1), (1, 1)] + [(0, 0)] * (field.ndim - 2)
-    return np.pad(field, pad)
+def _padded(field: np.ndarray) -> np.ndarray:
+    """Copy of a field inside a zero Dirichlet ghost ring on its first two axes."""
+    out = np.zeros((field.shape[0] + 2, field.shape[1] + 2) + field.shape[2:])
+    out[1:-1, 1:-1] = field
+    return out
+
+
+def _laplacian_padded(f: np.ndarray, grid: QgGrid, scale: float = 1.0) -> np.ndarray:
+    """scale * 5-point Laplacian of a padded field, on the interior."""
+    cx = scale / grid.dx**2
+    cy = scale / grid.dy**2
+    out = f[2:, 1:-1] + f[:-2, 1:-1]
+    out *= cx
+    tmp = f[1:-1, 2:] + f[1:-1, :-2]
+    tmp *= cy
+    out += tmp
+    np.multiply(f[1:-1, 1:-1], 2.0 * (cx + cy), out=tmp)
+    out -= tmp
+    return out
+
+
+def _x_derivative_padded(f: np.ndarray, grid: QgGrid, scale: float = 1.0) -> np.ndarray:
+    """scale * central x difference of a padded field, on the interior."""
+    out = f[2:, 1:-1] - f[:-2, 1:-1]
+    out *= scale / (2.0 * grid.dx)
+    return out
+
+
+def _jacobian_padded(p: np.ndarray, w: np.ndarray, grid: QgGrid,
+                     scale: float = 1.0) -> np.ndarray:
+    """scale * Arakawa J(psi, omega) of padded fields, on the interior.
+
+    The centred differences px, py of psi and wx, wy of omega are formed
+    once over the padded range. 12 dx dy J is J1 + J2 + J3 with
+    J1 = px wy - py wx; the eight terms of J2 + J3 pair into differences
+    of two fluxes, Q = psi wy - omega py taken one row apart and
+    R = omega px - psi wx taken one column apart.
+    """
+    px = p[2:] - p[:-2]
+    wx = w[2:] - w[:-2]
+    py = p[:, 2:] - p[:, :-2]
+    wy = w[:, 2:] - w[:, :-2]
+    out = px[:, 1:-1] * wy[1:-1]
+    out -= np.multiply(py[1:-1], wx[:, 1:-1])
+    q = wy
+    q *= p[:, 1:-1]
+    py *= w[:, 1:-1]
+    q -= py
+    out += q[2:]
+    out -= q[:-2]
+    r = px
+    r *= w[1:-1]
+    wx *= p[1:-1]
+    r -= wx
+    out += r[:, 2:]
+    out -= r[:, :-2]
+    out *= scale / (12.0 * grid.dx * grid.dy)
+    return out
 
 
 def laplacian(field: np.ndarray, grid: QgGrid) -> np.ndarray:
     """5-point Laplacian with homogeneous Dirichlet boundaries."""
-    f = _pad_interior(field)
-    inner = f[1:-1, 1:-1]
-    return ((f[2:, 1:-1] + f[:-2, 1:-1] - 2.0 * inner) / grid.dx**2
-            + (f[1:-1, 2:] + f[1:-1, :-2] - 2.0 * inner) / grid.dy**2)
+    return _laplacian_padded(_padded(field), grid)
 
 
 def x_derivative(field: np.ndarray, grid: QgGrid) -> np.ndarray:
     """Central difference in x with zero boundary values."""
-    f = _pad_interior(field)
-    return (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * grid.dx)
+    return _x_derivative_padded(_padded(field), grid)
 
 
 def arakawa_jacobian(psi: np.ndarray, omega: np.ndarray, grid: QgGrid) -> np.ndarray:
@@ -143,24 +194,28 @@ def arakawa_jacobian(psi: np.ndarray, omega: np.ndarray, grid: QgGrid) -> np.nda
     """
     if psi.shape != omega.shape:
         raise ValueError("fields must share a shape")
-    p = _pad_interior(psi)
-    w = _pad_interior(omega)
-    j1 = ((p[2:, 1:-1] - p[:-2, 1:-1]) * (w[1:-1, 2:] - w[1:-1, :-2])
-          - (p[1:-1, 2:] - p[1:-1, :-2]) * (w[2:, 1:-1] - w[:-2, 1:-1]))
-    j2 = (p[2:, 1:-1] * (w[2:, 2:] - w[2:, :-2])
-          - p[:-2, 1:-1] * (w[:-2, 2:] - w[:-2, :-2])
-          - p[1:-1, 2:] * (w[2:, 2:] - w[:-2, 2:])
-          + p[1:-1, :-2] * (w[2:, :-2] - w[:-2, :-2]))
-    j3 = (w[1:-1, 2:] * (p[2:, 2:] - p[:-2, 2:])
-          - w[1:-1, :-2] * (p[2:, :-2] - p[:-2, :-2])
-          - w[2:, 1:-1] * (p[2:, 2:] - p[2:, :-2])
-          + w[:-2, 1:-1] * (p[:-2, 2:] - p[:-2, :-2]))
-    return (j1 + j2 + j3) / (12.0 * grid.dx * grid.dy)
+    return _jacobian_padded(_padded(psi), _padded(omega), grid)
 
 
-def _dirichlet_eigenvalues(n: int, spacing: float) -> np.ndarray:
-    k = np.arange(1, n + 1)
-    return (2.0 * np.cos(np.pi * k / (n + 1)) - 2.0) / spacing**2
+@lru_cache(maxsize=16)
+def _dst_divisor(grid: QgGrid) -> np.ndarray:
+    """Eigenvalues of the 5-point operator times the DST-I round-trip factor."""
+    def eig(n, spacing):
+        k = np.arange(1, n + 1)
+        return (2.0 * np.cos(np.pi * k / (n + 1)) - 2.0) / spacing**2
+
+    divisor = eig(grid.d1, grid.dx)[:, None] + eig(grid.d2, grid.dy)[None, :]
+    divisor *= 4.0 * (grid.d1 + 1) * (grid.d2 + 1)
+    divisor.flags.writeable = False
+    return divisor
+
+
+@lru_cache(maxsize=16)
+def _wind_profile(grid: QgGrid) -> np.ndarray:
+    """sin(2 pi y / ly) on the interior y nodes."""
+    profile = np.sin(2.0 * np.pi * grid.y / grid.ly)
+    profile.flags.writeable = False
+    return profile
 
 
 def poisson_solve(omega: np.ndarray, grid: QgGrid) -> np.ndarray:
@@ -172,27 +227,12 @@ def poisson_solve(omega: np.ndarray, grid: QgGrid) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega contains non-finite entries")
-    eig = (_dirichlet_eigenvalues(grid.d1, grid.dx)[:, None]
-           + _dirichlet_eigenvalues(grid.d2, grid.dy)[None, :])
+    divisor = _dst_divisor(grid)
     if omega.ndim == 3:
-        eig = eig[:, :, None]
+        divisor = divisor[:, :, None]
     coeff = scipy.fft.dstn(omega, type=1, axes=(0, 1))
-    psi = scipy.fft.dstn(coeff / eig, type=1, axes=(0, 1))
-    return psi / (4.0 * (grid.d1 + 1) * (grid.d2 + 1))
-
-
-def poisson_solve_dense(omega: np.ndarray, grid: QgGrid) -> np.ndarray:
-    """Dense fallback solve of the same system, for oracles and tests."""
-    n1, n2 = grid.d1, grid.d2
-    ix = np.eye(n1)
-    iy = np.eye(n2)
-    tx = (np.diag(np.full(n1 - 1, 1.0), 1) + np.diag(np.full(n1 - 1, 1.0), -1)
-          - 2.0 * ix) / grid.dx**2
-    ty = (np.diag(np.full(n2 - 1, 1.0), 1) + np.diag(np.full(n2 - 1, 1.0), -1)
-          - 2.0 * iy) / grid.dy**2
-    operator = np.kron(tx, iy) + np.kron(ix, ty)
-    flat = omega.reshape(grid.nstate, -1)
-    return np.linalg.solve(operator, flat).reshape(omega.shape)
+    coeff /= divisor
+    return scipy.fft.dstn(coeff, type=1, axes=(0, 1), overwrite_x=True)
 
 
 def qg_tendency(omega: np.ndarray, grid: QgGrid, params: QgParams) -> np.ndarray:
@@ -202,21 +242,22 @@ def qg_tendency(omega: np.ndarray, grid: QgGrid, params: QgParams) -> np.ndarray
               + sign_v * viscosity * Lap(Lap(psi)) - drag * Lap(psi)
               + wind * sin(2 pi y / ly),
     with psi from the exact Poisson solve of Lap(psi) = omega.
+
+    The Poisson solve is exact for the same 5-point operator, so Lap(psi)
+    is omega itself and Lap(Lap(psi)) is Lap(omega). psi and omega are
+    each padded once and shared by every stencil.
     """
     omega = np.asarray(omega, dtype=float)
     flat_input = omega.shape[0] == grid.nstate and omega.ndim <= 2
     field = grid.to_grid(omega) if flat_input else omega
-    psi = poisson_solve(field, grid)
-    lap_psi = laplacian(psi, grid)
-    bilap_psi = laplacian(lap_psi, grid)
-    forcing = params.wind * np.sin(2.0 * np.pi * grid.y / grid.ly)[None, :]
-    if field.ndim == 3:
-        forcing = forcing[:, :, None]
-    out = (params.jacobian_sign * params.r * arakawa_jacobian(psi, field, grid)
-           - params.beta * x_derivative(psi, grid)
-           + params.biharmonic_sign * params.viscosity * bilap_psi
-           - params.drag * lap_psi
-           + forcing)
+    p = _padded(poisson_solve(field, grid))
+    w = _padded(field)
+    out = _jacobian_padded(p, w, grid, params.jacobian_sign * params.r)
+    out -= _x_derivative_padded(p, grid, params.beta)
+    out += _laplacian_padded(w, grid, params.biharmonic_sign * params.viscosity)
+    out -= params.drag * field
+    forcing = params.wind * _wind_profile(grid)
+    out += forcing[:, None] if field.ndim == 3 else forcing
     return grid.to_state(out) if flat_input else out
 
 

@@ -36,3 +36,18 @@ def ismf_loop(sys):
         if k + 1 < m:
             u[:, k + 1:] -= np.outer(h, v_k @ u[:, k + 1:])
     return z
+
+
+def poisson_solve_dense(omega, grid):
+    """Dense solve of the 5-point Dirichlet Poisson system, the oracle for
+    ``models.poisson_solve``."""
+    n1, n2 = grid.d1, grid.d2
+    ix = np.eye(n1)
+    iy = np.eye(n2)
+    tx = (np.diag(np.full(n1 - 1, 1.0), 1) + np.diag(np.full(n1 - 1, 1.0), -1)
+          - 2.0 * ix) / grid.dx**2
+    ty = (np.diag(np.full(n2 - 1, 1.0), 1) + np.diag(np.full(n2 - 1, 1.0), -1)
+          - 2.0 * iy) / grid.dy**2
+    operator = np.kron(tx, iy) + np.kron(ix, ty)
+    flat = omega.reshape(grid.nstate, -1)
+    return np.linalg.solve(operator, flat).reshape(omega.shape)

@@ -172,6 +172,13 @@ class TestRunTwinExperiment:
         res = run_twin_experiment(cfg)
         assert all(np.isfinite(r.rmse) for r in res.cycles)
 
+    def test_model_blow_up_names_cycle_filter_and_layer(self):
+        cfg = ExperimentConfig(model="l96-8", filter="enkf", nens=4, p=1.0, sigma_b=1e3,
+                               spread_mode="uniform", n_cycles=3, rng_seed=1)
+        with pytest.raises(RuntimeError,
+                           match=r"^cycle 1: enkf forecast failed: model blow-up$"):
+            run_twin_experiment(cfg)
+
     @pytest.mark.parametrize("seed", [74, 3000001])
     def test_enkf_n_converges_at_small_obs_std(self, seed):
         # with obs_std 0.01 the gradient at w = 0 is about 1e6, and rounding
@@ -233,6 +240,15 @@ class TestPropagation:
         serial = propagate_matrix(model, matrix, 5, workers=1)
         threaded = propagate_matrix(model, matrix, 5, workers=3)
         np.testing.assert_array_equal(serial, threaded)
+        # qg-33: 40 members split 20/20 and 14/13/13, so each chunk runs
+        # the DST and the stencils at a different batch width
+        model = get_model("qg-33")
+        truth = model.initial_state()
+        matrix = truth[:, None] * (1.0 + 0.05 * gen.standard_normal((model.nstate, 40)))
+        serial = propagate_matrix(model, matrix, 2, workers=1)
+        for workers in (2, 3):
+            threaded = propagate_matrix(model, matrix, 2, workers=workers)
+            np.testing.assert_array_equal(serial, threaded)
 
     def test_env_var_worker_cap(self, monkeypatch):
         monkeypatch.setenv("DACLI_THREADS", "2")

@@ -5,8 +5,10 @@ import pytest
 
 from shrinkda.models import (ModelDefinition, QgGrid, QgParams, arakawa_jacobian,
                              get_model, laplacian, lorenz96_model, lorenz96_tendency,
-                             poisson_solve, poisson_solve_dense, qg_initial_vorticity,
-                             qg_model, qg_tendency, rk4_step, x_derivative)
+                             poisson_solve, qg_initial_vorticity, qg_model, qg_tendency,
+                             rk4_step, x_derivative)
+
+from helpers import poisson_solve_dense
 
 
 def loop_laplacian(field, grid):
@@ -44,6 +46,23 @@ def loop_arakawa(psi, omega, grid):
                   + w[i - 1, j] * (p[i - 1, j + 1] - p[i - 1, j - 1]))
             out[i - 1, j - 1] = (j1 + j2 + j3) / (12.0 * grid.dx * grid.dy)
     return out
+
+
+def loop_tendency(field, grid, params):
+    """QG tendency from the dense Poisson solve and the loop stencils,
+    with Lap(psi) and Lap(Lap(psi)) taken from psi itself."""
+    psi = poisson_solve_dense(field, grid)
+    lap_psi = loop_laplacian(psi, grid)
+    bilap_psi = loop_laplacian(lap_psi, grid)
+    pad = np.zeros((grid.d1 + 2, grid.d2 + 2))
+    pad[1:-1, 1:-1] = psi
+    psi_x = (pad[2:, 1:-1] - pad[:-2, 1:-1]) / (2 * grid.dx)
+    forcing = params.wind * np.sin(2 * np.pi * grid.y / grid.ly)[None, :]
+    return (params.jacobian_sign * params.r * loop_arakawa(psi, field, grid)
+            - params.beta * psi_x
+            + params.biharmonic_sign * params.viscosity * bilap_psi
+            - params.drag * lap_psi
+            + forcing)
 
 
 class TestLorenz96:
@@ -160,11 +179,13 @@ class TestPoissonSolve:
         assert np.abs(psi - psi_exact).max() < 1e-10
 
     def test_residual_bound(self):
+        # Lap(poisson_solve(omega)) = omega is the identity qg_tendency uses
+        # in place of Lap(psi); checked on a rectangle and a qg-33 batch
         gen = np.random.default_rng(105)
-        grid = QgGrid(20, 14)
-        omega = gen.standard_normal((20, 14))
-        psi = poisson_solve(omega, grid)
-        assert np.abs(laplacian(psi, grid) - omega).max() < 1e-10 * np.abs(omega).max()
+        for grid, omega in ((QgGrid(20, 14), gen.standard_normal((20, 14))),
+                            (QgGrid(31, 31), gen.standard_normal((31, 31, 40)))):
+            psi = poisson_solve(omega, grid)
+            assert np.abs(laplacian(psi, grid) - omega).max() < 1e-10 * np.abs(omega).max()
 
     def test_second_order_convergence(self):
         # analytic pair psi = sin(pi x) sin(pi y), omega = -2 pi^2 psi
@@ -212,25 +233,17 @@ class TestQgTendency:
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_matches_loop_oracle(self):
+        # a single state and a 40-member batch, which runs the stencils and
+        # the DST at the qg-33 ensemble width
         gen = np.random.default_rng(108)
         grid = QgGrid(31, 31)
         params = QgParams()
-        omega = gen.standard_normal(grid.nstate)
-        got = grid.to_grid(qg_tendency(omega, grid, params))
-        field = grid.to_grid(omega)
-        psi = poisson_solve_dense(field, grid)
-        lap_psi = loop_laplacian(psi, grid)
-        bilap_psi = loop_laplacian(lap_psi, grid)
-        pad = np.zeros((33, 33))
-        pad[1:-1, 1:-1] = psi
-        psi_x = (pad[2:, 1:-1] - pad[:-2, 1:-1]) / (2 * grid.dx)
-        forcing = params.wind * np.sin(2 * np.pi * grid.y / grid.ly)[None, :]
-        oracle = (params.jacobian_sign * params.r * loop_arakawa(psi, field, grid)
-                  - params.beta * psi_x
-                  + params.biharmonic_sign * params.viscosity * bilap_psi
-                  - params.drag * lap_psi
-                  + forcing)
-        assert np.abs(got - oracle).max() < 1e-10
+        for omega in (gen.standard_normal(grid.nstate),
+                      gen.standard_normal((grid.nstate, 40))):
+            got = qg_tendency(omega, grid, params).reshape(grid.nstate, -1)
+            for k, column in enumerate(omega.reshape(grid.nstate, -1).T):
+                oracle = loop_tendency(grid.to_grid(column), grid, params)
+                assert np.abs(grid.to_grid(got[:, k]) - oracle).max() < 1e-10
 
     def test_batch_matches_single(self):
         gen = np.random.default_rng(109)
