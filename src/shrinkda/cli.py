@@ -9,18 +9,18 @@ from dataclasses import replace
 from . import validation
 from .harness import (ExperimentConfig, compare_filters, configs_for_filters,
                       parse_config_file, run_twin_experiment, write_comparison_csv,
-                      write_metadata, _split_mapping, _coerce)
+                      write_metadata)
 from .models import get_model
 
 
 def _load(path: str):
+    """Config and ``filters`` list; ``filter`` defaults to the first listed."""
     mapping = parse_config_file(path)
     filters_value = mapping.get("filters")
-    known, overrides = _split_mapping(mapping)
-    known.pop("filters", None)
-    cfg = ExperimentConfig(model_overrides=overrides, **_coerce(known))
     keys = [k.strip() for k in filters_value.split(",")] if filters_value else None
-    return cfg, keys
+    if keys:
+        mapping.setdefault("filter", keys[0])
+    return ExperimentConfig.from_mapping(mapping), keys
 
 
 def _cmd_run(args) -> int:

@@ -62,13 +62,12 @@ class Ensemble:
 class DeviationMatrix:
     """Member deviations about the ensemble mean, one column per member.
 
-    ``scaled`` records whether the 1/sqrt(nens - 1) factor is applied, in
-    which case ``columns @ columns.T`` is the sample covariance. Columns
-    sum to zero by construction.
+    Columns sum to zero by construction. :func:`deviations` applies the
+    1/sqrt(nens - 1) factor, so ``columns @ columns.T`` is the sample
+    covariance; :func:`anomalies` does not.
     """
 
     columns: np.ndarray
-    scaled: bool
 
     def __post_init__(self):
         c = np.array(self.columns, dtype=float)
@@ -91,8 +90,6 @@ class DeviationMatrix:
 
 def ensemble_mean(ens: Ensemble) -> np.ndarray:
     """Component-wise arithmetic mean of the members."""
-    if ens.nens == 0:
-        raise ValueError("empty ensemble")
     return ens.matrix.mean(axis=1)
 
 
@@ -102,7 +99,7 @@ def deviations(ens: Ensemble) -> DeviationMatrix:
         raise ValueError("degenerate ensemble")
     mean = ensemble_mean(ens)
     cols = (ens.matrix - mean[:, None]) / np.sqrt(ens.nens - 1)
-    return DeviationMatrix(cols, scaled=True)
+    return DeviationMatrix(cols)
 
 
 def anomalies(ens: Ensemble) -> DeviationMatrix:
@@ -110,7 +107,7 @@ def anomalies(ens: Ensemble) -> DeviationMatrix:
     if ens.nens < 2:
         raise ValueError("degenerate ensemble")
     mean = ensemble_mean(ens)
-    return DeviationMatrix(ens.matrix - mean[:, None], scaled=False)
+    return DeviationMatrix(ens.matrix - mean[:, None])
 
 
 def dense_sample_covariance(ens: Ensemble, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
@@ -124,28 +121,3 @@ def dense_sample_covariance(ens: Ensemble, cap: int = DENSE_ORACLE_CAP) -> np.nd
     s = deviations(ens).columns
     cov = s @ s.T
     return 0.5 * (cov + cov.T)
-
-
-def write_ensemble_csv(ens: Ensemble, path) -> None:
-    """Checkpoint an ensemble as CSV: header ``member,c0,c1,...``, one row per member."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("member," + ",".join(f"c{i}" for i in range(ens.nstate)) + "\n")
-        for i in range(ens.nens):
-            row = ",".join("%.17g" % v for v in ens.matrix[:, i])
-            fh.write(f"{i},{row}\n")
-
-
-def read_ensemble_csv(path) -> Ensemble:
-    """Read an ensemble checkpoint written by :func:`write_ensemble_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "member":
-            raise ValueError("not an ensemble CSV (missing 'member' header)")
-        members = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            members.append(np.array([float(v) for v in parts[1:]]))
-    return Ensemble.from_members(members)

@@ -257,7 +257,12 @@ def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
     })
 
 
-def _estimate_shrinkage(bg: Ensemble) -> ShrinkageCovariance:
+def estimate_shrinkage(bg: Ensemble) -> ShrinkageCovariance:
+    """RBLW estimate phi * I + delta * S @ S.T from the scaled deviations S.
+
+    Kept here, not in ``shrinkage``, because per-layer timers wrap the SVD
+    and RBLW steps where this module looks them up.
+    """
     devs = deviations(bg)
     svals = deviation_singular_values(devs)
     mu, gamma, phi, delta = rblw_parameters(svals, bg.nstate, bg.nens)
@@ -266,6 +271,18 @@ def _estimate_shrinkage(bg: Ensemble) -> ShrinkageCovariance:
 
 def _shrinkage_diagnostics(cov: ShrinkageCovariance) -> dict:
     return {"mu": cov.mu, "gamma": cov.gamma, "phi": cov.phi, "delta": cov.delta}
+
+
+def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations):
+    """Shrinkage estimate, innovations D and extended ensemble of FS and RS."""
+    y = _check_inputs(bg, y, obs)
+    rng = _require_stream(rng, "draw synthetic members")
+    if shrinkage is None and bg.nens < 3:
+        raise ValueError("too few members for RBLW")
+    cov = shrinkage if shrinkage is not None else estimate_shrinkage(bg)
+    d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
+    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, int(k), rng.child(_SYNTH_STREAM))
+    return cov, d, extend_ensemble(bg, synthetic)
 
 
 def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
@@ -282,14 +299,7 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     ``innovations`` are testing hooks that bypass estimation and observation
     perturbation; the synthetic draws always need ``rng``.
     """
-    y = _check_inputs(bg, y, obs)
-    rng = _require_stream(rng, "draw synthetic members")
-    if shrinkage is None and bg.nens < 3:
-        raise ValueError("too few members for RBLW")
-    cov = shrinkage if shrinkage is not None else _estimate_shrinkage(bg)
-    d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, int(k), rng.child(_SYNTH_STREAM))
-    extended = extend_ensemble(bg, synthetic)
+    cov, d, extended = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations)
 
     basis = np.sqrt(cov.delta) * extended.scaled_deviations()
     pi = obs.project(basis)
@@ -341,14 +351,7 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     identity for Bhat^{-1} applied to the basis; the analysis is
     X^b + U @ lambda and synthetic members are discarded.
     """
-    y = _check_inputs(bg, y, obs)
-    rng = _require_stream(rng, "draw synthetic members")
-    if shrinkage is None and bg.nens < 3:
-        raise ValueError("too few members for RBLW")
-    cov = shrinkage if shrinkage is not None else _estimate_shrinkage(bg)
-    d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, int(k), rng.child(_SYNTH_STREAM))
-    extended = extend_ensemble(bg, synthetic)
+    cov, d, extended = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations)
 
     w_ens, q_ext = enkf_rs_system(bg, cov, extended, obs)
     rhs = q_ext.T @ (d / obs.variances[:, None])
@@ -357,23 +360,6 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     diag = _shrinkage_diagnostics(cov)
     diag["condition_estimate"] = cond
     return AnalysisResult(Ensemble(analysis), diag)
-
-
-def localize_covariance(p: np.ndarray, grid_distance, radius: float) -> np.ndarray:
-    """Taper a dense covariance by a Gaussian distance correlation.
-
-    Entry (i, j) is multiplied by exp(-d(i, j)^2 / (2 * radius^2));
-    diagnostic/baseline use only. ``grid_distance`` must broadcast over
-    integer index arrays.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("covariance must be square")
-    if radius <= 0.0:
-        raise ValueError("localization radius must be positive")
-    idx = np.arange(p.shape[0])
-    dist = np.asarray(grid_distance(idx[:, None], idx[None, :]), dtype=float)
-    return p * np.exp(-(dist**2) / (2.0 * radius**2))
 
 
 def run_filter(key: str, bg: Ensemble, y, obs: ObservationSpec,

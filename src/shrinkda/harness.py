@@ -7,7 +7,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,12 +30,8 @@ RUN_CSV_HEADER = "cycle,rmse,analysis_seconds,gamma,phi,delta,dual_zeta,cost_pri
 _RUN_DIAG_KEYS = ("gamma", "phi", "delta", "dual_zeta", "cost_primal", "cost_dual")
 COMPARE_CSV_HEADER = "filter,rmse,analysis_seconds"
 
-_CONFIG_KEYS = {
-    "model", "filter", "filters", "nens", "synthetic_ratio", "p", "sigma_b",
-    "obs_std", "obs_noise_std", "n_cycles", "steps_per_cycle", "rng_seed",
-    "output", "spread_mode", "warn_on_full_shrinkage",
-}
 _OVERRIDE_PREFIXES = ("qg_", "l96_", "model_dt")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 @dataclass(frozen=True)
@@ -92,13 +88,18 @@ class ExperimentConfig:
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         known, overrides = _split_mapping(mapping)
         known.pop("filters", None)
+        missing = [f.name for f in fields(cls) if f.name not in known
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"config is missing required key(s): {', '.join(missing)}")
         return cls(model_overrides=overrides, **_coerce(known))
 
 
 def _split_mapping(mapping: dict):
+    config_keys = {f.name for f in fields(ExperimentConfig)} - {"model_overrides"} | {"filters"}
     known, overrides = {}, {}
     for key, value in mapping.items():
-        if key in _CONFIG_KEYS:
+        if key in config_keys:
             known[key] = value
         elif any(key.startswith(pre) or key == pre.rstrip("_") for pre in _OVERRIDE_PREFIXES):
             overrides[key] = value
@@ -115,8 +116,11 @@ def _coerce(values: dict) -> dict:
     for key in ("p", "sigma_b", "obs_std", "obs_noise_std", "synthetic_ratio"):
         if key in out and out[key] is not None:
             out[key] = float(out[key])
-    if "warn_on_full_shrinkage" in out and isinstance(out["warn_on_full_shrinkage"], str):
-        out["warn_on_full_shrinkage"] = out["warn_on_full_shrinkage"].lower() in ("1", "true", "yes")
+    flag = out.get("warn_on_full_shrinkage")
+    if isinstance(flag, str):
+        if flag.lower() not in _BOOLEANS:
+            raise ValueError(f"warn_on_full_shrinkage must be one of {'/'.join(_BOOLEANS)}, not {flag!r}")
+        out["warn_on_full_shrinkage"] = _BOOLEANS[flag.lower()]
     return out
 
 
@@ -130,8 +134,10 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = value
     return values
 
 

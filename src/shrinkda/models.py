@@ -308,7 +308,6 @@ class ModelDefinition:
     dt: float
     tendency: Callable[[np.ndarray], np.ndarray]
     initial_state: Callable[[], np.ndarray]
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def step(self, state: np.ndarray, dt: float | None = None) -> np.ndarray:
         """Advance one time step (the model default unless overridden)."""
@@ -330,13 +329,8 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0, dt: float = 0.05,
             x = rk4_step(tendency, x, dt)
         return x
 
-    def distance(i, j):
-        diff = np.abs(np.asarray(i) - np.asarray(j))
-        return np.minimum(diff, n - diff).astype(float)
-
     return ModelDefinition(name=f"l96-{n}", nstate=n, dt=dt,
-                           tendency=tendency, initial_state=initial_state,
-                           distance=distance)
+                           tendency=tendency, initial_state=initial_state)
 
 
 def qg_model(d1: int, d2: int, params: QgParams | None = None,
@@ -351,16 +345,9 @@ def qg_model(d1: int, d2: int, params: QgParams | None = None,
     def initial_state():
         return qg_initial_vorticity(grid)
 
-    def distance(i, j):
-        i = np.asarray(i)
-        j = np.asarray(j)
-        xi, yi = grid.x[i // grid.d2], grid.y[i % grid.d2]
-        xj, yj = grid.x[j // grid.d2], grid.y[j % grid.d2]
-        return np.hypot(xi - xj, yi - yj)
-
     model = ModelDefinition(name=name or f"qg-{d1 + 2}", nstate=grid.nstate,
                             dt=params.dt, tendency=tendency,
-                            initial_state=initial_state, distance=distance)
+                            initial_state=initial_state)
     object.__setattr__(model, "grid", grid)
     object.__setattr__(model, "params", params)
     return model

@@ -1,10 +1,10 @@
-"""Ledoit-Wolf-family shrinkage estimators for ensemble covariances.
+"""Rao-Blackwell Ledoit-Wolf (RBLW) shrinkage of ensemble covariances.
 
-The Rao-Blackwell Ledoit-Wolf (RBLW) coefficients are evaluated matrix-free
-from the singular values of the deviation matrix, so the sample covariance
-is never formed. The plain Ledoit-Wolf and oracle-approximating (OAS)
-estimators operate on explicit centered samples and serve as small-scale
-baselines and oracles.
+The RBLW coefficients are evaluated matrix-free from the singular values
+of the deviation matrix, so the sample covariance is never formed, and
+the shrunk estimate phi * I + delta * S @ S.T is inverted by the Woodbury
+identity. The plain Ledoit-Wolf and OAS estimators are not carried: no
+filter uses them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import DeviationMatrix, Ensemble, deviations
+from .ensemble import DeviationMatrix
 
 # Singular values below this fraction of the largest are treated as zero
 # rank; tiny values must not pollute the fourth-power sums.
@@ -26,7 +26,8 @@ class ShrinkageCovariance:
 
     Holds the triplet (phi, delta, S) plus the underlying (mu, gamma) pair
     with phi = mu * gamma and delta = 1 - gamma. The matrix itself is never
-    formed; see :func:`apply_shrunk_covariance`.
+    formed; see :func:`apply_inverse_shrunk_covariance`. Built by
+    :func:`shrinkda.filters.estimate_shrinkage`.
     """
 
     mu: float
@@ -49,14 +50,6 @@ class ShrinkageCovariance:
     @property
     def nstate(self) -> int:
         return self.deviations.nstate
-
-    @classmethod
-    def from_ensemble(cls, ens: Ensemble) -> "ShrinkageCovariance":
-        """Estimate (mu, gamma, phi, delta) from an ensemble via RBLW."""
-        devs = deviations(ens)
-        svals = deviation_singular_values(devs)
-        mu, gamma, phi, delta = rblw_parameters(svals, ens.nstate, ens.nens)
-        return cls(mu=mu, gamma=gamma, phi=phi, delta=delta, deviations=devs)
 
 
 def deviation_singular_values(devs: DeviationMatrix) -> np.ndarray:
@@ -95,91 +88,6 @@ def rblw_parameters(sing_vals, nstate: int, nens: int):
     denom = (nens + 2) * (trace_p2 - trace_p**2 / nstate)
     gamma = 1.0 if denom <= 0.0 else min(numer / denom, 1.0)
     return mu, gamma, mu * gamma, 1.0 - gamma
-
-
-def _as_columns(samples) -> np.ndarray:
-    """Normalize a list of vectors or an (nstate, n) array to column form."""
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
-        return np.asarray(samples, dtype=float)
-    return np.column_stack([np.asarray(v, dtype=float) for v in samples])
-
-
-def _sample_covariance(samples: np.ndarray) -> np.ndarray:
-    n = samples.shape[1]
-    return (samples @ samples.T) / (n - 1)
-
-
-def lw_gamma(samples, nstate: int) -> float:
-    """Distribution-free Ledoit-Wolf shrinkage intensity (dense, baseline only).
-
-    ``samples`` holds centered vectors, one per column. Clamped at 1.
-    """
-    s = _as_columns(samples)
-    if s.shape[1] < 2:
-        raise ValueError("need at least 2 samples")
-    cov = _sample_covariance(s)
-    if not np.any(cov):
-        raise ValueError("zero covariance")
-    numer = sum(np.linalg.norm(cov - np.outer(s[:, i], s[:, i])) ** 2
-                for i in range(s.shape[1]))
-    trace_c2 = float(np.trace(cov @ cov))
-    trace_c = float(np.trace(cov))
-    denom = s.shape[1] ** 2 * (trace_c2 - trace_c**2 / nstate)
-    if denom <= 0.0:
-        return 1.0
-    return min(numer / denom, 1.0)
-
-
-def oas_gamma(samples, nstate: int, init: float = 1.0,
-              max_iter: int = 100, tol: float = 1e-10):
-    """Oracle-approximating shrinkage intensity via fixed-point iteration.
-
-    Iterates the OAS map starting from ``init`` until successive values
-    differ by less than ``tol``. Returns ``(gamma, converged)``; gamma is
-    clamped to [0, 1] at every step. Note gamma = 1 is itself a fixed
-    point of the map, so the default initializer matters.
-    """
-    s = _as_columns(samples)
-    nens = s.shape[1]
-    if nens < 2:
-        raise ValueError("need at least 2 samples")
-    if not (0.0 <= init <= 1.0):
-        raise ValueError("init must lie in [0, 1]")
-    cov = _sample_covariance(s)
-    if not np.any(cov):
-        raise ValueError("zero covariance")
-    trace_c = float(np.trace(cov))
-    trace_c2 = float(np.trace(cov @ cov))
-    mu = trace_c / nstate
-    # tr(C_j) = tr(C_s) for every iterate because the target has equal trace.
-    trace_sq = trace_c**2
-    gamma = float(init)
-    converged = False
-    for _ in range(max_iter):
-        trace_prod = gamma * mu * trace_c + (1.0 - gamma) * trace_c2
-        numer = (1.0 - 2.0 / nstate) * trace_prod + trace_sq
-        denom = (nens + 1.0 - 2.0 / nstate) * trace_prod + (1.0 - nens / nstate) * trace_sq
-        new_gamma = min(max(numer / denom, 0.0), 1.0)
-        if abs(new_gamma - gamma) < tol:
-            gamma = new_gamma
-            converged = True
-            break
-        gamma = new_gamma
-    return gamma, converged
-
-
-def apply_shrunk_covariance(cov: ShrinkageCovariance, m: np.ndarray) -> np.ndarray:
-    """Evaluate (phi * I + delta * S @ S.T) @ m without forming the matrix.
-
-    Cost is O(nstate * nens * cols); ``m`` may be a vector or a matrix with
-    nstate rows.
-    """
-    m = np.asarray(m, dtype=float)
-    rows = m.shape[0]
-    if rows != cov.nstate:
-        raise ValueError("row count of operand must equal nstate")
-    s = cov.deviations.columns
-    return cov.phi * m + cov.delta * (s @ (s.T @ m))
 
 
 def apply_inverse_shrunk_covariance(cov: ShrinkageCovariance, m: np.ndarray) -> np.ndarray:

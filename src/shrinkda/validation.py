@@ -111,7 +111,7 @@ def _shrinkage_checks() -> list:
                            abs(gamma - gamma_rot) <= 1e-9 * max(1.0, gamma),
                            f"|gamma - rotated| = {abs(gamma - gamma_rot):.2e}"))
 
-    cov = ShrinkageCovariance.from_ensemble(ens)
+    cov = filters.estimate_shrinkage(ens)
     s = cov.deviations.columns
     dense = cov.phi * np.eye(ens.nstate) + cov.delta * (s @ s.T)
     smallest = float(np.linalg.eigvalsh(dense)[0])
@@ -267,7 +267,7 @@ def _fs_objective_check(gen) -> CheckResult:
     res = filters.enkf_fs_analysis(ens, y, obs, k, rng)
 
     # rebuild the filter's internal quantities from the same streams
-    cov = ShrinkageCovariance.from_ensemble(ens)
+    cov = filters.estimate_shrinkage(ens)
     perturbed = perturb_observations(y, obs, ens.nens, rng.child(1))
     mean_b = ens.matrix.mean(axis=1)
     synthetic = draw_synthetic_members(mean_b, cov, k, rng.child(2))

@@ -13,7 +13,8 @@ import pytest
 from shrinkda import validation
 from shrinkda.ensemble import dense_sample_covariance, deviations, ensemble_mean
 from shrinkda.filters import (enkf_du_analysis, enkf_fs_analysis, enkf_n_analysis,
-                              enkf_rs_analysis, ensrf_analysis, entkf_analysis)
+                              enkf_rs_analysis, ensrf_analysis, entkf_analysis,
+                              estimate_shrinkage)
 from shrinkda.harness import ExperimentConfig, compare_filters, configs_for_filters
 from shrinkda.models import QgGrid, arakawa_jacobian, laplacian, poisson_solve, rk4_step
 from shrinkda.observations import ObservationSpec
@@ -121,7 +122,7 @@ def test_criterion_4_filter_cross_checks():
     y = gen.standard_normal(obs.nobs)
     rng = RngStream(77)
     fs = enkf_fs_analysis(ens, y, obs, k, rng).analysis.matrix
-    cov = ShrinkageCovariance.from_ensemble(ens)
+    cov = estimate_shrinkage(ens)
     d = perturb_observations(y, obs, nens, rng.child(1)) - obs.project(ens.matrix)
     syn = draw_synthetic_members(ensemble_mean(ens), cov, k, rng.child(2))
     sdev = extend_ensemble(ens, syn).scaled_deviations()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from shrinkda.ensemble import (Ensemble, anomalies, dense_sample_covariance,
-                               deviations, ensemble_mean, read_ensemble_csv,
-                               write_ensemble_csv)
+                               deviations, ensemble_mean)
 
 from helpers import random_ensemble
 
@@ -144,15 +143,3 @@ class TestDenseSampleCovariance:
         assert eig[0] > -1e-10 * eig[-1]
         # eigenvalues beyond nens - 1 vanish
         assert np.all(np.sort(eig)[::-1][ens.nens - 1:] < 1e-10 * eig[-1])
-
-
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
-        gen = np.random.default_rng(18)
-        ens = random_ensemble(gen, 7, 4)
-        path = tmp_path / "ens.csv"
-        write_ensemble_csv(ens, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "member," + ",".join(f"c{i}" for i in range(7))
-        back = read_ensemble_csv(path)
-        np.testing.assert_allclose(back.matrix, ens.matrix, rtol=0, atol=0)

@@ -6,7 +6,7 @@ from shrinkda.ensemble import Ensemble, dense_sample_covariance, deviations, ens
 from shrinkda.filters import (AnalysisResult, enkf_analysis, enkf_du_analysis,
                               enkf_fs_analysis, enkf_n_analysis, enkf_n_cost,
                               enkf_n_gradient, enkf_rs_analysis, enkf_rs_system,
-                              ensrf_analysis, entkf_analysis, localize_covariance,
+                              ensrf_analysis, entkf_analysis, estimate_shrinkage,
                               run_filter)
 from shrinkda.observations import ObservationSpec
 from shrinkda.sampling import (RngStream, draw_synthetic_members, extend_ensemble,
@@ -233,7 +233,7 @@ class TestEnkfFs:
         rng = RngStream(7)
         res = enkf_fs_analysis(ens, y, obs, k, rng)
         # rebuild every ingredient independently from the same streams
-        cov = ShrinkageCovariance.from_ensemble(ens)
+        cov = estimate_shrinkage(ens)
         perturbed = perturb_observations(y, obs, nens, rng.child(1))
         d = perturbed - obs.project(ens.matrix)
         synthetic = draw_synthetic_members(ensemble_mean(ens), cov, k, rng.child(2))
@@ -251,7 +251,7 @@ class TestEnkfFs:
         rng = RngStream(13)
         k = 9
         res = enkf_fs_analysis(ens, y, obs, k, rng)
-        cov = ShrinkageCovariance.from_ensemble(ens)
+        cov = estimate_shrinkage(ens)
         perturbed = perturb_observations(y, obs, ens.nens, rng.child(1))
         synthetic = draw_synthetic_members(ensemble_mean(ens), cov, k, rng.child(2))
         sdev = extend_ensemble(ens, synthetic).scaled_deviations()
@@ -289,7 +289,7 @@ class TestEnkfRs:
         y = gen.standard_normal(obs.nobs)
         rng = RngStream(21)
         res = enkf_rs_analysis(ens, y, obs, k, rng)
-        cov = ShrinkageCovariance.from_ensemble(ens)
+        cov = estimate_shrinkage(ens)
         perturbed = perturb_observations(y, obs, nens, rng.child(1))
         d = perturbed - obs.project(ens.matrix)
         synthetic = draw_synthetic_members(ensemble_mean(ens), cov, k, rng.child(2))
@@ -310,7 +310,7 @@ class TestEnkfRs:
         nstate, nens, k = 12, 4, 6
         ens = random_ensemble(gen, nstate, nens)
         obs = ObservationSpec.from_fraction(nstate, 0.75, 0.1)
-        cov = ShrinkageCovariance.from_ensemble(ens)
+        cov = estimate_shrinkage(ens)
         synthetic = draw_synthetic_members(ensemble_mean(ens), cov, k, RngStream(4))
         ext = extend_ensemble(ens, synthetic)
         w_fast, q_ext = enkf_rs_system(ens, cov, ext, obs)
@@ -349,26 +349,6 @@ class TestEnkfRs:
         with pytest.raises(ValueError, match="rank-deficient ensemble space"):
             enkf_rs_analysis(ens, obs.project(v), obs, 0, RngStream(2),
                              shrinkage=forced)
-
-
-class TestLocalizeCovariance:
-    def test_infinite_radius_identity(self):
-        gen = np.random.default_rng(95)
-        p = gen.standard_normal((6, 6))
-        p = p @ p.T
-        out = localize_covariance(p, lambda i, j: np.abs(i - j).astype(float), 1e12)
-        assert np.abs(out - p).max() < 1e-12 * np.abs(p).max()
-
-    def test_diagonal_unchanged(self):
-        gen = np.random.default_rng(96)
-        p = gen.standard_normal((5, 5))
-        out = localize_covariance(p, lambda i, j: np.abs(i - j).astype(float), 1.0)
-        np.testing.assert_array_equal(np.diag(out), np.diag(p))
-
-    def test_distance_equal_radius_factor(self):
-        p = np.ones((3, 3))
-        out = localize_covariance(p, lambda i, j: np.abs(i - j).astype(float), 1.0)
-        np.testing.assert_allclose(out[0, 1], np.exp(-0.5), rtol=1e-12)
 
 
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])

@@ -115,6 +115,27 @@ class TestConfigParsing:
             "sigma_b": 0.1, "n_cycles": 1, "rng_seed": 1, "qg_drag": "0.5"})
         assert cfg.model_overrides == {"qg_drag": "0.5"}
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("model = l96-8\nnens = 4\n# comment\nnens = 40\n")
+        with pytest.raises(ValueError, match=r"dup\.cfg:4: duplicate key 'nens'"):
+            parse_config_file(path)
+
+    def test_missing_required_key_named(self):
+        with pytest.raises(ValueError, match=r"missing required key\(s\): nens, rng_seed$"):
+            ExperimentConfig.from_mapping({"model": "l96-8", "filter": "enkf", "p": "0.5",
+                                           "sigma_b": "0.1", "n_cycles": "1"})
+
+    def test_boolean_spellings(self):
+        base = {"model": "l96-8", "filter": "enkf", "nens": "4", "p": "0.5",
+                "sigma_b": "0.1", "n_cycles": "1", "rng_seed": "1"}
+        for text, flag in [("1", True), ("True", True), ("yes", True),
+                           ("0", False), ("false", False), ("NO", False)]:
+            cfg = ExperimentConfig.from_mapping({**base, "warn_on_full_shrinkage": text})
+            assert cfg.warn_on_full_shrinkage is flag
+        with pytest.raises(ValueError, match="warn_on_full_shrinkage .*'ture'"):
+            ExperimentConfig.from_mapping({**base, "warn_on_full_shrinkage": "ture"})
+
 
 class TestRunTwinExperiment:
     def test_rmse_decreases_with_exact_dense_observations(self):
@@ -288,6 +309,26 @@ class TestCli:
         assert cli.main(["compare", "--config", str(cfg)]) == 0
         assert out.exists()
         assert "entkf" in capsys.readouterr().out
+
+    def test_compare_without_filter_line(self, tmp_path, capsys):
+        # compare sets the filter per row, so the config may omit it
+        cfg = tmp_path / "cmp.cfg"
+        out = tmp_path / "cmp.csv"
+        cfg.write_text(
+            "model = l96-8\nfilters = ensrf,entkf,enkf\nnens = 4\n"
+            f"p = 0.75\nsigma_b = 0.1\nn_cycles = 2\nrng_seed = 5\noutput = {out}\n")
+        assert cli.main(["compare", "--config", str(cfg)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["ensrf", "entkf", "enkf"]
+
+    def test_missing_key_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = l96-8\nfilter = ensrf\np = 0.75\nsigma_b = 0.1\n"
+                       "n_cycles = 1\nrng_seed = 5\n")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config is missing required key(s): nens" in err
+        assert "TypeError" not in err and "__init__" not in err
 
     def test_missing_config_is_runtime_error(self, capsys):
         assert cli.main(["run", "--config", "/nonexistent.cfg"]) == 1

@@ -321,18 +321,6 @@ class TestModelRegistry:
         with pytest.raises(ValueError, match="unknown model key"):
             get_model("qg-17")
 
-    def test_l96_distance_cyclic(self):
-        model = get_model("l96-8")
-        assert model.distance(0, 7) == 1.0
-        assert model.distance(0, 4) == 4.0
-
-    def test_qg_distance_euclidean(self):
-        model = get_model("qg-33")
-        grid = model.grid
-        # neighbors along y differ by one flat index
-        np.testing.assert_allclose(model.distance(0, 1), grid.dy, rtol=1e-12)
-        np.testing.assert_allclose(model.distance(0, grid.d2), grid.dx, rtol=1e-12)
-
     def test_overrides_apply(self):
         model = get_model("qg-33", {"qg_drag": 0.5, "model_dt": 2.0})
         assert model.params.drag == 0.5

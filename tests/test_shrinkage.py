@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from shrinkda.ensemble import Ensemble, dense_sample_covariance, deviations, ensemble_mean
+from shrinkda.filters import estimate_shrinkage
 from shrinkda.shrinkage import (ShrinkageCovariance, apply_inverse_shrunk_covariance,
-                                apply_shrunk_covariance, deviation_singular_values,
-                                lw_gamma, oas_gamma, rblw_parameters)
+                                deviation_singular_values, rblw_parameters)
 
 from helpers import random_ensemble
 
@@ -115,133 +115,17 @@ class TestShrinkageCovarianceType:
     def test_spd_floor(self):
         gen = np.random.default_rng(26)
         ens = random_ensemble(gen, 25, 6)
-        cov = ShrinkageCovariance.from_ensemble(ens)
+        cov = estimate_shrinkage(ens)
         s = cov.deviations.columns
         dense = cov.phi * np.eye(25) + cov.delta * (s @ s.T)
         assert np.linalg.eigvalsh(dense)[0] >= cov.phi * (1 - 1e-10)
-
-
-class TestLwGamma:
-    def test_clamp(self):
-        # exactly isotropic sample covariance zeroes the denominator,
-        # so the min-clamp fires
-        s = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-             np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
-        assert lw_gamma(s, nstate=2) == 1.0
-
-    def test_matches_dense_oracle(self):
-        gen = np.random.default_rng(27)
-        samples = [gen.standard_normal(8) for _ in range(5)]
-        got = lw_gamma(samples, nstate=8)
-        # independent dense evaluation
-        s = np.column_stack(samples)
-        cov = s @ s.T / (5 - 1)
-        numer = sum(np.linalg.norm(cov - np.outer(c, c), "fro") ** 2 for c in samples)
-        denom = 25 * (np.trace(cov @ cov) - np.trace(cov) ** 2 / 8)
-        expected = min(numer / denom, 1.0)
-        assert abs(got - expected) < 1e-10
-
-    def test_zero_covariance(self):
-        z = np.zeros(4)
-        with pytest.raises(ValueError, match="zero covariance"):
-            lw_gamma([z, z, z], nstate=4)
-
-    def test_bounded_under_random_sweep(self):
-        gen = np.random.default_rng(28)
-        for _ in range(1000):
-            nstate = int(gen.integers(2, 8))
-            n = int(gen.integers(2, 7))
-            g = lw_gamma([gen.standard_normal(nstate) for _ in range(n)], nstate)
-            assert 0.0 <= g <= 1.0
-
-
-class TestOasGamma:
-    def test_isotropic_hand_evaluation(self):
-        # samples whose sample covariance equals mu * I: one map step
-        # evaluates with tr(C C_s) = mu^2 * nstate and lands exactly at 1
-        c = 1.7
-        samples = [np.array([c, 0.0]), np.array([0.0, c]),
-                   np.array([-c, 0.0]), np.array([0.0, -c])]
-        gamma, converged = oas_gamma(samples, nstate=2, init=0.4, max_iter=1, tol=1e-16)
-        nens, nstate = 4, 2
-        mu = 2 * c**2 / 3  # C_s = mu * I for these samples
-        trace_prod = 0.4 * mu * (mu * nstate) + 0.6 * (mu**2 * nstate)
-        trace_sq = (mu * nstate) ** 2
-        hand = ((1 - 2 / nstate) * trace_prod + trace_sq) / (
-            (nens + 1 - 2 / nstate) * trace_prod + (1 - nens / nstate) * trace_sq)
-        np.testing.assert_allclose(gamma, min(hand, 1.0), rtol=1e-12)
-        np.testing.assert_allclose(gamma, 1.0)
-
-    def test_two_start_agreement(self):
-        # any interior start converges to the same fixed point; gamma = 1
-        # itself is a separate fixed point of the map, so the boundary
-        # starts only agree when the fixed point is 1 (isotropic case below)
-        gen = np.random.default_rng(29)
-        samples = [gen.standard_normal(10) for _ in range(6)]
-        g0, c0 = oas_gamma(samples, nstate=10, init=0.0)
-        g1, c1 = oas_gamma(samples, nstate=10, init=0.5)
-        assert c0 and c1
-        assert abs(g0 - g1) < 1e-8
-
-    def test_boundary_starts_agree_on_isotropic_samples(self):
-        samples = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                   np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
-        g0, _ = oas_gamma(samples, nstate=2, init=0.0)
-        g1, _ = oas_gamma(samples, nstate=2, init=1.0)
-        assert g0 == g1 == 1.0
-
-    def test_clamp_pathological(self):
-        # tiny nstate with an isotropic spectrum drives the ratio above one
-        samples = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                   np.array([-1.0, 0.0]), np.array([0.0, -1.0])]
-        gamma, _ = oas_gamma(samples, nstate=2, init=0.9)
-        assert gamma == 1.0
-
-    def test_non_convergence_flag(self):
-        gen = np.random.default_rng(30)
-        samples = [gen.standard_normal(12) for _ in range(4)]
-        _, converged = oas_gamma(samples, nstate=12, init=0.0, max_iter=1, tol=1e-16)
-        assert converged is False
-
-
-class TestApplyShrunkCovariance:
-    def test_delta_zero_pure_scaling(self):
-        gen = np.random.default_rng(31)
-        devs = deviations(random_ensemble(gen, 9, 4))
-        cov = ShrinkageCovariance(mu=2.0, gamma=1.0, phi=2.0, delta=0.0, deviations=devs)
-        m = gen.standard_normal((9, 3))
-        np.testing.assert_array_equal(apply_shrunk_covariance(cov, m), 2.0 * m)
-
-    def test_phi_zero_matches_dense(self):
-        gen = np.random.default_rng(32)
-        devs = deviations(random_ensemble(gen, 50, 6))
-        cov = ShrinkageCovariance(mu=0.0, gamma=0.0, phi=0.0, delta=1.0, deviations=devs)
-        m = gen.standard_normal((50, 4))
-        s = devs.columns
-        dense = s @ s.T
-        assert np.abs(apply_shrunk_covariance(cov, m) - dense @ m).max() < 1e-11
-
-    def test_identity_columns_reconstruct_dense(self):
-        gen = np.random.default_rng(33)
-        ens = random_ensemble(gen, 30, 5)
-        cov = ShrinkageCovariance.from_ensemble(ens)
-        s = cov.deviations.columns
-        dense = cov.phi * np.eye(30) + cov.delta * (s @ s.T)
-        rebuilt = apply_shrunk_covariance(cov, np.eye(30))
-        assert np.abs(rebuilt - dense).max() < 1e-11
-
-    def test_dimension_mismatch(self):
-        gen = np.random.default_rng(34)
-        cov = ShrinkageCovariance.from_ensemble(random_ensemble(gen, 6, 4))
-        with pytest.raises(ValueError, match="nstate"):
-            apply_shrunk_covariance(cov, np.ones((7, 2)))
 
 
 class TestApplyInverse:
     def test_woodbury_matches_dense_inverse(self):
         gen = np.random.default_rng(35)
         ens = random_ensemble(gen, 20, 6)
-        cov = ShrinkageCovariance.from_ensemble(ens)
+        cov = estimate_shrinkage(ens)
         s = cov.deviations.columns
         dense = cov.phi * np.eye(20) + cov.delta * (s @ s.T)
         m = gen.standard_normal((20, 3))
@@ -250,7 +134,9 @@ class TestApplyInverse:
 
     def test_round_trip(self):
         gen = np.random.default_rng(36)
-        cov = ShrinkageCovariance.from_ensemble(random_ensemble(gen, 15, 5))
+        cov = estimate_shrinkage(random_ensemble(gen, 15, 5))
+        s = cov.deviations.columns
+        dense = cov.phi * np.eye(15) + cov.delta * (s @ s.T)
         m = gen.standard_normal(15)
-        back = apply_shrunk_covariance(cov, apply_inverse_shrunk_covariance(cov, m))
+        back = dense @ apply_inverse_shrunk_covariance(cov, m)
         np.testing.assert_allclose(back, m, rtol=0, atol=1e-9)
