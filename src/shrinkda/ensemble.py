@@ -35,17 +35,6 @@ class Ensemble:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def from_members(cls, members) -> "Ensemble":
-        """Build an ensemble from an iterable of equally sized 1-D vectors."""
-        cols = [np.asarray(v, dtype=float) for v in members]
-        if not cols:
-            raise ValueError("empty ensemble")
-        n = cols[0].shape
-        if any(c.ndim != 1 or c.shape != n for c in cols):
-            raise ValueError("all members must be 1-D vectors of identical length")
-        return cls(np.column_stack(cols))
-
     @property
     def nstate(self) -> int:
         return self.matrix.shape[0]

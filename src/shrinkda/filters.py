@@ -317,8 +317,10 @@ def enkf_rs_system(bg: Ensemble, cov: ShrinkageCovariance, extended, obs: Observ
     """
     u_ext = extended.anomalies()
     q_ext = obs.project(u_ext)
-    z_bu = apply_inverse_shrunk_covariance(cov, u_ext)
-    w_ens = u_ext.T @ z_bu + q_ext.T @ (q_ext / obs.variances[:, None])
+    # Bhat^{-1} U is dropped before the data term is formed, so these two
+    # large temporaries are never alive at once
+    w_ens = u_ext.T @ apply_inverse_shrunk_covariance(cov, u_ext)
+    w_ens += q_ext.T @ (q_ext / obs.variances[:, None])
     return 0.5 * (w_ens + w_ens.T), q_ext
 
 

@@ -99,14 +99,14 @@ class ExtendedEnsemble:
     def nk(self) -> int:
         return self.real.nens + self.synthetic.shape[1]
 
-    def members(self) -> np.ndarray:
-        """All members, real first then synthetic, as (nstate, nk)."""
-        return np.concatenate([self.real.matrix, self.synthetic], axis=1)
-
     def anomalies(self) -> np.ndarray:
-        """Unscaled anomalies about the real-member mean, (nstate, nk)."""
-        mean = self.real.matrix.mean(axis=1)
-        return self.members() - mean[:, None]
+        """Unscaled anomalies about the real-member mean, (nstate, nk), real first."""
+        real = self.real.matrix
+        mean = real.mean(axis=1)[:, None]
+        out = np.empty((self.real.nstate, self.nk))
+        np.subtract(real, mean, out=out[:, :self.real.nens])
+        np.subtract(self.synthetic, mean, out=out[:, self.real.nens:])
+        return out
 
     def scaled_deviations(self) -> np.ndarray:
         """Anomalies about the real mean scaled by 1/sqrt(nk - 1)."""
@@ -142,15 +142,12 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
 
 
 def extend_ensemble(real: Ensemble, synthetic) -> ExtendedEnsemble:
-    """Concatenate real members and synthetic draws, preserving order."""
+    """Concatenate real members and synthetic draws, preserving order.
+
+    A single 1-D draw is taken as one column.
+    """
     syn = np.asarray(synthetic, dtype=float)
-    if syn.size == 0:
-        syn = np.zeros((real.nstate, 0))
-    if syn.ndim == 1:
-        syn = syn[:, None]
-    if syn.shape[0] != real.nstate:
-        raise ValueError("synthetic member length must equal nstate")
-    return ExtendedEnsemble(real=real, synthetic=syn)
+    return ExtendedEnsemble(real=real, synthetic=syn[:, None] if syn.ndim == 1 else syn)
 
 
 def perturb_observations(y: np.ndarray, obs, n: int, rng: RngStream) -> np.ndarray:

@@ -105,4 +105,7 @@ def apply_inverse_shrunk_covariance(cov: ShrinkageCovariance, m: np.ndarray) -> 
         return m / cov.phi
     s = cov.deviations.columns
     inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s
-    return (m - s @ np.linalg.solve(inner, s.T @ m)) / cov.phi
+    out = s @ np.linalg.solve(inner, s.T @ m)
+    np.subtract(m, out, out=out)
+    out /= cov.phi
+    return out

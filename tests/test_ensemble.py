@@ -11,8 +11,6 @@ class TestEnsembleType:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty ensemble"):
             Ensemble(np.zeros((3, 0)))
-        with pytest.raises(ValueError, match="empty ensemble"):
-            Ensemble.from_members([])
 
     def test_rejects_non_finite(self):
         m = np.ones((3, 2))
@@ -20,12 +18,8 @@ class TestEnsembleType:
         with pytest.raises(ValueError, match="non-finite"):
             Ensemble(m)
 
-    def test_rejects_ragged_members(self):
-        with pytest.raises(ValueError, match="identical length"):
-            Ensemble.from_members([np.ones(3), np.ones(4)])
-
     def test_members_are_columns_and_immutable(self):
-        ens = Ensemble.from_members([[1.0, 2.0], [3.0, 4.0]])
+        ens = Ensemble(np.column_stack([[1.0, 2.0], [3.0, 4.0]]))
         assert ens.nstate == 2 and ens.nens == 2
         np.testing.assert_array_equal(ens.member(1), [3.0, 4.0])
         with pytest.raises(ValueError):
@@ -35,11 +29,11 @@ class TestEnsembleType:
 class TestEnsembleMean:
     def test_identical_members(self):
         v = np.array([2.0, -1.0, 0.5])
-        ens = Ensemble.from_members([v, v, v])
+        ens = Ensemble(np.column_stack([v, v, v]))
         np.testing.assert_array_equal(ensemble_mean(ens), v)
 
     def test_hand_arithmetic(self):
-        ens = Ensemble.from_members([[1.0, 3.0], [3.0, 5.0]])
+        ens = Ensemble(np.column_stack([[1.0, 3.0], [3.0, 5.0]]))
         np.testing.assert_array_equal(ensemble_mean(ens), [2.0, 4.0])
 
     def test_matches_summation_oracle(self):
@@ -60,11 +54,11 @@ class TestEnsembleMean:
 class TestDeviations:
     def test_identical_members_zero(self):
         v = np.array([1.0, 2.0])
-        ens = Ensemble.from_members([v, v, v])
+        ens = Ensemble(np.column_stack([v, v, v]))
         np.testing.assert_array_equal(deviations(ens).columns, np.zeros((2, 3)))
 
     def test_two_member_analytic(self):
-        ens = Ensemble.from_members([[0.0], [2.0]])
+        ens = Ensemble(np.column_stack([[0.0], [2.0]]))
         np.testing.assert_allclose(deviations(ens).columns, [[-1.0, 1.0]], atol=1e-15)
 
     def test_covariance_factorization(self):
@@ -98,7 +92,7 @@ class TestDeviations:
 class TestAnomalies:
     def test_identical_members_zero(self):
         v = np.array([5.0, -3.0])
-        ens = Ensemble.from_members([v, v])
+        ens = Ensemble(np.column_stack([v, v]))
         np.testing.assert_array_equal(anomalies(ens).columns, np.zeros((2, 2)))
 
     def test_scaling_relation(self):
@@ -117,11 +111,11 @@ class TestAnomalies:
 class TestDenseSampleCovariance:
     def test_identical_members_zero(self):
         v = np.arange(4.0)
-        ens = Ensemble.from_members([v, v, v])
+        ens = Ensemble(np.column_stack([v, v, v]))
         np.testing.assert_array_equal(dense_sample_covariance(ens), np.zeros((4, 4)))
 
     def test_one_dimensional_variance(self):
-        ens = Ensemble.from_members([[0.0], [2.0]])
+        ens = Ensemble(np.column_stack([[0.0], [2.0]]))
         np.testing.assert_allclose(dense_sample_covariance(ens), [[2.0]])
 
     def test_symmetry_exact(self):

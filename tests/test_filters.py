@@ -342,7 +342,7 @@ class TestEnkfRs:
     def test_zero_basis_rank_deficient_error(self):
         # identical members with a forced shrinkage leave an all-zero basis
         v = np.arange(6.0)
-        ens = Ensemble.from_members([v, v, v, v])
+        ens = Ensemble(np.column_stack([v, v, v, v]))
         obs = ObservationSpec.from_fraction(6, 0.5, 0.1)
         forced = ShrinkageCovariance(mu=1.0, gamma=1.0, phi=1.0, delta=0.0,
                                      deviations=deviations(ens))

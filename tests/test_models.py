@@ -211,11 +211,23 @@ class TestPoissonSolve:
         assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(lhs).max())
 
     def test_matches_dense_fallback(self):
+        # a rectangle and a qg-33 batch of 40 members
         gen = np.random.default_rng(107)
-        grid = QgGrid(9, 7)
-        omega = gen.standard_normal((9, 7))
-        np.testing.assert_allclose(poisson_solve(omega, grid),
-                                   poisson_solve_dense(omega, grid), atol=1e-12)
+        for grid, omega in ((QgGrid(9, 7), gen.standard_normal((9, 7))),
+                            (QgGrid(31, 31), gen.standard_normal((31, 31, 40)))):
+            np.testing.assert_allclose(poisson_solve(omega, grid),
+                                       poisson_solve_dense(omega, grid), atol=1e-12)
+
+    def test_batch_matches_members(self):
+        # each member's bits must not depend on the batch it rides in or on
+        # the batch layout; the threaded forecast relies on this
+        gen = np.random.default_rng(110)
+        grid = QgGrid(31, 31)
+        ensemble = np.asfortranarray(gen.standard_normal((grid.nstate, 40)))
+        singles = np.stack([poisson_solve(grid.to_grid(ensemble[:, k]), grid)
+                            for k in range(40)], axis=2)
+        for batch in (grid.to_grid(ensemble), np.ascontiguousarray(grid.to_grid(ensemble))):
+            np.testing.assert_array_equal(poisson_solve(batch, grid), singles)
 
 
 class TestQgTendency:

@@ -136,13 +136,19 @@ class TestExtendEnsemble:
         syn = gen.standard_normal((5, 2))
         ext = extend_ensemble(ens, syn)
         assert ext.nk == 5
-        np.testing.assert_array_equal(ext.members()[:, 3], syn[:, 0])
+        mean = ens.matrix.mean(axis=1)
+        np.testing.assert_array_equal(ext.anomalies()[:, 1], ens.member(1) - mean)
+        np.testing.assert_array_equal(ext.anomalies()[:, 3], syn[:, 0] - mean)
 
     def test_dimension_mismatch(self):
+        # a block and a single 1-D draw, which becomes one column, meet the
+        # one row check ExtendedEnsemble makes
         gen = np.random.default_rng(48)
         ens = random_ensemble(gen, 5, 3)
-        with pytest.raises(ValueError, match="nstate"):
-            extend_ensemble(ens, gen.standard_normal((6, 2)))
+        for syn in (gen.standard_normal((6, 2)), gen.standard_normal(4)):
+            with pytest.raises(ValueError, match=r"synthetic members must be \(nstate, k\)"):
+                extend_ensemble(ens, syn)
+        assert extend_ensemble(ens, gen.standard_normal(5)).nk == 4
 
     def test_anomalies_about_real_mean(self):
         gen = np.random.default_rng(49)

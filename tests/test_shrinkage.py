@@ -23,7 +23,7 @@ class TestSingularValues:
         # deviation columns +-[3, 4]/sqrt(2) carry all variance along [3, 4];
         # the single nonzero singular value is the norm 5
         d = np.array([3.0, 4.0]) / np.sqrt(2.0)
-        ens = Ensemble.from_members([d, -d])
+        ens = Ensemble(np.column_stack([d, -d]))
         svals = deviation_singular_values(deviations(ens))
         np.testing.assert_allclose(svals[0], 5.0, rtol=1e-14)
         np.testing.assert_allclose(svals[1], 0.0, atol=1e-14)
@@ -31,7 +31,7 @@ class TestSingularValues:
 
     def test_zero_matrix_rejected(self):
         v = np.ones(3)
-        ens = Ensemble.from_members([v, v, v])
+        ens = Ensemble(np.column_stack([v, v, v]))
         with pytest.raises(ValueError, match="zero deviations"):
             deviation_singular_values(deviations(ens))
 
