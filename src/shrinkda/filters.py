@@ -247,8 +247,9 @@ def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
 
     w = vec @ (proj / (lam + zeta))
     mean_a = mean + u @ w
-    weight_matrix = (vec * (lam + zeta)) @ vec.T
-    transform = _symmetric_sqrt_of_scaled_inverse(weight_matrix, nens - 1.0)
+    # the weight matrix is vec (lam + zeta) vec.T with lam >= 0 and zeta >=
+    # zeta_min > 0, so its eigenpairs are already at hand
+    transform = (vec * np.sqrt((nens - 1.0) / (lam + zeta))) @ vec.T
     analysis = mean_a[:, None] + u @ transform
     return AnalysisResult(Ensemble(analysis), {
         "dual_zeta": zeta,
@@ -309,13 +310,13 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     return AnalysisResult(Ensemble(analysis), _shrinkage_diagnostics(cov))
 
 
-def enkf_rs_system(bg: Ensemble, cov: ShrinkageCovariance, extended, obs: ObservationSpec):
+def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: ObservationSpec):
     """Ensemble-space weighted covariance and projected data operator.
 
     Returns (w_ens, q_ext) with w_ens = U.T (Bhat^{-1} + H.T R^{-1} H) U
-    evaluated matrix-free and q_ext = H U, for the extended anomaly basis U.
+    evaluated matrix-free and q_ext = H U, for the extended anomaly basis
+    U = ``u_ext``.
     """
-    u_ext = extended.anomalies()
     q_ext = obs.project(u_ext)
     # Bhat^{-1} U is dropped before the data term is formed, so these two
     # large temporaries are never alive at once
@@ -355,10 +356,11 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     """
     cov, d, extended = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations)
 
-    w_ens, q_ext = enkf_rs_system(bg, cov, extended, obs)
+    u_ext = extended.anomalies()
+    w_ens, q_ext = enkf_rs_system(cov, u_ext, obs)
     rhs = q_ext.T @ (d / obs.variances[:, None])
     lam, cond = _pseudo_solve_psd(w_ens, rhs)
-    analysis = bg.matrix + extended.anomalies() @ lam
+    analysis = bg.matrix + u_ext @ lam
     diag = _shrinkage_diagnostics(cov)
     diag["condition_estimate"] = cond
     return AnalysisResult(Ensemble(analysis), diag)

@@ -368,9 +368,8 @@ def write_metadata(cfg: ExperimentConfig, path, model: ModelDefinition | None = 
         items[key] = value
     params = getattr(model, "params", None)
     if params is not None:
-        for name in ("r", "beta", "viscosity", "drag", "wind", "dt",
-                     "jacobian_sign", "biharmonic_sign"):
-            items[f"resolved_qg_{name}"] = getattr(params, name)
+        for f in fields(params):
+            items[f"resolved_qg_{f.name}"] = getattr(params, f.name)
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in items.items():
             fh.write(f"{key} = {value}\n")

@@ -13,7 +13,7 @@ a single state vector or an (nstate, members) batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -373,27 +373,33 @@ def qg_model(d1: int, d2: int, params: QgParams | None = None,
 _QG_SIZES = {"qg-33": 31, "qg-65": 63, "qg-129": 127}
 
 
+def _reject_unread(key: str, overrides: dict, accepted) -> None:
+    unread = sorted(set(overrides) - set(accepted))
+    if unread:
+        raise ValueError(f"model {key!r} does not read override key(s) {', '.join(unread)}; "
+                         f"it reads {', '.join(sorted(accepted))}")
+
+
 def get_model(key: str, overrides: dict | None = None) -> ModelDefinition:
     """Resolve a CLI model key (``l96-<n>``, ``qg-33``, ``qg-65``, ``qg-129``).
 
-    ``overrides`` may adjust coefficients: keys ``l96_forcing``,
-    ``model_dt`` and the ``qg_*`` counterparts of the QgParams fields.
+    ``overrides`` may adjust coefficients: ``model_dt`` sets the time step,
+    ``l96_forcing`` the Lorenz-96 forcing and ``qg_<name>`` the QgParams
+    field ``name``. A key the resolved model does not read raises
+    ``ValueError``.
     """
     overrides = dict(overrides or {})
     if key.startswith("l96-"):
         n = int(key.split("-", 1)[1])
+        _reject_unread(key, overrides, ("l96_forcing", "model_dt"))
         return lorenz96_model(n=n,
                               forcing=float(overrides.get("l96_forcing", 8.0)),
                               dt=float(overrides.get("model_dt", 0.05)))
     if key in _QG_SIZES:
         d = _QG_SIZES[key]
-        params = QgParams()
-        fields = {"qg_r": "r", "qg_beta": "beta", "qg_viscosity": "viscosity",
-                  "qg_drag": "drag", "qg_wind": "wind", "model_dt": "dt",
-                  "qg_jacobian_sign": "jacobian_sign",
-                  "qg_biharmonic_sign": "biharmonic_sign"}
-        updates = {attr: float(overrides[k]) for k, attr in fields.items() if k in overrides}
-        if updates:
-            params = replace(params, **updates)
+        names = {("model_dt" if f.name == "dt" else f"qg_{f.name}"): f.name
+                 for f in fields(QgParams)}
+        _reject_unread(key, overrides, names)
+        params = replace(QgParams(), **{names[k]: float(v) for k, v in overrides.items()})
         return qg_model(d, d, params=params, name=key)
     raise ValueError(f"unknown model key {key!r}")

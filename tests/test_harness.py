@@ -1,13 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from shrinkda import cli
-from shrinkda.harness import (ExperimentConfig, RUN_CSV_HEADER, build_truth_and_observations,
-                              compare_filters, configs_for_filters, make_initial_ensemble,
-                              parse_config_file, propagate_matrix, rmse,
-                              run_twin_experiment, write_comparison_csv, write_run_csv)
-from shrinkda.models import get_model
-from shrinkda.observations import ObservationSpec
+from shrinkda.harness import (ExperimentConfig, RUN_CSV_HEADER, compare_filters,
+                              configs_for_filters, make_initial_ensemble, parse_config_file,
+                              propagate_matrix, rmse, run_twin_experiment,
+                              write_comparison_csv, write_metadata, write_run_csv)
+from shrinkda.models import QgParams, get_model
 from shrinkda.sampling import RngStream
 
 
@@ -115,6 +116,21 @@ class TestConfigParsing:
             "sigma_b": 0.1, "n_cycles": 1, "rng_seed": 1, "qg_drag": "0.5"})
         assert cfg.model_overrides == {"qg_drag": "0.5"}
 
+    def test_every_qg_param_settable_and_resolved_in_meta(self, tmp_path):
+        keys = {"qg_r": "r", "qg_beta": "beta", "qg_viscosity": "viscosity",
+                "qg_drag": "drag", "qg_wind": "wind", "model_dt": "dt",
+                "qg_jacobian_sign": "jacobian_sign", "qg_biharmonic_sign": "biharmonic_sign"}
+        assert sorted(keys.values()) == sorted(f.name for f in fields(QgParams))
+        overrides = {key: str(0.25 * (i + 1)) for i, key in enumerate(keys)}
+        cfg = tiny_config(model="qg-33", model_overrides=overrides)
+        model = get_model(cfg.model, cfg.model_overrides)
+        path = tmp_path / "run.meta"
+        write_metadata(cfg, path, model)
+        meta = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+        for key, name in keys.items():
+            assert getattr(model.params, name) == float(overrides[key])
+            assert meta[f"resolved_qg_{name}"] == str(float(overrides[key]))
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "dup.cfg"
         path.write_text("model = l96-8\nnens = 4\n# comment\nnens = 40\n")
@@ -150,26 +166,12 @@ class TestRunTwinExperiment:
         last = np.mean(series[5:])
         assert last < first
 
-    def test_deterministic_csv(self, tmp_path):
-        # every emitted number repeats except the wall-clock column, which
-        # is a measurement rather than a derived quantity
-        def masked(path):
-            rows = [line.split(",") for line in path.read_text().splitlines()]
-            return [cells[:2] + cells[3:] for cells in rows]
-
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        for out in (out1, out2):
-            cfg = tiny_config(output=str(out))
-            run_twin_experiment(cfg)
-        assert masked(out1) == masked(out2)
-        assert (tmp_path / "a.csv.meta").exists()
-
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "run.csv"
         cfg = tiny_config(filter="enkf-fs", output=str(out))
         res = run_twin_experiment(cfg)
         lines = out.read_text().splitlines()
+        assert (tmp_path / "run.csv.meta").exists()
         assert lines[0] == RUN_CSV_HEADER
         assert len(lines) == 1 + cfg.n_cycles
         cells = lines[1].split(",")
@@ -234,15 +236,6 @@ class TestCompareFilters:
         cfgs = [tiny_config(), tiny_config(rng_seed=99)]
         with pytest.raises(ValueError, match="disagree on rng_seed"):
             compare_filters(cfgs)
-
-    def test_truth_and_observations_shared(self):
-        cfg = tiny_config()
-        model = get_model(cfg.model)
-        obs = ObservationSpec.from_fraction(model.nstate, cfg.p, cfg.obs_std)
-        a = build_truth_and_observations(cfg, model, obs)
-        b = build_truth_and_observations(cfg, model, obs)
-        assert all(np.array_equal(x, y) for x, y in zip(a[1], b[1]))
-        assert all(np.array_equal(x, y) for x, y in zip(a[2], b[2]))
 
     def test_comparison_csv(self, tmp_path):
         rows = compare_filters(configs_for_filters(tiny_config(), ["ensrf", "enkf"]))

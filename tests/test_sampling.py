@@ -81,47 +81,6 @@ class TestDrawSyntheticMembers:
         with pytest.raises(ValueError, match="invalid shrinkage parameters"):
             draw_synthetic_members(np.zeros(6), bad, 2, RngStream(1))
 
-    def test_statistical_identity(self):
-        # empirical covariance of many draws reproduces phi*I + delta*S@S.T
-        gen = np.random.default_rng(43)
-        nstate, nens, k = 20, 5, 200_000
-        cov = make_cov(gen, nstate, nens)
-        mean = gen.standard_normal(nstate)
-        draws = draw_synthetic_members(mean, cov, k, RngStream(99))
-        s = cov.deviations.columns
-        dense = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)
-        emp = np.cov(draws)
-        assert np.linalg.norm(emp - dense) / np.linalg.norm(dense) < 0.03
-        stderr = np.sqrt(np.diag(dense) / k)
-        mean_err = np.abs(draws.mean(axis=1) - mean)
-        assert np.all(mean_err < 6.0 * stderr)
-
-    def test_parts_statistically_uncorrelated(self):
-        # rebuild the isotropic and subspace parts from the same streams
-        gen = np.random.default_rng(44)
-        nstate, nens, n = 12, 4, 5000
-        cov = make_cov(gen, nstate, nens)
-        s = cov.deviations.columns
-        rng = RngStream(5, 8)
-        part1 = np.empty((nstate, n))
-        part2 = np.empty((nstate, n))
-        for i in range(n):
-            g = rng.member_generator(i)
-            part1[:, i] = np.sqrt(cov.phi) * standard_normal(g, nstate)
-            part2[:, i] = np.sqrt(cov.delta) * (s @ standard_normal(g, nens))
-        draws = draw_synthetic_members(np.zeros(nstate), cov, n, rng)
-        np.testing.assert_array_equal(draws, part1 + part2)
-        dense = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)
-        cross = part1 @ part2.T / (n - 1)
-        assert np.linalg.norm(cross) < 0.02 * np.linalg.norm(dense) * np.sqrt(nstate)
-
-    def test_deterministic(self):
-        gen = np.random.default_rng(45)
-        cov = make_cov(gen, 10, 4)
-        a = draw_synthetic_members(np.zeros(10), cov, 7, RngStream(3, 2))
-        b = draw_synthetic_members(np.zeros(10), cov, 7, RngStream(3, 2))
-        np.testing.assert_array_equal(a, b)
-
 
 class TestExtendEnsemble:
     def test_empty_synthetic(self):
