@@ -2,9 +2,11 @@
 
 Every module-level invariant is encoded as a small seeded check on
 modest-sized instances. This module is the single home of these
-properties: the unit tests do not restate them, and acceptance
-criterion 8 runs :func:`run_all` under pytest, so each one is checked
-on every test run and from the CLI without pytest.
+properties: apart from the ensemble deviation/covariance checks and
+the per-filter member-count and reproducibility checks, the unit tests
+do not restate them, and acceptance criterion 8 runs :func:`run_all`
+under pytest, so each one is checked on every test run and from the CLI
+without pytest.
 """
 
 from __future__ import annotations

@@ -80,6 +80,14 @@ class TestDeviations:
         with pytest.raises(ValueError, match="degenerate ensemble"):
             deviations(ens)
 
+    def test_columns_sum_to_zero(self):
+        gen = np.random.default_rng(12)
+        for _ in range(10):
+            ens = random_ensemble(gen, int(gen.integers(2, 50)), int(gen.integers(2, 12)))
+            cols = deviations(ens).columns
+            scale = max(1.0, np.abs(cols).max())
+            assert np.abs(cols.sum(axis=1)).max() < 1e-12 * scale * ens.nens
+
 
 class TestAnomalies:
     def test_identical_members_zero(self):
@@ -110,8 +118,22 @@ class TestDenseSampleCovariance:
         ens = Ensemble(np.column_stack([[0.0], [2.0]]))
         np.testing.assert_allclose(dense_sample_covariance(ens), [[2.0]])
 
+    def test_symmetry_exact(self):
+        gen = np.random.default_rng(15)
+        ens = random_ensemble(gen, 25, 6)
+        cov = dense_sample_covariance(ens)
+        assert np.abs(cov - cov.T).max() == 0.0
+
     def test_size_cap(self):
         gen = np.random.default_rng(16)
         ens = random_ensemble(gen, 12, 4)
         with pytest.raises(ValueError, match="oracle size exceeded"):
             dense_sample_covariance(ens, cap=10)
+
+    def test_psd_and_rank(self):
+        gen = np.random.default_rng(17)
+        ens = random_ensemble(gen, 40, 6)
+        eig = np.linalg.eigvalsh(dense_sample_covariance(ens))
+        assert eig[0] > -1e-10 * eig[-1]
+        # eigenvalues beyond nens - 1 vanish
+        assert np.all(np.sort(eig)[::-1][ens.nens - 1:] < 1e-10 * eig[-1])

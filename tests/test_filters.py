@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from shrinkda import filters
 from shrinkda.ensemble import Ensemble, dense_sample_covariance, deviations, ensemble_mean
-from shrinkda.filters import (enkf_analysis, enkf_du_analysis, enkf_fs_analysis,
+from shrinkda.filters import (AnalysisResult, enkf_analysis, enkf_du_analysis, enkf_fs_analysis,
                               enkf_n_analysis, enkf_n_cost, enkf_n_gradient,
                               enkf_rs_analysis, enkf_rs_system, ensrf_analysis,
                               entkf_analysis, estimate_shrinkage, run_filter)
@@ -299,3 +300,19 @@ class TestRegistryAndInvariants:
         ens, obs, y = instance(gen)
         with pytest.raises(ValueError, match="unknown filter key"):
             run_filter("enkf-xyz", ens, y, obs)
+
+    @pytest.mark.parametrize("key", filters.FILTER_KEYS)
+    def test_member_count_preserved(self, key):
+        gen = np.random.default_rng(98)
+        ens, obs, y = instance(gen, nens=5)
+        res = run_filter(key, ens, y, obs, RngStream(8), synthetic_members=4)
+        assert isinstance(res, AnalysisResult)
+        assert res.analysis.nens == ens.nens
+
+    @pytest.mark.parametrize("key", filters.FILTER_KEYS)
+    def test_reproducible_under_fixed_stream(self, key):
+        gen = np.random.default_rng(99)
+        ens, obs, y = instance(gen, nens=5)
+        a = run_filter(key, ens, y, obs, RngStream(8), synthetic_members=4)
+        b = run_filter(key, ens, y, obs, RngStream(8), synthetic_members=4)
+        np.testing.assert_array_equal(a.analysis.matrix, b.analysis.matrix)
