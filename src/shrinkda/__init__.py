@@ -16,7 +16,7 @@ from .filters import (FILTER_KEYS, AnalysisResult, enkf_analysis, enkf_du_analys
 from .harness import (ExperimentConfig, ExperimentResult, compare_filters,
                       make_initial_ensemble, rmse, run_twin_experiment)
 from .models import (ModelDefinition, QgGrid, QgParams, arakawa_jacobian, get_model,
-                     lorenz96_tendency, poisson_solve, qg_initial_vorticity,
+                     lorenz96_tendency, pad, poisson_solve, qg_initial_vorticity,
                      qg_tendency, rk4_step)
 from .observations import ObservationSpec
 from .sampling import (ExtendedEnsemble, RngStream, draw_synthetic_members,

@@ -110,12 +110,15 @@ def _split_mapping(mapping: dict):
 
 def _coerce(values: dict) -> dict:
     out = dict(values)
-    for key in ("nens", "n_cycles", "steps_per_cycle", "rng_seed"):
-        if key in out:
-            out[key] = int(out[key])
-    for key in ("p", "sigma_b", "obs_std", "obs_noise_std", "synthetic_ratio"):
-        if key in out and out[key] is not None:
-            out[key] = float(out[key])
+    for kind, noun, keys in (
+            (int, "an integer", ("nens", "n_cycles", "steps_per_cycle", "rng_seed")),
+            (float, "a number", ("p", "sigma_b", "obs_std", "obs_noise_std", "synthetic_ratio"))):
+        for key in keys:
+            if out.get(key) is not None:
+                try:
+                    out[key] = kind(out[key])
+                except ValueError:
+                    raise ValueError(f"{key} must be {noun}, not {out[key]!r}") from None
     flag = out.get("warn_on_full_shrinkage")
     if isinstance(flag, str):
         if flag.lower() not in _BOOLEANS:
@@ -209,9 +212,12 @@ def make_initial_ensemble(truth0: np.ndarray, sigma_b: float, nens: int,
 def _worker_count() -> int:
     raw = os.environ.get("DACLI_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"DACLI_THREADS must be a positive integer, not {raw!r}")
+    return workers
 
 
 def propagate_matrix(model: ModelDefinition, matrix: np.ndarray, steps: int,
@@ -316,7 +322,7 @@ def compare_filters(cfgs) -> list:
     first = cfgs[0]
     if any(c.model != first.model for c in cfgs):
         raise ValueError("heterogeneous model keys")
-    shared = ("n_cycles", "steps_per_cycle", "rng_seed", "p", "obs_std",
+    shared = ("model_overrides", "n_cycles", "steps_per_cycle", "rng_seed", "p", "obs_std",
               "obs_noise_std", "sigma_b", "spread_mode")
     for name in shared:
         if any(getattr(c, name) != getattr(first, name) for c in cfgs):

@@ -9,6 +9,10 @@ a member's bits do not depend on the batch width, which keeps the
 threaded forecast equal to the serial one). Advection uses the energy- and
 enstrophy-conserving Arakawa discretization. All tendencies accept either
 a single state vector or an (nstate, members) batch.
+
+The stencils ``arakawa_jacobian``, ``laplacian`` and ``x_derivative`` take
+fields that already sit inside their zero Dirichlet ring and return the
+interior; ``pad`` adds that ring to a (d1, d2[, members]) field.
 """
 
 from __future__ import annotations
@@ -117,14 +121,14 @@ class QgParams:
             raise ValueError("dt must be positive")
 
 
-def _padded(field: np.ndarray) -> np.ndarray:
+def pad(field: np.ndarray) -> np.ndarray:
     """Copy of a field inside a zero Dirichlet ghost ring on its first two axes."""
     out = np.zeros((field.shape[0] + 2, field.shape[1] + 2) + field.shape[2:])
     out[1:-1, 1:-1] = field
     return out
 
 
-def _laplacian_padded(f: np.ndarray, grid: QgGrid, scale: float = 1.0) -> np.ndarray:
+def laplacian(f: np.ndarray, grid: QgGrid, scale: float = 1.0) -> np.ndarray:
     """scale * 5-point Laplacian of a padded field, on the interior."""
     cx = scale / grid.dx**2
     cy = scale / grid.dy**2
@@ -138,23 +142,27 @@ def _laplacian_padded(f: np.ndarray, grid: QgGrid, scale: float = 1.0) -> np.nda
     return out
 
 
-def _x_derivative_padded(f: np.ndarray, grid: QgGrid, scale: float = 1.0) -> np.ndarray:
+def x_derivative(f: np.ndarray, grid: QgGrid, scale: float = 1.0) -> np.ndarray:
     """scale * central x difference of a padded field, on the interior."""
     out = f[2:, 1:-1] - f[:-2, 1:-1]
     out *= scale / (2.0 * grid.dx)
     return out
 
 
-def _jacobian_padded(p: np.ndarray, w: np.ndarray, grid: QgGrid,
+def arakawa_jacobian(p: np.ndarray, w: np.ndarray, grid: QgGrid,
                      scale: float = 1.0) -> np.ndarray:
     """scale * Arakawa J(psi, omega) of padded fields, on the interior.
 
-    The centred differences px, py of psi and wx, wy of omega are formed
-    once over the padded range. 12 dx dy J is J1 + J2 + J3 with
-    J1 = px wy - py wx; the eight terms of J2 + J3 pair into differences
-    of two fluxes, Q = psi wy - omega py taken one row apart and
-    R = omega px - psi wx taken one column apart.
+    J = psi_x omega_y - psi_y omega_x as the average of the three canonical
+    second-order forms, which conserves the domain integrals of J, psi * J
+    and omega * J. The centred differences px, py of psi and wx, wy of
+    omega are formed once over the padded range. 12 dx dy J is
+    J1 + J2 + J3 with J1 = px wy - py wx; the eight terms of J2 + J3 pair
+    into differences of two fluxes, Q = psi wy - omega py taken one row
+    apart and R = omega px - psi wx taken one column apart.
     """
+    if p.shape != w.shape:
+        raise ValueError("fields must share a shape")
     px = p[2:] - p[:-2]
     wx = w[2:] - w[:-2]
     py = p[:, 2:] - p[:, :-2]
@@ -175,27 +183,6 @@ def _jacobian_padded(p: np.ndarray, w: np.ndarray, grid: QgGrid,
     out -= r[:, :-2]
     out *= scale / (12.0 * grid.dx * grid.dy)
     return out
-
-
-def laplacian(field: np.ndarray, grid: QgGrid) -> np.ndarray:
-    """5-point Laplacian with homogeneous Dirichlet boundaries."""
-    return _laplacian_padded(_padded(field), grid)
-
-
-def x_derivative(field: np.ndarray, grid: QgGrid) -> np.ndarray:
-    """Central difference in x with zero boundary values."""
-    return _x_derivative_padded(_padded(field), grid)
-
-
-def arakawa_jacobian(psi: np.ndarray, omega: np.ndarray, grid: QgGrid) -> np.ndarray:
-    """Arakawa discretization of J(psi, omega) = psi_x omega_y - psi_y omega_x.
-
-    Average of the three canonical second-order forms, which conserves the
-    domain integrals of J, psi * J and omega * J.
-    """
-    if psi.shape != omega.shape:
-        raise ValueError("fields must share a shape")
-    return _jacobian_padded(_padded(psi), _padded(omega), grid)
 
 
 @lru_cache(maxsize=16)
@@ -264,18 +251,16 @@ def qg_tendency(omega: np.ndarray, grid: QgGrid, params: QgParams) -> np.ndarray
     is omega itself and Lap(Lap(psi)) is Lap(omega). psi and omega are
     each padded once and shared by every stencil.
     """
-    omega = np.asarray(omega, dtype=float)
-    flat_input = omega.shape[0] == grid.nstate and omega.ndim <= 2
-    field = grid.to_grid(omega) if flat_input else omega
-    p = _padded(poisson_solve(field, grid))
-    w = _padded(field)
-    out = _jacobian_padded(p, w, grid, params.jacobian_sign * params.r)
-    out -= _x_derivative_padded(p, grid, params.beta)
-    out += _laplacian_padded(w, grid, params.biharmonic_sign * params.viscosity)
+    field = grid.to_grid(omega)
+    p = pad(poisson_solve(field, grid))
+    w = pad(field)
+    out = arakawa_jacobian(p, w, grid, params.jacobian_sign * params.r)
+    out -= x_derivative(p, grid, params.beta)
+    out += laplacian(w, grid, params.biharmonic_sign * params.viscosity)
     out -= params.drag * field
     forcing = params.wind * _wind_profile(grid)
     out += forcing[:, None] if field.ndim == 3 else forcing
-    return grid.to_state(out) if flat_input else out
+    return grid.to_state(out)
 
 
 def qg_initial_vorticity(grid: QgGrid) -> np.ndarray:

@@ -28,10 +28,10 @@ class RngStream:
 
     Identical (seed, stream_id) pairs reproduce identical draw sequences
     bit-for-bit. ``child`` derives a collision-resistant substream for a
-    purpose or cycle index; ``member_generator`` hands out one independent
-    counter-based generator per member index, and ``member_generators``
-    the same generators for a run of indices. A single generator must not
-    be shared across threads, but distinct streams may run concurrently.
+    purpose or cycle index; ``member_generators`` hands out one independent
+    counter-based generator per member index for a run of indices. A single
+    generator must not be shared across threads, but distinct streams may
+    run concurrently.
     """
 
     seed: int
@@ -52,13 +52,9 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(seed=self._seed_sequence()))
 
-    def member_generator(self, index: int) -> np.random.Generator:
-        """Independent generator for one member; cheap for large member counts."""
-        base = np.random.Philox(seed=self._seed_sequence())
-        return np.random.Generator(base.jumped(index))
-
     def member_generators(self, count: int):
-        """``member_generator(i)`` for i in range(count), seeding Philox once."""
+        """Independent generators for members 0..count-1: one Philox seeding,
+        then jumped copies, so member i's draws do not depend on count."""
         base = np.random.Philox(seed=self._seed_sequence())
         return (np.random.Generator(base.jumped(i)) for i in range(count))
 
@@ -119,8 +115,8 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
                            k: int, rng: RngStream) -> np.ndarray:
     """Draw k members from N(mean, phi*I + delta*S@S.T) as an (nstate, k) array.
 
-    Member i consumes stream ``rng.member_generator(i)``, drawing eps1 then
-    eps2, which makes the output independent of evaluation order.
+    Member i consumes generator i of ``rng.member_generators(k)``, drawing
+    eps1 then eps2, which makes the output independent of evaluation order.
     """
     if cov.phi < 0.0 or cov.delta < 0.0:
         raise ValueError("invalid shrinkage parameters")

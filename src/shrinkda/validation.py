@@ -2,11 +2,9 @@
 
 Every module-level invariant is encoded as a small seeded check on
 modest-sized instances. This module is the single home of these
-properties: apart from the ensemble deviation/covariance checks and
-the per-filter member-count and reproducibility checks, the unit tests
-do not restate them, and acceptance criterion 8 runs :func:`run_all`
-under pytest, so each one is checked on every test run and from the CLI
-without pytest.
+properties: the unit tests do not restate them, and acceptance
+criterion 8 runs :func:`run_all` under pytest, so each one is checked
+on every test run and from the CLI without pytest.
 """
 
 from __future__ import annotations
@@ -152,8 +150,7 @@ def _sampling_checks() -> list:
     part1 = np.empty((nstate, 4000))
     part2 = np.empty((nstate, 4000))
     stream = RngStream(7, 2)
-    for i in range(part1.shape[1]):
-        g = stream.member_generator(i)
+    for i, g in enumerate(stream.member_generators(part1.shape[1])):
         part1[:, i] = np.sqrt(cov.phi) * standard_normal(g, nstate)
         part2[:, i] = np.sqrt(cov.delta) * (s @ standard_normal(g, nens))
     summed = np.array_equal(
@@ -344,11 +341,11 @@ def _model_checks() -> list:
     omega = np.zeros((grid.d1, grid.d2))
     psi[1:-1, 1:-1] = gen.standard_normal((grid.d1 - 2, grid.d2 - 2))
     omega[1:-1, 1:-1] = gen.standard_normal((grid.d1 - 2, grid.d2 - 2))
-    jac = models.arakawa_jacobian(psi, omega, grid)
+    jac = models.arakawa_jacobian(models.pad(psi), models.pad(omega), grid)
     scale = float(np.abs(jac).max())
     full_psi = gen.standard_normal((grid.d1, grid.d2))
     full_omega = gen.standard_normal((grid.d1, grid.d2))
-    full_jac = models.arakawa_jacobian(full_psi, full_omega, grid)
+    full_jac = models.arakawa_jacobian(models.pad(full_psi), models.pad(full_omega), grid)
     sums = (abs(jac.sum()) / scale,
             abs((full_psi * full_jac).sum()) / float(np.abs(full_jac).max()),
             abs((full_omega * full_jac).sum()) / float(np.abs(full_jac).max()))

@@ -7,7 +7,7 @@ from shrinkda import cli
 from shrinkda.harness import (ExperimentConfig, RUN_CSV_HEADER, compare_filters,
                               configs_for_filters, make_initial_ensemble, parse_config_file,
                               propagate_matrix, rmse, run_twin_experiment,
-                              write_comparison_csv, write_metadata, write_run_csv)
+                              write_comparison_csv, write_metadata)
 from shrinkda.models import QgParams, get_model
 from shrinkda.sampling import RngStream
 
@@ -152,6 +152,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="warn_on_full_shrinkage .*'ture'"):
             ExperimentConfig.from_mapping({**base, "warn_on_full_shrinkage": "ture"})
 
+    def test_bad_number_named(self):
+        base = {"model": "l96-8", "filter": "enkf", "nens": "4", "p": "0.5",
+                "sigma_b": "0.1", "n_cycles": "1", "rng_seed": "1"}
+        for key, text in [("nens", "4.5"), ("sigma_b", "tenth")]:
+            with pytest.raises(ValueError, match=f"{key} must be .*'{text}'"):
+                ExperimentConfig.from_mapping({**base, key: text})
+
 
 class TestRunTwinExperiment:
     def test_rmse_decreases_with_exact_dense_observations(self):
@@ -232,9 +239,12 @@ class TestCompareFilters:
         with pytest.raises(ValueError, match="heterogeneous model keys"):
             compare_filters(cfgs)
 
-    def test_shared_seed_required(self):
-        cfgs = [tiny_config(), tiny_config(rng_seed=99)]
-        with pytest.raises(ValueError, match="disagree on rng_seed"):
+    @pytest.mark.parametrize("field,value", [("rng_seed", 99),
+                                             ("model_overrides", {"l96_forcing": 9.0})],
+                             ids=["rng_seed", "model_overrides"])
+    def test_shared_seed_required(self, field, value):
+        cfgs = [tiny_config(), tiny_config(**{field: value})]
+        with pytest.raises(ValueError, match=f"disagree on {field}"):
             compare_filters(cfgs)
 
     def test_comparison_csv(self, tmp_path):
@@ -271,6 +281,14 @@ class TestPropagation:
         matrix = 8.0 + gen.standard_normal((8, 4))
         out = propagate_matrix(model, matrix, 2)
         np.testing.assert_array_equal(out, propagate_matrix(model, matrix, 2, workers=1))
+
+    def test_env_var_rejects_bad_count(self, monkeypatch):
+        # a silent fallback to 1 thread would hide a mistyped value
+        model = get_model("l96-8")
+        for raw in ("two", "0", "-3"):
+            monkeypatch.setenv("DACLI_THREADS", raw)
+            with pytest.raises(ValueError, match=f"DACLI_THREADS .*'{raw}'"):
+                propagate_matrix(model, np.ones((8, 4)), 1)
 
 
 class TestCli:
