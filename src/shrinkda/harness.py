@@ -15,7 +15,7 @@ from .ensemble import Ensemble, ensemble_mean
 from .filters import FILTER_KEYS, run_filter
 from .models import ModelDefinition, get_model
 from .observations import ObservationSpec
-from .sampling import RngStream, standard_normal
+from .sampling import RngStream, member_normals
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +31,6 @@ _RUN_DIAG_KEYS = ("gamma", "phi", "delta", "dual_zeta", "cost_primal", "cost_dua
 COMPARE_CSV_HEADER = "filter,rmse,analysis_seconds"
 
 _OVERRIDE_PREFIXES = ("qg_", "l96_", "model_dt")
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,6 @@ class ExperimentConfig:
     steps_per_cycle: int = 10
     output: str | None = None
     spread_mode: str = "proportional"
-    warn_on_full_shrinkage: bool = True
     model_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -119,11 +117,6 @@ def _coerce(values: dict) -> dict:
                     out[key] = kind(out[key])
                 except ValueError:
                     raise ValueError(f"{key} must be {noun}, not {out[key]!r}") from None
-    flag = out.get("warn_on_full_shrinkage")
-    if isinstance(flag, str):
-        if flag.lower() not in _BOOLEANS:
-            raise ValueError(f"warn_on_full_shrinkage must be one of {'/'.join(_BOOLEANS)}, not {flag!r}")
-        out["warn_on_full_shrinkage"] = _BOOLEANS[flag.lower()]
     return out
 
 
@@ -201,12 +194,9 @@ def make_initial_ensemble(truth0: np.ndarray, sigma_b: float, nens: int,
         scale = np.full_like(truth0, sigma_b)
     else:
         raise ValueError("mode must be 'proportional' or 'uniform'")
-    gens = rng.member_generators(nens + 1)
-    background = truth0 + scale * standard_normal(next(gens), truth0.shape[0])
-    members = np.empty((truth0.shape[0], nens))
-    for i, gen in enumerate(gens):
-        members[:, i] = background + scale * standard_normal(gen, truth0.shape[0])
-    return Ensemble(members)
+    eps = member_normals(rng, nens + 1, truth0.shape[0])
+    background = truth0 + scale * eps[:, 0]
+    return Ensemble(background[:, None] + scale[:, None] * eps[:, 1:])
 
 
 def _worker_count() -> int:
@@ -253,13 +243,13 @@ def build_truth_and_observations(cfg: ExperimentConfig, model: ModelDefinition,
     for cycle in range(1, cfg.n_cycles + 1):
         state = propagate_matrix(model, state, cfg.steps_per_cycle, workers=1)
         truths.append(state.copy())
-        noise = standard_normal(rng.child(cycle, _OBS_NOISE).generator(), obs.nobs)
+        noise = member_normals(rng.child(cycle, _OBS_NOISE), 1, obs.nobs)[:, 0]
         observations.append(obs.project(state) + cfg.noise_std * noise)
     return truth0, truths, observations
 
 
-def _run_against_truth(cfg: ExperimentConfig, model: ModelDefinition,
-                       obs: ObservationSpec, truth0, truths, observations) -> ExperimentResult:
+def _run_against_truth(cfg: ExperimentConfig, model: ModelDefinition, obs: ObservationSpec,
+                       truth0, truths, observations, workers: int) -> ExperimentResult:
     rng = RngStream(cfg.rng_seed)
     ens = make_initial_ensemble(truth0, cfg.sigma_b, cfg.nens,
                                 rng.child(0, _INIT_STREAM), mode=cfg.spread_mode)
@@ -268,7 +258,7 @@ def _run_against_truth(cfg: ExperimentConfig, model: ModelDefinition,
     matrix = ens.matrix
     for cycle in range(1, cfg.n_cycles + 1):
         try:
-            matrix = propagate_matrix(model, matrix, cfg.steps_per_cycle)
+            matrix = propagate_matrix(model, matrix, cfg.steps_per_cycle, workers=workers)
         except Exception as exc:
             raise RuntimeError(f"cycle {cycle}: {cfg.filter} forecast failed: {exc}") from exc
         background = Ensemble(matrix)
@@ -281,7 +271,7 @@ def _run_against_truth(cfg: ExperimentConfig, model: ModelDefinition,
             raise RuntimeError(f"cycle {cycle}: {cfg.filter} analysis failed: {exc}") from exc
         elapsed = time.perf_counter() - started
         diag = result.diagnostics
-        if (cfg.warn_on_full_shrinkage and not warned and diag.get("gamma") == 1.0):
+        if not warned and diag.get("gamma") == 1.0:
             log.warning("cycle %d: shrinkage saturated at gamma = 1 (isotropic prior)", cycle)
             warned = True
         step_rmse = rmse([ensemble_mean(result.analysis)], [truths[cycle - 1]])
@@ -299,10 +289,11 @@ def run_twin_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Only the real members are propagated between cycles; the per-cycle
     RMSE compares the analysis mean against the truth at the cycle end.
     """
+    workers = _worker_count()
     model = get_model(cfg.model, cfg.model_overrides)
     obs = ObservationSpec.from_fraction(model.nstate, cfg.p, cfg.obs_std)
     truth0, truths, observations = build_truth_and_observations(cfg, model, obs)
-    result = _run_against_truth(cfg, model, obs, truth0, truths, observations)
+    result = _run_against_truth(cfg, model, obs, truth0, truths, observations, workers)
     if cfg.output:
         write_run_csv(result, cfg.output)
         write_metadata(cfg, cfg.output + ".meta", model)
@@ -327,12 +318,13 @@ def compare_filters(cfgs) -> list:
     for name in shared:
         if any(getattr(c, name) != getattr(first, name) for c in cfgs):
             raise ValueError(f"configurations disagree on {name}")
+    workers = _worker_count()
     model = get_model(first.model, first.model_overrides)
     obs = ObservationSpec.from_fraction(model.nstate, first.p, first.obs_std)
     truth0, truths, observations = build_truth_and_observations(first, model, obs)
     rows = []
     for cfg in cfgs:
-        result = _run_against_truth(cfg, model, obs, truth0, truths, observations)
+        result = _run_against_truth(cfg, model, obs, truth0, truths, observations, workers)
         rows.append((cfg.filter, result.total_rmse, result.total_analysis_seconds))
     return rows
 
@@ -368,7 +360,6 @@ def write_metadata(cfg: ExperimentConfig, path, model: ModelDefinition | None = 
         "obs_noise_std": cfg.noise_std, "n_cycles": cfg.n_cycles,
         "steps_per_cycle": cfg.steps_per_cycle, "rng_seed": cfg.rng_seed,
         "spread_mode": cfg.spread_mode,
-        "warn_on_full_shrinkage": cfg.warn_on_full_shrinkage,
     }
     for key, value in sorted(cfg.model_overrides.items()):
         items[key] = value

@@ -1,11 +1,13 @@
-"""Synthetic ensemble members drawn from the shrinkage-estimated prior.
+"""Per-member random streams and the draws built on them.
 
-Draws from N(mean, phi * I + delta * S @ S.T) are assembled as
-mean + sqrt(phi) * eps1 + sqrt(delta) * S @ eps2 with independent standard
-normal eps1 (length nstate) and eps2 (length nens); the covariance matrix
-and its square root are never formed. Every member has its own
-counter-based random stream so draws are reproducible regardless of
-evaluation order.
+Every member has its own counter-based Philox stream, and
+``member_normals`` is the one place where a stream becomes standard
+normals, so every draw is reproducible regardless of evaluation order.
+Synthetic members from N(mean, phi * I + delta * S @ S.T) are
+mean + sqrt(phi) * eps1 + sqrt(delta) * S @ eps2, with eps1 (length
+nstate) and eps2 (length nens) from one member's normals; S meets the
+eps2 of all members in one product, and the covariance matrix and its
+square root are never formed.
 """
 
 from __future__ import annotations
@@ -49,9 +51,6 @@ class RngStream:
         new_id = int(ss.generate_state(1, np.uint64)[0])
         return RngStream(seed=self.seed, stream_id=new_id)
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(seed=self._seed_sequence()))
-
     def member_generators(self, count: int):
         """Independent generators for members 0..count-1: one Philox seeding,
         then jumped copies, so member i's draws do not depend on count."""
@@ -69,19 +68,29 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     return ndtri(u)
 
 
+def member_normals(rng: RngStream, count: int, size: int) -> np.ndarray:
+    """An F-ordered (size, count) block of standard normals whose column i
+    is ``standard_normal`` of member generator i of ``rng``."""
+    out = np.empty((size, count), order="F")
+    for i, gen in enumerate(rng.member_generators(count)):
+        out[:, i] = standard_normal(gen, size)
+    return out
+
+
 @dataclass(frozen=True)
 class ExtendedEnsemble:
     """Real members plus synthetic draws, nk = nens + k columns in total.
 
     Deviations are always taken about the mean of the real members; the
-    synthetic draws are centered there by construction.
+    synthetic draws are centered there by construction. The synthetic
+    float array is frozen in place (made read-only), not copied.
     """
 
     real: Ensemble
     synthetic: np.ndarray
 
     def __post_init__(self):
-        syn = np.array(self.synthetic, dtype=float)
+        syn = np.asarray(self.synthetic, dtype=float)
         if syn.size == 0:
             syn = np.zeros((self.real.nstate, 0))
         if syn.ndim != 2 or syn.shape[0] != self.real.nstate:
@@ -115,8 +124,8 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
                            k: int, rng: RngStream) -> np.ndarray:
     """Draw k members from N(mean, phi*I + delta*S@S.T) as an (nstate, k) array.
 
-    Member i consumes generator i of ``rng.member_generators(k)``, drawing
-    eps1 then eps2, which makes the output independent of evaluation order.
+    Member i takes column i of ``member_normals(rng, k, nstate + nens)``:
+    eps1 then eps2, so the output does not depend on evaluation order.
     """
     if cov.phi < 0.0 or cov.delta < 0.0:
         raise ValueError("invalid shrinkage parameters")
@@ -127,13 +136,13 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
     if mean.shape[0] != s.shape[0]:
         raise ValueError("mean length must equal nstate")
     nstate, nens = s.shape
-    draws = np.empty((nstate, k))
-    sqrt_phi = np.sqrt(cov.phi)
-    sqrt_delta = np.sqrt(cov.delta)
-    for i, gen in enumerate(rng.member_generators(k)):
-        eps1 = standard_normal(gen, nstate)
-        eps2 = standard_normal(gen, nens)
-        draws[:, i] = mean + sqrt_phi * eps1 + sqrt_delta * (s @ eps2)
+    eps = member_normals(rng, k, nstate + nens)
+    draws = s @ eps[nstate:]
+    draws *= np.sqrt(cov.delta)
+    part1 = eps[:nstate]
+    part1 *= np.sqrt(cov.phi)
+    part1 += mean[:, None]
+    draws += part1
     return draws
 
 
@@ -158,7 +167,4 @@ def perturb_observations(y: np.ndarray, obs, n: int, rng: RngStream) -> np.ndarr
     std = np.sqrt(obs.variances)
     if y.shape[0] != std.shape[0]:
         raise ValueError("observation vector length must match the variances")
-    out = np.empty((y.shape[0], n))
-    for i, gen in enumerate(rng.member_generators(n)):
-        out[:, i] = y + std * standard_normal(gen, y.shape[0])
-    return out
+    return y[:, None] + std[:, None] * member_normals(rng, n, y.shape[0])

@@ -146,13 +146,14 @@ def _sampling_checks() -> list:
                            f"relative Frobenius error {frob:.3f}, sample mean within "
                            f"{mean_err:.2f} standard errors over {k} draws"))
 
-    # regenerate the two parts from the same per-member streams
+    # regenerate the two parts from the same per-member streams, part2 as one product
     part1 = np.empty((nstate, 4000))
-    part2 = np.empty((nstate, 4000))
+    eps2 = np.empty((nens, 4000))
     stream = RngStream(7, 2)
     for i, g in enumerate(stream.member_generators(part1.shape[1])):
         part1[:, i] = np.sqrt(cov.phi) * standard_normal(g, nstate)
-        part2[:, i] = np.sqrt(cov.delta) * (s @ standard_normal(g, nens))
+        eps2[:, i] = standard_normal(g, nens)
+    part2 = np.sqrt(cov.delta) * (s @ eps2)
     summed = np.array_equal(
         draw_synthetic_members(np.zeros(nstate), cov, part1.shape[1], stream), part1 + part2)
     cross = part1 @ part2.T / (part1.shape[1] - 1)

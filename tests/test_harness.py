@@ -1,15 +1,16 @@
+import logging
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from shrinkda import cli
+from shrinkda import cli, harness
 from shrinkda.harness import (ExperimentConfig, RUN_CSV_HEADER, compare_filters,
                               configs_for_filters, make_initial_ensemble, parse_config_file,
                               propagate_matrix, rmse, run_twin_experiment,
                               write_comparison_csv, write_metadata)
 from shrinkda.models import QgParams, get_model
-from shrinkda.sampling import RngStream
+from shrinkda.sampling import RngStream, standard_normal
 
 
 def tiny_config(**kw):
@@ -78,6 +79,17 @@ class TestMakeInitialEnsemble:
         b = make_initial_ensemble(truth, 0.1, 4, RngStream(5))
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
+    def test_background_uses_generator_0_and_member_i_generator_i_plus_1(self):
+        truth = np.arange(1.0, 7.0)
+        rng = RngStream(6, 3)
+        ens = make_initial_ensemble(truth, 0.1, 4, rng)
+        scale = 0.1 * np.abs(truth)
+        gens = rng.member_generators(5)
+        background = truth + scale * standard_normal(next(gens), 6)
+        for i, gen in enumerate(gens):
+            np.testing.assert_array_equal(ens.member(i),
+                                          background + scale * standard_normal(gen, 6))
+
 
 class TestConfigParsing:
     def test_file_round_trip(self, tmp_path):
@@ -142,16 +154,6 @@ class TestConfigParsing:
             ExperimentConfig.from_mapping({"model": "l96-8", "filter": "enkf", "p": "0.5",
                                            "sigma_b": "0.1", "n_cycles": "1"})
 
-    def test_boolean_spellings(self):
-        base = {"model": "l96-8", "filter": "enkf", "nens": "4", "p": "0.5",
-                "sigma_b": "0.1", "n_cycles": "1", "rng_seed": "1"}
-        for text, flag in [("1", True), ("True", True), ("yes", True),
-                           ("0", False), ("false", False), ("NO", False)]:
-            cfg = ExperimentConfig.from_mapping({**base, "warn_on_full_shrinkage": text})
-            assert cfg.warn_on_full_shrinkage is flag
-        with pytest.raises(ValueError, match="warn_on_full_shrinkage .*'ture'"):
-            ExperimentConfig.from_mapping({**base, "warn_on_full_shrinkage": "ture"})
-
     def test_bad_number_named(self):
         base = {"model": "l96-8", "filter": "enkf", "nens": "4", "p": "0.5",
                 "sigma_b": "0.1", "n_cycles": "1", "rng_seed": "1"}
@@ -208,6 +210,33 @@ class TestRunTwinExperiment:
         with pytest.raises(RuntimeError,
                            match=r"^cycle 1: enkf forecast failed: model blow-up$"):
             run_twin_experiment(cfg)
+
+    def test_saturated_shrinkage_warns_once_per_run(self, caplog):
+        # an isotropic start on a 5-variable model saturates gamma in the
+        # first two cycles
+        cfg = ExperimentConfig(model="l96-5", filter="enkf-fs", nens=20, p=1.0, sigma_b=0.5,
+                               spread_mode="uniform", steps_per_cycle=1, n_cycles=3,
+                               rng_seed=11, synthetic_ratio=1.0)
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="shrinkda.harness"):
+                res = run_twin_experiment(cfg)
+            assert sum(r.diagnostics["gamma"] == 1.0 for r in res.cycles) >= 2
+            assert [r.getMessage() for r in caplog.records] == [
+                "cycle 1: shrinkage saturated at gamma = 1 (isotropic prior)"]
+
+    def test_bad_thread_count_fails_before_any_work(self, monkeypatch):
+        # DACLI_THREADS is read once, before the truth run, and the error
+        # carries no cycle or filter prefix
+        def truth_run(*_args):
+            raise AssertionError("the truth run started")
+
+        monkeypatch.setattr(harness, "build_truth_and_observations", truth_run)
+        monkeypatch.setenv("DACLI_THREADS", "two")
+        for run in (run_twin_experiment, lambda cfg: compare_filters([cfg])):
+            with pytest.raises(ValueError,
+                               match=r"^DACLI_THREADS must be a positive integer, not 'two'$"):
+                run(tiny_config())
 
     @pytest.mark.parametrize("seed", [74, 3000001])
     def test_enkf_n_converges_at_small_obs_std(self, seed):

@@ -4,7 +4,8 @@ import pytest
 from shrinkda.ensemble import deviations
 from shrinkda.observations import ObservationSpec
 from shrinkda.sampling import (ExtendedEnsemble, RngStream, draw_synthetic_members,
-                               extend_ensemble, perturb_observations, standard_normal)
+                               extend_ensemble, member_normals, perturb_observations,
+                               standard_normal)
 from shrinkda.shrinkage import ShrinkageCovariance
 
 from helpers import random_ensemble
@@ -17,15 +18,20 @@ def make_cov(gen, nstate, nens, phi=0.3, delta=0.7):
     return ShrinkageCovariance(mu=mu, gamma=gamma, phi=phi, delta=delta, deviations=devs)
 
 
+def first_generator(stream):
+    (gen,) = stream.member_generators(1)
+    return gen
+
+
 class TestRngStream:
     def test_same_ids_reproduce(self):
-        a = RngStream(123, 4).generator().integers(0, 1 << 31, 16)
-        b = RngStream(123, 4).generator().integers(0, 1 << 31, 16)
+        a = first_generator(RngStream(123, 4)).integers(0, 1 << 31, 16)
+        b = first_generator(RngStream(123, 4)).integers(0, 1 << 31, 16)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = RngStream(123, 4).generator().integers(0, 1 << 31, 16)
-        b = RngStream(123, 5).generator().integers(0, 1 << 31, 16)
+        a = first_generator(RngStream(123, 4)).integers(0, 1 << 31, 16)
+        b = first_generator(RngStream(123, 5)).integers(0, 1 << 31, 16)
         assert not np.array_equal(a, b)
 
     def test_child_paths_distinct_and_stable(self):
@@ -42,10 +48,18 @@ class TestRngStream:
         np.testing.assert_array_equal(a, first.integers(0, 1 << 31, 8))
 
     def test_standard_normal_moments(self):
-        gen = RngStream(11).generator()
-        z = standard_normal(gen, 200_000)
+        z = standard_normal(first_generator(RngStream(11)), 200_000)
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
+
+    def test_member_normals_column_i_is_member_generator_i(self):
+        rng = RngStream(5, 2)
+        block = member_normals(rng, 6, 9)
+        assert block.shape == (9, 6) and block.flags.f_contiguous
+        for i, gen in enumerate(rng.member_generators(6)):
+            np.testing.assert_array_equal(block[:, i], standard_normal(gen, 9))
+        # the first columns do not depend on how many members are drawn
+        np.testing.assert_array_equal(member_normals(rng, 2, 9), block[:, :2])
 
 
 class TestDrawSyntheticMembers:
@@ -158,6 +172,14 @@ class TestExtendedEnsembleType:
         ens = random_ensemble(gen, 4, 3)
         ext = ExtendedEnsemble(real=ens, synthetic=gen.standard_normal((4, 2)))
         assert ext.nk == 5
+
+    def test_synthetic_block_frozen_in_place(self):
+        gen = np.random.default_rng(52)
+        ens = random_ensemble(gen, 4, 3)
+        syn = gen.standard_normal((4, 2))
+        stored = extend_ensemble(ens, syn).synthetic
+        assert np.shares_memory(stored, syn)
+        assert not stored.flags.writeable
 
     def test_rejects_bad_shapes(self):
         gen = np.random.default_rng(51)
