@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shrinkda import cli, harness
+from shrinkda.ensemble import Ensemble
 from shrinkda.harness import (ExperimentConfig, RUN_CSV_HEADER, compare_filters,
                               configs_for_filters, make_initial_ensemble, parse_config_file,
                               propagate_matrix, rmse, run_twin_experiment,
@@ -291,10 +292,14 @@ class TestPropagation:
         gen = np.random.default_rng(115)
         matrix = 8.0 + gen.standard_normal((8, 6))
         serial = propagate_matrix(model, matrix, 5, workers=1)
-        threaded = propagate_matrix(model, matrix, 5, workers=3)
-        np.testing.assert_array_equal(serial, threaded)
-        # qg-33: 40 members split 20/20 and 14/13/13, so each chunk runs
-        # the DST and the stencils at a different batch width
+        for workers in (3, 8):
+            # 8 workers for 6 members: one block per member, none empty
+            threaded = propagate_matrix(model, matrix, 5, workers=workers)
+            np.testing.assert_array_equal(serial, threaded)
+        # qg-33: 40 members (300 KiB) run as two 20-member blocks serially
+        # and with 2 workers, and as 14/13/13 with 3 workers, so only the
+        # 3-worker run changes the batch width; the blocking itself is
+        # checked against single columns below
         model = get_model("qg-33")
         truth = model.initial_state()
         matrix = truth[:, None] * (1.0 + 0.05 * gen.standard_normal((model.nstate, 40)))
@@ -302,6 +307,43 @@ class TestPropagation:
         for workers in (2, 3):
             threaded = propagate_matrix(model, matrix, 2, workers=workers)
             np.testing.assert_array_equal(serial, threaded)
+
+    def test_blocks_match_single_columns(self):
+        # qg-65: 40 members (1.2 MiB) run as 5 blocks of 8 at 1 worker and
+        # as 6 blocks of 7 or 6 at 2 and 3 workers; a column advanced on
+        # its own is never blocked
+        model = get_model("qg-65")
+        gen = np.random.default_rng(117)
+        truth = model.initial_state()
+        matrix = truth[:, None] * (1.0 + 0.05 * gen.standard_normal((model.nstate, 40)))
+        oracle = np.column_stack([propagate_matrix(model, column, 2) for column in matrix.T])
+        for workers in (1, 2, 3):
+            np.testing.assert_array_equal(propagate_matrix(model, matrix, 2, workers=workers),
+                                          oracle)
+
+    def test_blow_up_leaves_its_block(self, monkeypatch):
+        # only the last member of the last qg-65 block blows up
+        model = get_model("qg-65")
+        matrix = np.repeat(model.initial_state()[:, None], 40, axis=1)
+        matrix[:, -1] *= 1e200
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError, match="^model blow-up$"):
+                propagate_matrix(model, matrix, 1, workers=workers)
+        real = harness.make_initial_ensemble
+
+        def blown_up(*args, **kwargs):
+            members = real(*args, **kwargs).matrix.copy()
+            members[:, -1] *= 1e200
+            return Ensemble(members)
+
+        monkeypatch.setattr(harness, "make_initial_ensemble", blown_up)
+        cfg = ExperimentConfig(model="qg-65", filter="enkf", nens=40, p=0.5, sigma_b=0.05,
+                               steps_per_cycle=1, n_cycles=1, rng_seed=3)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DACLI_THREADS", threads)
+            with pytest.raises(RuntimeError,
+                               match=r"^cycle 1: enkf forecast failed: model blow-up$"):
+                run_twin_experiment(cfg)
 
     def test_env_var_worker_cap(self, monkeypatch):
         monkeypatch.setenv("DACLI_THREADS", "2")
