@@ -19,8 +19,8 @@ from .observations import ObservationSpec
 from .sampling import RngStream, draw_synthetic_members, extend_ensemble, perturb_observations
 from .shrinkage import (ShrinkageCovariance, apply_inverse_shrunk_covariance,
                         deviation_singular_values, rblw_parameters)
-from .solvers import (ObservationSpaceSystem, diagonal_inverse, ensrf_transform,
-                      entkf_factors, ismf_solve)
+from .solvers import (ObservationSpaceSystem, cholesky_solve, diagonal_inverse,
+                      ensrf_transform, entkf_factors, ismf_solve)
 
 FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-rs")
 
@@ -314,8 +314,7 @@ def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: Observation
     """Ensemble-space weighted covariance and projected data operator.
 
     Returns (w_ens, q_ext) with w_ens = U.T (Bhat^{-1} + H.T R^{-1} H) U
-    evaluated matrix-free and q_ext = H U, for the extended anomaly basis
-    U = ``u_ext``.
+    evaluated matrix-free and q_ext = H U, for the basis U = ``u_ext``.
     """
     q_ext = obs.project(u_ext)
     # Bhat^{-1} U is dropped before the data term is formed, so these two
@@ -325,44 +324,33 @@ def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: Observation
     return 0.5 * (w_ens + w_ens.T), q_ext
 
 
-def _pseudo_solve_psd(matrix: np.ndarray, rhs: np.ndarray, rcond: float = 1e-12):
-    """Minimum-norm solve of a symmetric PSD system via eigenvalue truncation.
-
-    The ensemble-space weight matrix is structurally rank deficient (the
-    real anomalies sum to zero), but the system is consistent, so the
-    truncated solution leaves the analysis unchanged.
-    """
-    eigval, eigvec = np.linalg.eigh(matrix)
-    cutoff = rcond * max(eigval[-1], 0.0)
-    kept = eigval > cutoff
-    if not np.any(kept):
-        raise ValueError(
-            f"rank-deficient ensemble space: largest eigenvalue {eigval[-1]:.3e}")
-    cond = float(eigval[-1] / eigval[kept].min())
-    coeff = eigvec[:, kept].T @ rhs
-    return eigvec[:, kept] @ (coeff / eigval[kept][:, None]), cond
-
-
 def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
                      rng: RngStream | None = None, *,
                      shrinkage: ShrinkageCovariance | None = None,
                      innovations: np.ndarray | None = None) -> AnalysisResult:
     """Reduced-space shrinkage step: assimilate in the extended ensemble span.
 
-    Per-member weights solve the normal equations of the ensemble-space
-    variational problem with the shrinkage prior, using the Woodbury
-    identity for Bhat^{-1} applied to the basis; the analysis is
-    X^b + U @ lambda and synthetic members are discarded.
+    Per-member weights lambda solve W lambda = Q.T R^{-1} D, with (W, Q) from
+    :func:`enkf_rs_system`, by one Cholesky solve W = L L.T; the analysis is
+    X^b + U @ lambda. The shape picks the basis U. Tall (nens + k - 1 <=
+    nstate): the extended anomalies without the first real one, the same
+    span since the real ones sum to zero, so W is SPD. Wide: they span the
+    state, so U = I, the Kalman update with prior Bhat whatever the draws
+    are, and none are drawn. A failed factorization raises ``ValueError``;
+    ``condition_estimate`` is (max diag L / min diag L)^2 <= cond(W).
     """
-    cov, d, extended = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations)
-
-    u_ext = extended.anomalies()
-    w_ens, q_ext = enkf_rs_system(cov, u_ext, obs)
-    rhs = q_ext.T @ (d / obs.variances[:, None])
-    lam, cond = _pseudo_solve_psd(w_ens, rhs)
-    analysis = bg.matrix + u_ext @ lam
+    wide = bg.nens + int(k) - 1 > bg.nstate
+    cov, d, extended = _shrinkage_prologue(bg, y, obs, 0 if wide else k, rng,
+                                           shrinkage, innovations)
+    basis = np.eye(bg.nstate) if wide else extended.anomalies()[:, 1:]
+    w_ens, q = enkf_rs_system(cov, basis, obs)
+    lam, lower = cholesky_solve(w_ens, q.T @ (d / obs.variances[:, None]),
+                                "rank-deficient ensemble space: weight matrix is not "
+                                "positive definite")
+    analysis = bg.matrix + basis @ lam
+    pivots = np.diagonal(lower)
     diag = _shrinkage_diagnostics(cov)
-    diag["condition_estimate"] = cond
+    diag["condition_estimate"] = float((pivots.max() / pivots.min()) ** 2)
     return AnalysisResult(Ensemble(analysis), diag)
 
 

@@ -1,12 +1,13 @@
-"""Observation-space linear solvers shared by the filters.
+"""Linear solvers shared by the filters.
 
 The iterative Sherman-Morrison formula (ISMF) solves
 (Gamma + Pi @ Pi.T) @ Z = rhs by folding in the columns of Pi one rank-one
 update at a time, touching Gamma only through its inverse action.
 ``ismf_solve`` applies the same identity to all columns at once, as a
-Woodbury solve with an m x m capacitance matrix. The square-root and
-transform factorizations consumed by the deterministic filters live here
-as well.
+Woodbury solve with an m x m capacitance matrix; ``cholesky_solve`` is
+the one SPD solve, shared with the reduced-space filter. The square-root
+and transform factorizations consumed by the deterministic filters live
+here as well.
 """
 
 from __future__ import annotations
@@ -71,18 +72,27 @@ def ismf_solve(sys: ObservationSpaceSystem) -> np.ndarray:
     u = np.asarray(sys.gamma_inverse_apply(sys.pi), dtype=float)
     capacitance = sys.pi.T @ u
     capacitance[np.diag_indices_from(capacitance)] += 1.0
+    w, _ = cholesky_solve(capacitance, sys.pi.T @ z,
+                          "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite; "
+                          "Gamma must be symmetric positive definite")
+    z -= u @ w
+    return z
+
+
+def cholesky_solve(matrix: np.ndarray, rhs: np.ndarray, failure: str):
+    """Solve matrix @ X = rhs for symmetric positive definite ``matrix``.
+
+    Returns X and the lower Cholesky factor L. A failed factorization
+    raises ``ValueError(failure)``; there is no fallback.
+    """
     try:
-        lower = np.linalg.cholesky(capacitance)
+        lower = np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite; "
-            "Gamma must be symmetric positive definite") from exc
+        raise ValueError(failure) from exc
     # numpy.linalg has no triangular solver, and scipy.linalg links its own
     # OpenBLAS whose threads compete with numpy's; solve() on the factors
     # stays on numpy's
-    w = np.linalg.solve(lower.T, np.linalg.solve(lower, sys.pi.T @ z))
-    z -= u @ w
-    return z
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs)), lower
 
 
 def ensrf_transform(v: np.ndarray, z_v: np.ndarray) -> np.ndarray:

@@ -316,16 +316,31 @@ def _fs_objective_check(gen) -> CheckResult:
 
 
 def _rs_fs_span_check(gen) -> CheckResult:
-    # with nens > nstate and k = 0 the anomaly basis spans the full space
-    ens = _random_ensemble(gen, 8, 9)
-    obs = ObservationSpec.from_fraction(8, 0.75, 0.1)
-    y = gen.standard_normal(obs.nobs)
-    rng = RngStream(17)
-    fs = filters.enkf_fs_analysis(ens, y, obs, 0, rng).analysis.matrix
-    rs = filters.enkf_rs_analysis(ens, y, obs, 0, rng).analysis.matrix
-    gap = float(np.abs(fs - rs).max() / max(1.0, np.abs(fs).max()))
-    return _result("filters.rs_equals_fs_on_full_span", gap < 1e-6,
-                   f"max relative gap {gap:.2e}")
+    """Where the basis spans the state, RS is the dense Kalman update with
+    prior Bhat = phi I + delta S S.T, whatever the synthetic draws are, and
+    at k = 0 so is FS. The innovations are injected, so two streams differ
+    only in the draws. Shapes (nstate, nens, k): a full real span, a square
+    tall basis with draws, and a wide basis."""
+    rs_gap = fs_gap = 0.0
+    for nstate, nens, k in ((8, 9, 0), (12, 5, 8), (12, 5, 20)):
+        ens = _random_ensemble(gen, nstate, nens)
+        obs = ObservationSpec.from_fraction(nstate, 0.75, 0.1)
+        y = gen.standard_normal(obs.nobs)
+        d = 0.1 * gen.standard_normal((obs.nobs, nens))
+        cov = filters.estimate_shrinkage(ens)
+        s = cov.deviations.columns
+        bht = obs.project(cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)).T
+        kalman = ens.matrix + bht @ np.linalg.solve(obs.project(bht) + np.diag(obs.variances), d)
+        scale = max(1.0, float(np.abs(kalman).max()))
+        for seed in (17, 18):
+            rs = filters.enkf_rs_analysis(ens, y, obs, k, RngStream(seed), innovations=d)
+            rs_gap = max(rs_gap, float(np.abs(rs.analysis.matrix - kalman).max()) / scale)
+            if k == 0:
+                fs = filters.enkf_fs_analysis(ens, y, obs, k, RngStream(seed), innovations=d)
+                fs_gap = max(fs_gap, float(np.abs(fs.analysis.matrix - kalman).max()) / scale)
+    return _result("filters.rs_equals_fs_on_full_span", rs_gap < 1e-9 and fs_gap < 1e-9,
+                   f"max relative gap to the Kalman update with Bhat: rs {rs_gap:.2e}, "
+                   f"fs {fs_gap:.2e} (k = 0)")
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,14 @@ class TestEnkfRs:
         ens, obs, y = instance(gen, nens=4)
         res = enkf_rs_analysis(ens, y, obs, 3, RngStream(5))
         assert res.diagnostics["condition_estimate"] >= 1.0
+        # tall (nens + k - 1 <= nstate): the basis is the extended anomalies
+        # without the first real one, and the Cholesky pivot ratio bounds
+        # the condition number of its weight matrix from below
+        cov = estimate_shrinkage(ens)
+        synthetic = draw_synthetic_members(ensemble_mean(ens), cov, 3, RngStream(5).child(2))
+        basis = extend_ensemble(ens, synthetic).anomalies()[:, 1:]
+        w_ens, _ = enkf_rs_system(cov, basis, obs)
+        assert res.diagnostics["condition_estimate"] <= np.linalg.cond(w_ens)
 
     def test_zero_basis_rank_deficient_error(self):
         # identical members with a forced shrinkage leave an all-zero basis
