@@ -53,16 +53,19 @@ class DeviationMatrix:
 
     Columns sum to zero by construction. :func:`deviations` applies the
     1/sqrt(nens - 1) factor, so ``columns @ columns.T`` is the sample
-    covariance; :func:`anomalies` does not.
+    covariance; :func:`anomalies` does not. ``offset`` is the largest
+    |entry| of the mean the deviations were taken about: x - mean leaves
+    rounding in proportion to it, so it widens the zero-sum tolerance.
     """
 
     columns: np.ndarray
+    offset: float = 0.0
 
     def __post_init__(self):
         c = np.array(self.columns, dtype=float)
         if c.ndim != 2:
             raise ValueError("deviation matrix must be 2-D")
-        scale = max(1.0, float(np.max(np.linalg.norm(c, axis=0), initial=0.0)))
+        scale = max(1.0, self.offset, float(np.max(np.linalg.norm(c, axis=0), initial=0.0)))
         if np.max(np.abs(c.sum(axis=1)), initial=0.0) > 1e-12 * scale * c.shape[1]:
             raise ValueError("deviation columns must sum to zero")
         c.flags.writeable = False
@@ -88,7 +91,7 @@ def deviations(ens: Ensemble) -> DeviationMatrix:
         raise ValueError("degenerate ensemble")
     mean = ensemble_mean(ens)
     cols = (ens.matrix - mean[:, None]) / np.sqrt(ens.nens - 1)
-    return DeviationMatrix(cols)
+    return DeviationMatrix(cols, float(np.abs(mean).max()))
 
 
 def anomalies(ens: Ensemble) -> DeviationMatrix:
@@ -96,16 +99,16 @@ def anomalies(ens: Ensemble) -> DeviationMatrix:
     if ens.nens < 2:
         raise ValueError("degenerate ensemble")
     mean = ensemble_mean(ens)
-    return DeviationMatrix(ens.matrix - mean[:, None])
+    return DeviationMatrix(ens.matrix - mean[:, None], float(np.abs(mean).max()))
 
 
-def dense_sample_covariance(ens: Ensemble, cap: int = DENSE_ORACLE_CAP) -> np.ndarray:
+def dense_sample_covariance(ens: Ensemble) -> np.ndarray:
     """Explicit (nstate, nstate) sample covariance, for oracles and tests only.
 
     Equals S @ S.T with S the scaled deviations; symmetric positive
     semidefinite with rank at most nens - 1.
     """
-    if ens.nstate > cap:
+    if ens.nstate > DENSE_ORACLE_CAP:
         raise ValueError("oracle size exceeded")
     s = deviations(ens).columns
     cov = s @ s.T

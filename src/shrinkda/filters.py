@@ -19,8 +19,8 @@ from .observations import ObservationSpec
 from .sampling import RngStream, draw_synthetic_members, extend_ensemble, perturb_observations
 from .shrinkage import (ShrinkageCovariance, apply_inverse_shrunk_covariance,
                         deviation_singular_values, rblw_parameters)
-from .solvers import (ObservationSpaceSystem, cholesky_solve, diagonal_inverse,
-                      ensrf_transform, entkf_factors, ismf_solve)
+from .solvers import (ObservationSpaceSystem, cholesky_solve, ensrf_transform, entkf_factors,
+                      ismf_solve)
 
 FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-rs")
 
@@ -29,9 +29,13 @@ FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-r
 _OBS_STREAM = 1
 _SYNTH_STREAM = 2
 
-# Default gradient tolerance of the finite-size step: the BFGS/Newton
-# target, and, relative to the gradient norm at w = 0, the abort threshold.
+# Gradient tolerance of the finite-size step: the BFGS/Newton target, and,
+# relative to the gradient norm at w = 0, the abort threshold.
 ENKF_N_GRAD_TOL = 1e-8
+ENKF_N_MAX_ITER = 200
+# Bracket floor and abscissa tolerance of the dual step's scalar search.
+ENKF_DU_ZETA_MIN = 1e-8
+ENKF_DU_XTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ def enkf_analysis(bg: Ensemble, y, obs: ObservationSpec,
     s = deviations(bg).columns
     v = obs.project(s)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    z = ismf_solve(ObservationSpaceSystem(diagonal_inverse(obs.variances), v, d))
+    z = ismf_solve(ObservationSpaceSystem(obs.variances, v, d))
     analysis = bg.matrix + s @ (v.T @ z)
     return AnalysisResult(Ensemble(analysis))
 
@@ -111,7 +115,7 @@ def ensrf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     v = obs.project(s)
     innovation = y - obs.project(mean)
     rhs = np.column_stack([innovation, v])
-    z = ismf_solve(ObservationSpaceSystem(diagonal_inverse(obs.variances), v, rhs))
+    z = ismf_solve(ObservationSpaceSystem(obs.variances, v, rhs))
     mean_a = mean + s @ (v.T @ z[:, 0])
     transform = ensrf_transform(v, z[:, 1:])
     analysis = mean_a[:, None] + u @ transform
@@ -161,16 +165,15 @@ def enkf_n_hessian(w, q, rinv, nens):
     return (q.T * rinv) @ q + nens * (a * np.eye(w.shape[0]) - 2.0 * np.outer(w, w)) / a**2
 
 
-def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
-                    grad_tol: float = ENKF_N_GRAD_TOL, max_iter: int = 200) -> AnalysisResult:
+def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     """Finite-size (primal, inflation-free) step.
 
     The ensemble-space weights minimize the finite-size cost by
     quasi-Newton iteration with the analytic gradient, polished by Newton
     steps with the analytic Hessian; the analysis ensemble is built from
     the inverse Hessian at the optimum. Raises ``RuntimeError`` when the
-    final gradient norm exceeds ``grad_tol`` times max(1, |q.T R^{-1} d0|),
-    the gradient norm at w = 0.
+    final gradient norm exceeds ``ENKF_N_GRAD_TOL`` times
+    max(1, |q.T R^{-1} d0|), the gradient norm at w = 0.
     """
     y = _check_inputs(bg, y, obs)
     mean, u, q, d0, rinv, _ = _enkf_n_pieces(bg, y, obs)
@@ -179,11 +182,11 @@ def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
 
     result = minimize(enkf_n_cost, np.zeros(nens), args=args,
                       jac=enkf_n_gradient, method="BFGS",
-                      options={"gtol": grad_tol, "maxiter": max_iter})
+                      options={"gtol": ENKF_N_GRAD_TOL, "maxiter": ENKF_N_MAX_ITER})
     w = result.x
     grad = enkf_n_gradient(w, *args)
     newton_steps = 0
-    while np.linalg.norm(grad) > grad_tol and newton_steps < 50:
+    while np.linalg.norm(grad) > ENKF_N_GRAD_TOL and newton_steps < 50:
         step = np.linalg.solve(enkf_n_hessian(w, q, rinv, nens), grad)
         # halve until the cost does not increase
         alpha, base = 1.0, enkf_n_cost(w, *args)
@@ -197,7 +200,7 @@ def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
     # times its norm at w = 0, which grows as 1/obs_std^2, so an absolute
     # threshold aborts converged steps when obs_std is small.
     grad_scale = max(1.0, float(np.linalg.norm(q.T @ (rinv * d0))))
-    if grad_norm > grad_tol * grad_scale:
+    if grad_norm > ENKF_N_GRAD_TOL * grad_scale:
         raise RuntimeError(
             f"finite-size optimizer did not converge: gradient norm {grad_norm:.3e}, "
             f"last iterate norm {np.linalg.norm(w):.3e}")
@@ -214,8 +217,7 @@ def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
     })
 
 
-def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
-                     xtol: float = 1e-10, zeta_min: float = 1e-8) -> AnalysisResult:
+def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     """Dual (one-dimensional) counterpart of the finite-size step.
 
     The dual cost is minimized over zeta in (0, nens / (1 + 1/nens)] by
@@ -238,17 +240,17 @@ def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec, *,
         quad = base - np.sum(proj**2 / (zeta + lam))
         return 0.5 * quad + 0.5 * zeta * eps_n + 0.5 * nens * np.log(nens / zeta) - 0.5 * nens
 
-    result = minimize_scalar(dual_cost, bounds=(zeta_min, zeta_max),
-                             method="bounded", options={"xatol": xtol})
+    result = minimize_scalar(dual_cost, bounds=(ENKF_DU_ZETA_MIN, zeta_max),
+                             method="bounded", options={"xatol": ENKF_DU_XTOL})
     if not result.success:
-        raise RuntimeError(
-            f"dual optimizer failed on bracket ({zeta_min:.3e}, {zeta_max:.3e}): {result.message}")
+        raise RuntimeError(f"dual optimizer failed on bracket ({ENKF_DU_ZETA_MIN:.3e}, "
+                           f"{zeta_max:.3e}): {result.message}")
     zeta = float(result.x)
 
     w = vec @ (proj / (lam + zeta))
     mean_a = mean + u @ w
     # the weight matrix is vec (lam + zeta) vec.T with lam >= 0 and zeta >=
-    # zeta_min > 0, so its eigenpairs are already at hand
+    # ENKF_DU_ZETA_MIN > 0, so its eigenpairs are already at hand
     transform = (vec * np.sqrt((nens - 1.0) / (lam + zeta))) @ vec.T
     analysis = mean_a[:, None] + u @ transform
     return AnalysisResult(Ensemble(analysis), {
@@ -266,8 +268,8 @@ def estimate_shrinkage(bg: Ensemble) -> ShrinkageCovariance:
     """
     devs = deviations(bg)
     svals = deviation_singular_values(devs)
-    mu, gamma, phi, delta = rblw_parameters(svals, bg.nstate, bg.nens)
-    return ShrinkageCovariance(mu=mu, gamma=gamma, phi=phi, delta=delta, deviations=devs)
+    mu, gamma = rblw_parameters(svals, bg.nstate, bg.nens)
+    return ShrinkageCovariance(mu=mu, gamma=gamma, deviations=devs)
 
 
 def _shrinkage_diagnostics(cov: ShrinkageCovariance) -> dict:
@@ -304,8 +306,7 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
 
     basis = np.sqrt(cov.delta) * extended.scaled_deviations()
     pi = obs.project(basis)
-    gamma_diag = obs.variances + cov.phi
-    z = ismf_solve(ObservationSpaceSystem(diagonal_inverse(gamma_diag), pi, d))
+    z = ismf_solve(ObservationSpaceSystem(obs.variances + cov.phi, pi, d))
     analysis = bg.matrix + basis @ (pi.T @ z) + cov.phi * obs.scatter(z)
     return AnalysisResult(Ensemble(analysis), _shrinkage_diagnostics(cov))
 

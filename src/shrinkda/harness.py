@@ -56,11 +56,9 @@ class ExperimentConfig:
     n_cycles: int
     rng_seed: int
     obs_std: float = 0.01
-    obs_noise_std: float | None = None
     synthetic_ratio: float = 10.0
     steps_per_cycle: int = 10
     output: str | None = None
-    spread_mode: str = "proportional"
     model_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -78,20 +76,12 @@ class ExperimentConfig:
             raise ValueError("n_cycles and steps_per_cycle must be positive")
         if self.sigma_b <= 0.0 or self.obs_std <= 0.0:
             raise ValueError("sigma_b and obs_std must be positive")
-        if self.obs_noise_std is not None and self.obs_noise_std < 0.0:
-            raise ValueError("obs_noise_std must be nonnegative")
-        if self.spread_mode not in ("proportional", "uniform"):
-            raise ValueError("spread_mode must be 'proportional' or 'uniform'")
 
     @property
     def synthetic_members(self) -> int:
         if self.filter in _SHRINKAGE_FILTERS:
             return int(round(self.synthetic_ratio * self.nens))
         return 0
-
-    @property
-    def noise_std(self) -> float:
-        return self.obs_std if self.obs_noise_std is None else self.obs_noise_std
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -121,7 +111,7 @@ def _coerce(values: dict) -> dict:
     out = dict(values)
     for kind, noun, keys in (
             (int, "an integer", ("nens", "n_cycles", "steps_per_cycle", "rng_seed")),
-            (float, "a number", ("p", "sigma_b", "obs_std", "obs_noise_std", "synthetic_ratio"))):
+            (float, "a number", ("p", "sigma_b", "obs_std", "synthetic_ratio"))):
         for key in keys:
             if out.get(key) is not None:
                 try:
@@ -186,25 +176,20 @@ def rmse(analyses, truth) -> float:
 
 
 def make_initial_ensemble(truth0: np.ndarray, sigma_b: float, nens: int,
-                          rng: RngStream, mode: str = "proportional") -> Ensemble:
+                          rng: RngStream) -> Ensemble:
     """Background ensemble whose mean and spread both carry the initial error.
 
     The background state deviates from the truth by one draw at the
     sigma_b scale (the prior-error model), and the members spread around
     that background by independent draws at the same scale, so the
-    ensemble spread is statistically consistent with the mean error.
-    ``proportional`` scales the per-component sigma by |truth0| (spread as
-    a fraction of the true field); ``uniform`` applies sigma_b directly.
+    ensemble spread is statistically consistent with the mean error. The
+    per-component sigma is sigma_b * |truth0|: spread as a fraction of the
+    true field.
     """
     if sigma_b <= 0.0:
         raise ValueError("sigma_b must be positive")
     truth0 = np.asarray(truth0, dtype=float)
-    if mode == "proportional":
-        scale = sigma_b * np.abs(truth0)
-    elif mode == "uniform":
-        scale = np.full_like(truth0, sigma_b)
-    else:
-        raise ValueError("mode must be 'proportional' or 'uniform'")
+    scale = sigma_b * np.abs(truth0)
     eps = member_normals(rng, nens + 1, truth0.shape[0])
     background = truth0 + scale * eps[:, 0]
     return Ensemble(background[:, None] + scale[:, None] * eps[:, 1:])
@@ -266,15 +251,14 @@ def build_truth_and_observations(cfg: ExperimentConfig, model: ModelDefinition,
         state = propagate_matrix(model, state, cfg.steps_per_cycle, workers=1)
         truths.append(state.copy())
         noise = member_normals(rng.child(cycle, _OBS_NOISE), 1, obs.nobs)[:, 0]
-        observations.append(obs.project(state) + cfg.noise_std * noise)
+        observations.append(obs.project(state) + cfg.obs_std * noise)
     return truth0, truths, observations
 
 
 def _run_against_truth(cfg: ExperimentConfig, model: ModelDefinition, obs: ObservationSpec,
                        truth0, truths, observations, workers: int) -> ExperimentResult:
     rng = RngStream(cfg.rng_seed)
-    ens = make_initial_ensemble(truth0, cfg.sigma_b, cfg.nens,
-                                rng.child(0, _INIT_STREAM), mode=cfg.spread_mode)
+    ens = make_initial_ensemble(truth0, cfg.sigma_b, cfg.nens, rng.child(0, _INIT_STREAM))
     records = []
     warned = False
     matrix = ens.matrix
@@ -336,7 +320,7 @@ def compare_filters(cfgs) -> list:
     if any(c.model != first.model for c in cfgs):
         raise ValueError("heterogeneous model keys")
     shared = ("model_overrides", "n_cycles", "steps_per_cycle", "rng_seed", "p", "obs_std",
-              "obs_noise_std", "sigma_b", "spread_mode")
+              "sigma_b")
     for name in shared:
         if any(getattr(c, name) != getattr(first, name) for c in cfgs):
             raise ValueError(f"configurations disagree on {name}")
@@ -378,10 +362,8 @@ def write_metadata(cfg: ExperimentConfig, path, model: ModelDefinition | None = 
         "model": cfg.model, "filter": cfg.filter, "nens": cfg.nens,
         "synthetic_ratio": cfg.synthetic_ratio,
         "synthetic_members": cfg.synthetic_members, "p": cfg.p,
-        "sigma_b": cfg.sigma_b, "obs_std": cfg.obs_std,
-        "obs_noise_std": cfg.noise_std, "n_cycles": cfg.n_cycles,
+        "sigma_b": cfg.sigma_b, "obs_std": cfg.obs_std, "n_cycles": cfg.n_cycles,
         "steps_per_cycle": cfg.steps_per_cycle, "rng_seed": cfg.rng_seed,
-        "spread_mode": cfg.spread_mode,
     }
     for key, value in sorted(cfg.model_overrides.items()):
         items[key] = value

@@ -45,14 +45,12 @@ class QgGrid:
     """Interior grid of the unit-square domain; boundary nodes carry zeros.
 
     ``d1`` and ``d2`` count interior points in x and y; spacings are
-    lx/(d1+1) and ly/(d2+1). The state is the row-major flattening of the
+    1/(d1+1) and 1/(d2+1). The state is the row-major flattening of the
     (d1, d2) interior vorticity field.
     """
 
     d1: int
     d2: int
-    lx: float = 1.0
-    ly: float = 1.0
 
     def __post_init__(self):
         if self.d1 < 3 or self.d2 < 3:
@@ -60,11 +58,11 @@ class QgGrid:
 
     @property
     def dx(self) -> float:
-        return self.lx / (self.d1 + 1)
+        return 1.0 / (self.d1 + 1)
 
     @property
     def dy(self) -> float:
-        return self.ly / (self.d2 + 1)
+        return 1.0 / (self.d2 + 1)
 
     @property
     def nstate(self) -> int:
@@ -95,12 +93,6 @@ class QgGrid:
 class QgParams:
     """Model coefficients, all in nondimensional units.
 
-    ``jacobian_sign`` multiplies r * J(psi, omega) in the tendency
-    (default -1: the stream-function flow advects vorticity) and
-    ``biharmonic_sign`` multiplies viscosity * Lap^2(psi) (default +1,
-    which diffuses vorticity). Both signs are exposed because the
-    continuous equation admits either convention.
-
     Defaults keep the 1000-step integration at dt = 1.27 finite on all
     shipped grid sizes (advective stability bounds r; the explicit
     viscosity must satisfy 8 * viscosity * dt / dx^2 < 2.8 on the finest
@@ -113,8 +105,6 @@ class QgParams:
     drag: float = 1e-3
     wind: float = 0.01
     dt: float = 1.27
-    jacobian_sign: float = -1.0
-    biharmonic_sign: float = 1.0
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -210,8 +200,8 @@ def _sine_basis(grid: QgGrid):
 
 @lru_cache(maxsize=16)
 def _wind_profile(grid: QgGrid) -> np.ndarray:
-    """sin(2 pi y / ly) on the interior y nodes."""
-    profile = np.sin(2.0 * np.pi * grid.y / grid.ly)
+    """sin(2 pi y) on the interior y nodes."""
+    profile = np.sin(2.0 * np.pi * grid.y)
     profile.flags.writeable = False
     return profile
 
@@ -242,10 +232,12 @@ def poisson_solve(omega: np.ndarray, grid: QgGrid) -> np.ndarray:
 def qg_tendency(omega: np.ndarray, grid: QgGrid, params: QgParams) -> np.ndarray:
     """Vorticity tendency of the wind-driven single-layer model.
 
-    omega_t = sign_J * r * J(psi, omega) - beta * psi_x
-              + sign_v * viscosity * Lap(Lap(psi)) - drag * Lap(psi)
-              + wind * sin(2 pi y / ly),
-    with psi from the exact Poisson solve of Lap(psi) = omega.
+    omega_t = -r * J(psi, omega) - beta * psi_x
+              + viscosity * Lap(Lap(psi)) - drag * Lap(psi)
+              + wind * sin(2 pi y),
+    with psi from the exact Poisson solve of Lap(psi) = omega: the
+    stream-function flow advects vorticity and the biharmonic term
+    diffuses it.
 
     The Poisson solve is exact for the same 5-point operator, so Lap(psi)
     is omega itself and Lap(Lap(psi)) is Lap(omega). psi and omega are
@@ -254,9 +246,9 @@ def qg_tendency(omega: np.ndarray, grid: QgGrid, params: QgParams) -> np.ndarray
     field = grid.to_grid(omega)
     p = pad(poisson_solve(field, grid))
     w = pad(field)
-    out = arakawa_jacobian(p, w, grid, params.jacobian_sign * params.r)
+    out = arakawa_jacobian(p, w, grid, -params.r)
     out -= x_derivative(p, grid, params.beta)
-    out += laplacian(w, grid, params.biharmonic_sign * params.viscosity)
+    out += laplacian(w, grid, params.viscosity)
     out -= params.drag * field
     forcing = params.wind * _wind_profile(grid)
     out += forcing[:, None] if field.ndim == 3 else forcing
@@ -311,13 +303,16 @@ class ModelDefinition:
     tendency: Callable[[np.ndarray], np.ndarray]
     initial_state: Callable[[], np.ndarray]
 
-    def step(self, state: np.ndarray, dt: float | None = None) -> np.ndarray:
-        """Advance one time step (the model default unless overridden)."""
-        return rk4_step(self.tendency, state, self.dt if dt is None else dt)
+    def step(self, state: np.ndarray) -> np.ndarray:
+        """Advance one model time step."""
+        return rk4_step(self.tendency, state, self.dt)
 
 
-def lorenz96_model(n: int = 40, forcing: float = 8.0, dt: float = 0.05,
-                   spinup_steps: int = 500) -> ModelDefinition:
+# RK4 steps that carry the Lorenz-96 initial state onto the attractor
+L96_SPINUP_STEPS = 500
+
+
+def lorenz96_model(n: int = 40, forcing: float = 8.0, dt: float = 0.05) -> ModelDefinition:
     """Lorenz-96 with cyclic geometry; the initial state is spun up onto
     the attractor from a deterministic perturbation of the fixed point."""
 
@@ -327,7 +322,7 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0, dt: float = 0.05,
     def initial_state():
         x = np.full(n, forcing)
         x += 0.01 * forcing * np.cos(2.0 * np.pi * np.arange(n) / n)
-        for _ in range(spinup_steps):
+        for _ in range(L96_SPINUP_STEPS):
             x = rk4_step(tendency, x, dt)
         return x
 

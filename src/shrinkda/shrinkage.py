@@ -24,28 +24,30 @@ RANK_TOL = 1e-12
 class ShrinkageCovariance:
     """Implicit covariance estimate phi * I + delta * S @ S.T.
 
-    Holds the triplet (phi, delta, S) plus the underlying (mu, gamma) pair
-    with phi = mu * gamma and delta = 1 - gamma. The matrix itself is never
-    formed; see :func:`apply_inverse_shrunk_covariance`. Built by
+    Holds the mean variance mu, the shrinkage intensity gamma and the
+    deviations S; phi = mu * gamma and delta = 1 - gamma follow from them.
+    The matrix itself is never formed; see
+    :func:`apply_inverse_shrunk_covariance`. Built by
     :func:`shrinkda.filters.estimate_shrinkage`.
     """
 
     mu: float
     gamma: float
-    phi: float
-    delta: float
     deviations: DeviationMatrix
 
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must lie in [0, 1]")
-        if self.mu < 0.0 or self.phi < 0.0:
-            raise ValueError("mu and phi must be nonnegative")
-        scale = max(1.0, abs(self.mu))
-        if abs(self.delta - (1.0 - self.gamma)) > 1e-14:
-            raise ValueError("delta must equal 1 - gamma")
-        if abs(self.phi - self.mu * self.gamma) > 1e-14 * scale:
-            raise ValueError("phi must equal mu * gamma")
+        if self.mu < 0.0:
+            raise ValueError("mu must be nonnegative")
+
+    @property
+    def phi(self) -> float:
+        return self.mu * self.gamma
+
+    @property
+    def delta(self) -> float:
+        return 1.0 - self.gamma
 
     @property
     def nstate(self) -> int:
@@ -70,10 +72,12 @@ def deviation_singular_values(devs: DeviationMatrix) -> np.ndarray:
 def rblw_parameters(sing_vals, nstate: int, nens: int):
     """RBLW shrinkage coefficients from deviation singular values.
 
-    Returns ``(mu, gamma, phi, delta)`` where mu is the mean sample
-    variance tr(P)/nstate, gamma the min-clamped RBLW shrinkage intensity,
-    phi = mu * gamma and delta = 1 - gamma. Only the traces tr(P) and
-    tr(P^2) enter, and both reduce to power sums of the singular values.
+    Returns ``(mu, gamma)`` where mu is the mean sample variance
+    tr(P)/nstate and gamma the min-clamped RBLW shrinkage intensity. Only
+    the traces tr(P) and tr(P^2) enter, and both reduce to power sums of
+    the singular values. P = S @ S.T is normalised by 1/(nens - 1) and the
+    numerator carries (nens - 2)/nstate * tr(P^2); Chen et al. (2010,
+    eq. 17) normalise by 1/n and write (n - 2)/n with n the sample count.
     """
     if nens < 3:
         raise ValueError("too few members for RBLW")
@@ -87,7 +91,7 @@ def rblw_parameters(sing_vals, nstate: int, nens: int):
     numer = (nens - 2) / nstate * trace_p2 + trace_p**2
     denom = (nens + 2) * (trace_p2 - trace_p**2 / nstate)
     gamma = 1.0 if denom <= 0.0 else min(numer / denom, 1.0)
-    return mu, gamma, mu * gamma, 1.0 - gamma
+    return mu, gamma
 
 
 def apply_inverse_shrunk_covariance(cov: ShrinkageCovariance, m: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 The iterative Sherman-Morrison formula (ISMF) solves
 (Gamma + Pi @ Pi.T) @ Z = rhs by folding in the columns of Pi one rank-one
-update at a time, touching Gamma only through its inverse action.
+update at a time, for the diagonal Gamma every filter has.
 ``ismf_solve`` applies the same identity to all columns at once, as a
 Woodbury solve with an m x m capacitance matrix; ``cholesky_solve`` is
 the one SPD solve, shared with the reduced-space filter. The square-root
@@ -13,46 +13,36 @@ here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class ObservationSpaceSystem:
-    """System (Gamma + Pi @ Pi.T) @ Z = rhs with Gamma given by its inverse action.
+    """System (Gamma + Pi @ Pi.T) @ Z = rhs with a diagonal SPD Gamma.
 
-    ``gamma_inverse_apply`` maps an (nobs, cols) matrix to Gamma^{-1} times
-    it; Gamma is implicitly symmetric positive definite. ``pi`` holds the
-    low-rank update columns and ``rhs`` the right-hand sides.
+    ``gamma_diagonal`` holds the nobs diagonal entries of Gamma, all
+    positive. ``pi`` holds the low-rank update columns and ``rhs`` the
+    right-hand sides.
     """
 
-    gamma_inverse_apply: Callable[[np.ndarray], np.ndarray]
+    gamma_diagonal: np.ndarray
     pi: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
+        diag = np.asarray(self.gamma_diagonal, dtype=float)
         pi = np.atleast_2d(np.asarray(self.pi, dtype=float))
         rhs = np.asarray(self.rhs, dtype=float)
         if rhs.ndim == 1:
             rhs = rhs[:, None]
-        if pi.shape[0] != rhs.shape[0]:
-            raise ValueError("pi and rhs must have the same row count")
+        if diag.ndim != 1 or not diag.shape[0] == pi.shape[0] == rhs.shape[0]:
+            raise ValueError("gamma_diagonal must be a vector with the row count of pi and rhs")
+        if np.any(diag <= 0.0):
+            raise ValueError("diagonal entries must be positive")
+        object.__setattr__(self, "gamma_diagonal", diag)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "rhs", rhs)
-
-
-def diagonal_inverse(variances: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse action of a diagonal SPD matrix given its diagonal."""
-    d = np.asarray(variances, dtype=float)
-    if np.any(d <= 0.0):
-        raise ValueError("diagonal entries must be positive")
-
-    def apply(m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        return m / d[:, None] if m.ndim == 2 else m / d
-
-    return apply
 
 
 def ismf_solve(sys: ObservationSpaceSystem) -> np.ndarray:
@@ -62,19 +52,19 @@ def ismf_solve(sys: ObservationSpaceSystem) -> np.ndarray:
     With U = Gamma^{-1} Pi and the capacitance matrix C = I + Pi.T @ U,
     Z = Gamma^{-1} rhs - U @ C^{-1} @ Pi.T @ Gamma^{-1} rhs (Woodbury). C is
     factored once by Cholesky; cost is O(m^2 * nobs + m^3) in BLAS-3
-    beyond the two inverse applications. For SPD Gamma every eigenvalue
-    of C is at least one, so a failed factorization means Gamma is not
-    SPD and raises ``ValueError``; there is no fallback.
+    beyond the two diagonal scalings. Every eigenvalue of C is at least
+    one, so a failed factorization can only come from rounding or
+    non-finite input and raises ``ValueError``; there is no fallback.
     """
-    z = np.array(sys.gamma_inverse_apply(sys.rhs), dtype=float)
+    diag = sys.gamma_diagonal[:, None]
+    z = sys.rhs / diag
     if sys.pi.shape[1] == 0 or not np.any(sys.pi):
         return z
-    u = np.asarray(sys.gamma_inverse_apply(sys.pi), dtype=float)
+    u = sys.pi / diag
     capacitance = sys.pi.T @ u
     capacitance[np.diag_indices_from(capacitance)] += 1.0
     w, _ = cholesky_solve(capacitance, sys.pi.T @ z,
-                          "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite; "
-                          "Gamma must be symmetric positive definite")
+                          "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite")
     z -= u @ w
     return z
 

@@ -25,8 +25,8 @@ def ismf_loop(sys):
     of Pi as a rank-one update; the paper-faithful reference for
     ``ismf_solve``.
     """
-    z = np.array(sys.gamma_inverse_apply(sys.rhs), dtype=float)
-    u = np.array(sys.gamma_inverse_apply(sys.pi), dtype=float)
+    z = sys.rhs / sys.gamma_diagonal[:, None]
+    u = sys.pi / sys.gamma_diagonal[:, None]
     m = sys.pi.shape[1]
     for k in range(m):
         v_k = sys.pi[:, k]

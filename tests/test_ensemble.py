@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from shrinkda.ensemble import (Ensemble, anomalies, dense_sample_covariance,
-                               deviations, ensemble_mean)
+from shrinkda.ensemble import (DENSE_ORACLE_CAP, DeviationMatrix, Ensemble, anomalies,
+                               dense_sample_covariance, deviations, ensemble_mean)
+from shrinkda.filters import run_filter
+from shrinkda.observations import ObservationSpec
+from shrinkda.sampling import RngStream
 
 from helpers import random_ensemble
 
@@ -80,6 +83,22 @@ class TestDeviations:
         with pytest.raises(ValueError, match="degenerate ensemble"):
             deviations(ens)
 
+    def test_large_offset_accepted_nonzero_sum_rejected(self):
+        # x - mean rounds in proportion to |x|, not to the spread: at an
+        # offset of 1e5 the column sums reach about 1e-9
+        gen = np.random.default_rng(17)
+        ens = Ensemble(1e5 + gen.standard_normal((961, 40)))
+        deviations(ens)
+        anomalies(ens)
+        obs = ObservationSpec.from_fraction(ens.nstate, 0.5, 1.0)
+        y = obs.project(1e5 + gen.standard_normal(ens.nstate))
+        for key in ("enkf", "enkf-fs"):
+            res = run_filter(key, ens, y, obs, RngStream(3), synthetic_members=40)
+            assert np.all(np.isfinite(res.analysis.matrix))
+        shifted = anomalies(ens).columns + 1e-3
+        with pytest.raises(ValueError, match="deviation columns must sum to zero"):
+            DeviationMatrix(shifted, 1e5)
+
 
 class TestAnomalies:
     def test_identical_members_zero(self):
@@ -112,6 +131,6 @@ class TestDenseSampleCovariance:
 
     def test_size_cap(self):
         gen = np.random.default_rng(16)
-        ens = random_ensemble(gen, 12, 4)
+        ens = random_ensemble(gen, DENSE_ORACLE_CAP + 1, 4)
         with pytest.raises(ValueError, match="oracle size exceeded"):
-            dense_sample_covariance(ens, cap=10)
+            dense_sample_covariance(ens)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shrinkda import filters
 from shrinkda.ensemble import Ensemble, dense_sample_covariance, deviations, ensemble_mean
 from shrinkda.filters import (enkf_analysis, enkf_du_analysis, enkf_fs_analysis,
                               enkf_n_analysis, enkf_n_cost, enkf_n_gradient,
@@ -132,11 +133,12 @@ class TestEnkfN:
         assert "cost_primal" in res.diagnostics
         assert res.diagnostics["gradient_norm"] <= 1e-8
 
-    def test_non_convergence_reports_iterate(self):
+    def test_non_convergence_reports_iterate(self, monkeypatch):
         gen = np.random.default_rng(117)
         ens, obs, y = instance(gen)
+        monkeypatch.setattr(filters, "ENKF_N_GRAD_TOL", 0.0)
         with pytest.raises(RuntimeError, match="gradient norm"):
-            enkf_n_analysis(ens, y, obs, grad_tol=0.0)
+            enkf_n_analysis(ens, y, obs)
 
 
 class TestEnkfDu:
@@ -190,8 +192,7 @@ class TestEnkfFs:
         ens, obs, y = instance(gen, nstate=9, nens=4)
         rng = RngStream(55)
         plain = enkf_analysis(ens, y, obs, rng)
-        forced = ShrinkageCovariance(mu=1.0, gamma=0.0, phi=0.0, delta=1.0,
-                                     deviations=deviations(ens))
+        forced = ShrinkageCovariance(mu=1.0, gamma=0.0, deviations=deviations(ens))
         res = enkf_fs_analysis(ens, y, obs, 0, rng, shrinkage=forced)
         assert np.abs(res.analysis.matrix - plain.analysis.matrix).max() < 1e-10
 
@@ -284,8 +285,7 @@ class TestEnkfRs:
         v = np.arange(6.0)
         ens = Ensemble(np.column_stack([v, v, v, v]))
         obs = ObservationSpec.from_fraction(6, 0.5, 0.1)
-        forced = ShrinkageCovariance(mu=1.0, gamma=1.0, phi=1.0, delta=0.0,
-                                     deviations=deviations(ens))
+        forced = ShrinkageCovariance(mu=1.0, gamma=1.0, deviations=deviations(ens))
         with pytest.raises(ValueError, match="rank-deficient ensemble space"):
             enkf_rs_analysis(ens, obs.project(v), obs, 0, RngStream(2),
                              shrinkage=forced)

@@ -11,11 +11,10 @@ from shrinkda.shrinkage import ShrinkageCovariance
 from helpers import random_ensemble
 
 
-def make_cov(gen, nstate, nens, phi=0.3, delta=0.7):
+def make_cov(gen, nstate, nens, mu=1.0, gamma=0.3):
+    """Shrinkage with phi = mu * gamma and delta = 1 - gamma."""
     devs = deviations(random_ensemble(gen, nstate, nens))
-    gamma = 1.0 - delta
-    mu = phi / gamma if gamma > 0 else 0.0
-    return ShrinkageCovariance(mu=mu, gamma=gamma, phi=phi, delta=delta, deviations=devs)
+    return ShrinkageCovariance(mu=mu, gamma=gamma, deviations=devs)
 
 
 def first_generator(stream):
@@ -65,7 +64,7 @@ class TestRngStream:
 class TestDrawSyntheticMembers:
     def test_zero_parameters_copy_mean(self):
         gen = np.random.default_rng(40)
-        cov = make_cov(gen, 8, 4, phi=0.0, delta=0.0)
+        cov = make_cov(gen, 8, 4, mu=0.0, gamma=1.0)
         mean = gen.standard_normal(8)
         draws = draw_synthetic_members(mean, cov, 5, RngStream(1))
         np.testing.assert_array_equal(draws, np.tile(mean[:, None], 5))
@@ -80,10 +79,9 @@ class TestDrawSyntheticMembers:
         gen = np.random.default_rng(42)
         devs = deviations(random_ensemble(gen, 6, 3))
         bad = ShrinkageCovariance.__new__(ShrinkageCovariance)
-        object.__setattr__(bad, "mu", 1.0)
+        # mu = -1 slips past __post_init__ and gives phi = -0.5
+        object.__setattr__(bad, "mu", -1.0)
         object.__setattr__(bad, "gamma", 0.5)
-        object.__setattr__(bad, "phi", -0.5)
-        object.__setattr__(bad, "delta", 0.5)
         object.__setattr__(bad, "deviations", devs)
         with pytest.raises(ValueError, match="invalid shrinkage parameters"):
             draw_synthetic_members(np.zeros(6), bad, 2, RngStream(1))

@@ -47,15 +47,14 @@ class TestRblwParameters:
         # near-isotropic spectrum with nstate small relative to nens^2
         # pushes the ratio above one
         svals = np.concatenate([np.full(39, 2.0), [0.0]])
-        mu, gamma, phi, delta = rblw_parameters(svals, nstate=50, nens=40)
-        assert gamma == 1.0 and delta == 0.0
-        np.testing.assert_allclose(phi, mu)
+        mu, gamma = rblw_parameters(svals, nstate=50, nens=40)
+        assert gamma == 1.0
 
     def test_matches_dense_oracle(self):
         gen = np.random.default_rng(22)
         ens = random_ensemble(gen, 100, 40)
         svals = deviation_singular_values(deviations(ens))
-        mu, gamma, _, _ = rblw_parameters(svals, ens.nstate, ens.nens)
+        mu, gamma = rblw_parameters(svals, ens.nstate, ens.nens)
         mu_o, gamma_fn = dense_rblw_oracle(dense_sample_covariance(ens))
         assert abs(mu - mu_o) / mu_o < 1e-10
         assert abs(gamma - gamma_fn(ens.nens)) / gamma_fn(ens.nens) < 1e-10
@@ -67,8 +66,8 @@ class TestRblwParameters:
         scaled = Ensemble(mean[:, None] + 3.0 * (ens.matrix - mean[:, None]))
         s1 = deviation_singular_values(deviations(ens))
         s2 = deviation_singular_values(deviations(scaled))
-        mu1, g1, _, _ = rblw_parameters(s1, 60, 10)
-        mu2, g2, _, _ = rblw_parameters(s2, 60, 10)
+        mu1, g1 = rblw_parameters(s1, 60, 10)
+        mu2, g2 = rblw_parameters(s2, 60, 10)
         np.testing.assert_allclose(mu2, 9.0 * mu1, rtol=1e-12)
         np.testing.assert_allclose(g2, g1, rtol=1e-12)
 
@@ -85,12 +84,8 @@ class TestShrinkageCovarianceType:
     def test_invariants_enforced(self):
         gen = np.random.default_rng(25)
         devs = deviations(random_ensemble(gen, 8, 4))
-        with pytest.raises(ValueError, match="delta"):
-            ShrinkageCovariance(mu=1.0, gamma=0.5, phi=0.5, delta=0.7, deviations=devs)
-        with pytest.raises(ValueError, match="phi"):
-            ShrinkageCovariance(mu=1.0, gamma=0.5, phi=0.9, delta=0.5, deviations=devs)
         with pytest.raises(ValueError, match="gamma"):
-            ShrinkageCovariance(mu=1.0, gamma=1.5, phi=1.5, delta=-0.5, deviations=devs)
+            ShrinkageCovariance(mu=1.0, gamma=1.5, deviations=devs)
 
 
 class TestApplyInverse:
