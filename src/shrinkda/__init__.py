@@ -21,8 +21,7 @@ from .models import (ModelDefinition, QgGrid, QgParams, arakawa_jacobian, get_mo
 from .observations import ObservationSpec
 from .sampling import (ExtendedEnsemble, RngStream, draw_synthetic_members,
                        extend_ensemble, perturb_observations)
-from .shrinkage import (ShrinkageCovariance, apply_inverse_shrunk_covariance,
-                        deviation_singular_values, rblw_parameters)
+from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import ObservationSpaceSystem, ensrf_transform, entkf_factors, ismf_solve
 
 __version__ = "0.1.0"

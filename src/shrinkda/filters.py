@@ -17,10 +17,9 @@ from scipy.optimize import minimize, minimize_scalar
 from .ensemble import Ensemble, anomalies, deviations, ensemble_mean
 from .observations import ObservationSpec
 from .sampling import RngStream, draw_synthetic_members, extend_ensemble, perturb_observations
-from .shrinkage import (ShrinkageCovariance, apply_inverse_shrunk_covariance,
-                        deviation_singular_values, rblw_parameters)
-from .solvers import (ObservationSpaceSystem, cholesky_solve, ensrf_transform, entkf_factors,
-                      ismf_solve)
+from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
+from .solvers import (ObservationSpaceSystem, cholesky_factor, cholesky_solve, ensrf_transform,
+                      entkf_factors, ismf_solve, triangular_solve)
 
 FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-rs")
 
@@ -117,7 +116,7 @@ def ensrf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     rhs = np.column_stack([innovation, v])
     z = ismf_solve(ObservationSpaceSystem(obs.variances, v, rhs))
     mean_a = mean + s @ (v.T @ z[:, 0])
-    transform = ensrf_transform(v, z[:, 1:])
+    transform = ensrf_transform(v, z[:, 1:], obs.variances)
     analysis = mean_a[:, None] + u @ transform
     return AnalysisResult(Ensemble(analysis))
 
@@ -315,14 +314,28 @@ def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: Observation
     """Ensemble-space weighted covariance and projected data operator.
 
     Returns (w_ens, q_ext) with w_ens = U.T (Bhat^{-1} + H.T R^{-1} H) U
-    evaluated matrix-free and q_ext = H U, for the basis U = ``u_ext``.
+    and q_ext = H U, for the basis U = ``u_ext``. By the Woodbury identity
+    w_ens = U.T diag(d) U - Y.T Y / phi, with d = 1/phi + H.T R^{-1} 1 and
+    Y = L^{-1} S.T U for L L.T = (phi/delta) I + S.T S (size nens). The
+    first term is the Gram G.T G of G = U sqrt(d), one symmetric rank-k
+    product, so w_ens is exactly symmetric; delta = 0 drops the second.
     """
-    q_ext = obs.project(u_ext)
-    # Bhat^{-1} U is dropped before the data term is formed, so these two
-    # large temporaries are never alive at once
-    w_ens = u_ext.T @ apply_inverse_shrunk_covariance(cov, u_ext)
-    w_ens += q_ext.T @ (q_ext / obs.variances[:, None])
-    return 0.5 * (w_ens + w_ens.T), q_ext
+    if cov.phi <= 0.0:
+        raise ValueError("invalid shrinkage parameters")
+    weights = obs.scatter(1.0 / obs.variances)
+    weights += 1.0 / cov.phi
+    gram = u_ext * np.sqrt(weights)[:, None]
+    w_ens = gram.T @ gram
+    # G is dropped before H U is formed, so these two large temporaries
+    # are never alive at once
+    del gram
+    if cov.delta > 0.0:
+        s = cov.deviations.columns
+        inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s
+        lower = cholesky_factor(inner, "shrunk covariance is not positive definite")
+        y = triangular_solve(lower, s.T @ u_ext, lower=True)
+        w_ens -= (y.T @ y) / cov.phi
+    return w_ens, obs.project(u_ext)
 
 
 def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,

@@ -1,8 +1,10 @@
 """Per-member random streams and the draws built on them.
 
-Every member has its own counter-based Philox stream, and
-``member_normals`` is the one place where a stream becomes standard
-normals, so every draw is reproducible regardless of evaluation order.
+Every member has its own counter-based Philox stream: member i of a
+stream is the stream's Philox key with the counter advanced by i * 2**128,
+so one bit generator serves all members. ``member_normals`` is the one
+place where a stream becomes standard normals, so every draw is
+reproducible regardless of evaluation order.
 Synthetic members from N(mean, phi * I + delta * S @ S.T) are
 mean + sqrt(phi) * eps1 + sqrt(delta) * S @ eps2, with eps1 (length
 nstate) and eps2 (length nens) from one member's normals; S meets the
@@ -61,18 +63,34 @@ class RngStream:
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """Standard normals via inverse CDF of 53-bit uniforms.
 
+    The top 53 bits of each raw 64-bit draw equal
+    ``gen.integers(0, 2**53, dtype=np.int64)``: Lemire's bounded method
+    never rejects a power-of-two range, so it keeps exactly those bits.
     The offset keeps the uniforms strictly inside (0, 1) so the inverse
     CDF never hits an endpoint.
     """
-    u = (gen.integers(0, _BITS53, size=size, dtype=np.int64) + 0.5) / _BITS53
-    return ndtri(u)
+    bits = gen.bit_generator.random_raw(size)
+    bits >>= 11
+    u = bits + 0.5
+    u /= _BITS53
+    return ndtri(u, out=u)
 
 
 def member_normals(rng: RngStream, count: int, size: int) -> np.ndarray:
     """An F-ordered (size, count) block of standard normals whose column i
-    is ``standard_normal`` of member generator i of ``rng``."""
+    is ``standard_normal`` of member generator i of ``rng``.
+
+    One Philox is rewound to the stream's start and advanced i * 2**128
+    for member i, which is what ``Philox.jumped(i)`` does without building
+    (and entropy-seeding) a new bit generator per member.
+    """
     out = np.empty((size, count), order="F")
-    for i, gen in enumerate(rng.member_generators(count)):
+    bitgen = np.random.Philox(seed=rng._seed_sequence())
+    gen = np.random.Generator(bitgen)
+    start = bitgen.state
+    for i in range(count):
+        bitgen.state = start
+        bitgen.advance(i << 128)
         out[:, i] = standard_normal(gen, size)
     return out
 
@@ -127,8 +145,6 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
     Member i takes column i of ``member_normals(rng, k, nstate + nens)``:
     eps1 then eps2, so the output does not depend on evaluation order.
     """
-    if cov.phi < 0.0 or cov.delta < 0.0:
-        raise ValueError("invalid shrinkage parameters")
     if k < 0:
         raise ValueError("k must be nonnegative")
     mean = np.asarray(mean, dtype=float)

@@ -1,10 +1,9 @@
 """Rao-Blackwell Ledoit-Wolf (RBLW) shrinkage of ensemble covariances.
 
 The RBLW coefficients are evaluated matrix-free from the singular values
-of the deviation matrix, so the sample covariance is never formed, and
-the shrunk estimate phi * I + delta * S @ S.T is inverted by the Woodbury
-identity. The plain Ledoit-Wolf and OAS estimators are not carried: no
-filter uses them.
+of the deviation matrix, so the sample covariance is never formed. The
+plain Ledoit-Wolf and OAS estimators are not carried: no filter uses
+them.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ class ShrinkageCovariance:
 
     Holds the mean variance mu, the shrinkage intensity gamma and the
     deviations S; phi = mu * gamma and delta = 1 - gamma follow from them.
-    The matrix itself is never formed; see
-    :func:`apply_inverse_shrunk_covariance`. Built by
+    The matrix itself is never formed. Built by
     :func:`shrinkda.filters.estimate_shrinkage`.
     """
 
@@ -93,23 +91,3 @@ def rblw_parameters(sing_vals, nstate: int, nens: int):
     gamma = 1.0 if denom <= 0.0 else min(numer / denom, 1.0)
     return mu, gamma
 
-
-def apply_inverse_shrunk_covariance(cov: ShrinkageCovariance, m: np.ndarray) -> np.ndarray:
-    """Evaluate (phi * I + delta * S @ S.T)^{-1} @ m via the Woodbury identity.
-
-    Requires phi > 0 (true whenever gamma > 0 and the deviations are
-    nonzero); the inner solve has size nens.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] != cov.nstate:
-        raise ValueError("row count of operand must equal nstate")
-    if cov.phi <= 0.0:
-        raise ValueError("invalid shrinkage parameters")
-    if cov.delta == 0.0:
-        return m / cov.phi
-    s = cov.deviations.columns
-    inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s
-    out = s @ np.linalg.solve(inner, s.T @ m)
-    np.subtract(m, out, out=out)
-    out /= cov.phi
-    return out

@@ -208,7 +208,7 @@ def _solver_checks() -> list:
     v = gen.standard_normal((30, 6))
     r_var = gen.uniform(0.5, 1.5, 30)
     z_v = np.linalg.solve(np.diag(r_var) + v @ v.T, v)
-    t = ensrf_transform(v, z_v)
+    t = ensrf_transform(v, z_v, r_var)
     asym = float(np.abs(t - t.T).max())
     norm = float(np.linalg.norm(t, 2))
     results.append(_result("solvers.ensrf_transform_contractive",

@@ -257,14 +257,26 @@ class TestEnkfRs:
         cov = estimate_shrinkage(ens)
         synthetic = draw_synthetic_members(ensemble_mean(ens), cov, k, RngStream(4))
         ext = extend_ensemble(ens, synthetic)
-        u = ext.anomalies()
-        w_fast, q_ext = enkf_rs_system(cov, u, obs)
-        # dense evaluation of the projected weighted covariance
-        s = cov.deviations.columns
-        bhat = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)
         h = selection_matrix(obs, nstate)
-        w_dense = u.T @ (np.linalg.inv(bhat) + h.T @ np.diag(1.0 / obs.variances) @ h) @ u
-        assert np.abs(w_fast - w_dense).max() < 1e-8 * max(1.0, np.abs(w_dense).max())
+        data_term = h.T @ np.diag(1.0 / obs.variances) @ h
+        # the tall basis with the estimate, the same basis with gamma = 1
+        # (delta = 0, Bhat = mu I), and the wide basis U = I
+        unshrunk = ShrinkageCovariance(mu=cov.mu, gamma=1.0, deviations=cov.deviations)
+        for case, u in ((cov, ext.anomalies()), (unshrunk, ext.anomalies()),
+                        (cov, np.eye(nstate))):
+            w_fast, q_ext = enkf_rs_system(case, u, obs)
+            np.testing.assert_array_equal(w_fast, w_fast.T)
+            np.testing.assert_array_equal(q_ext, h @ u)
+            # dense evaluation of the projected weighted covariance
+            s = case.deviations.columns
+            bhat = case.phi * np.eye(nstate) + case.delta * (s @ s.T)
+            w_dense = u.T @ (np.linalg.inv(bhat) + data_term) @ u
+            assert np.abs(w_fast - w_dense).max() < 1e-8 * max(1.0, np.abs(w_dense).max())
+        # with U = I the shrinkage part is the Woodbury inverse of Bhat itself
+        inverse = w_fast - data_term
+        np.testing.assert_allclose(inverse, np.linalg.solve(bhat, np.eye(nstate)),
+                                   rtol=0, atol=1e-10 * np.abs(inverse).max())
+        np.testing.assert_allclose(bhat @ inverse, np.eye(nstate), rtol=0, atol=1e-9)
 
     def test_condition_estimate_reported(self):
         gen = np.random.default_rng(94)
@@ -289,6 +301,14 @@ class TestEnkfRs:
         with pytest.raises(ValueError, match="rank-deficient ensemble space"):
             enkf_rs_analysis(ens, obs.project(v), obs, 0, RngStream(2),
                              shrinkage=forced)
+
+    def test_zero_phi_rejected(self):
+        # gamma = 0 leaves Bhat = S S.T singular, so Bhat^{-1} does not exist
+        gen = np.random.default_rng(95)
+        ens, obs, y = instance(gen, nens=4)
+        forced = ShrinkageCovariance(mu=1.0, gamma=0.0, deviations=deviations(ens))
+        with pytest.raises(ValueError, match="invalid shrinkage parameters"):
+            enkf_rs_analysis(ens, y, obs, 2, RngStream(3), shrinkage=forced)
 
 
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])

@@ -259,6 +259,19 @@ class TestCompareFilters:
         rows = compare_filters(cfgs)
         assert abs(rows[0][1] - rows[1][1]) < 1e-6
 
+    @pytest.mark.parametrize("obs_std", [1e-4, 1e-5])
+    def test_ensrf_runs_with_tiny_observation_error(self, obs_std):
+        # V.T Z_V overshoots one by about eps * s^2 / r here (8e-8 and 1e-5
+        # in the first cycle), which a fixed 1e-8 margin refused as
+        # non-contractive; the Woodbury rounding also keeps ensrf within
+        # one obs_std of entkf rather than at its bits
+        cfg = ExperimentConfig(model="l96-5", filter="ensrf", nens=8, p=1.0, sigma_b=0.2,
+                               n_cycles=10, rng_seed=3, obs_std=obs_std)
+        (_, ensrf, _), (_, entkf, _) = compare_filters(configs_for_filters(cfg,
+                                                                           ["ensrf", "entkf"]))
+        assert entkf < 2.0 * obs_std
+        assert abs(ensrf - entkf) < obs_std
+
     def test_heterogeneous_models_rejected(self):
         cfgs = [tiny_config(), tiny_config(model="l96-9")]
         with pytest.raises(ValueError, match="heterogeneous model keys"):

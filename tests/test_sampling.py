@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from shrinkda.ensemble import deviations
 from shrinkda.observations import ObservationSpec
@@ -60,6 +61,37 @@ class TestRngStream:
         # the first columns do not depend on how many members are drawn
         np.testing.assert_array_equal(member_normals(rng, 2, 9), block[:, :2])
 
+    @pytest.mark.parametrize("count", [1, 40, 400])
+    def test_member_normals_match_jumped_generators(self, count):
+        # one rewound and advanced Philox against independent jumped copies
+        rng = RngStream(31, 8)
+        block = member_normals(rng, count, 1001)
+        expected = np.column_stack([standard_normal(gen, 1001)
+                                    for gen in rng.member_generators(count)])
+        np.testing.assert_array_equal(block, expected)
+
+    def test_standard_normal_raw_bits_match_bounded_integers(self):
+        # the top 53 raw bits are gen.integers(0, 2**53), also after the
+        # generator has consumed part of its output buffer
+        raw, ref = (first_generator(RngStream(19, 4)) for _ in range(2))
+        for gen in (raw, ref):
+            gen.integers(0, 1 << 53, size=3, dtype=np.int64)
+            gen.integers(0, 10, dtype=np.int32)
+        u = (ref.integers(0, 1 << 53, size=1001, dtype=np.int64) + 0.5) / (1 << 53)
+        np.testing.assert_array_equal(standard_normal(raw, 1001), ndtri(u))
+
+    def test_member_normals_golden_values(self):
+        # fixed values of the stream layout; any change to seeding, member
+        # addressing or the normal transform moves them
+        block = member_normals(RngStream(7, 2), 3, 5)
+        np.testing.assert_array_equal(block[[0, 1, 4], 0],
+                                      [0.903777393289854, -3.096725177768677,
+                                       -0.4062967137550125])
+        np.testing.assert_array_equal(block[[0, 3], 1],
+                                      [-0.48308633439184867, 1.9226629968770674])
+        np.testing.assert_array_equal(block[[2, 4], 2],
+                                      [-0.006886457006462198, 0.18405783345769433])
+
 
 class TestDrawSyntheticMembers:
     def test_zero_parameters_copy_mean(self):
@@ -74,17 +106,6 @@ class TestDrawSyntheticMembers:
         cov = make_cov(gen, 8, 4)
         draws = draw_synthetic_members(np.zeros(8), cov, 0, RngStream(1))
         assert draws.shape == (8, 0)
-
-    def test_invalid_parameters(self):
-        gen = np.random.default_rng(42)
-        devs = deviations(random_ensemble(gen, 6, 3))
-        bad = ShrinkageCovariance.__new__(ShrinkageCovariance)
-        # mu = -1 slips past __post_init__ and gives phi = -0.5
-        object.__setattr__(bad, "mu", -1.0)
-        object.__setattr__(bad, "gamma", 0.5)
-        object.__setattr__(bad, "deviations", devs)
-        with pytest.raises(ValueError, match="invalid shrinkage parameters"):
-            draw_synthetic_members(np.zeros(6), bad, 2, RngStream(1))
 
 
 class TestExtendEnsemble:

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from shrinkda.ensemble import Ensemble, dense_sample_covariance, deviations, ensemble_mean
-from shrinkda.filters import estimate_shrinkage
-from shrinkda.shrinkage import (ShrinkageCovariance, apply_inverse_shrunk_covariance,
-                                deviation_singular_values, rblw_parameters)
+from shrinkda.shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 
 from helpers import random_ensemble
 
@@ -87,23 +85,3 @@ class TestShrinkageCovarianceType:
         with pytest.raises(ValueError, match="gamma"):
             ShrinkageCovariance(mu=1.0, gamma=1.5, deviations=devs)
 
-
-class TestApplyInverse:
-    def test_woodbury_matches_dense_inverse(self):
-        gen = np.random.default_rng(35)
-        ens = random_ensemble(gen, 20, 6)
-        cov = estimate_shrinkage(ens)
-        s = cov.deviations.columns
-        dense = cov.phi * np.eye(20) + cov.delta * (s @ s.T)
-        m = gen.standard_normal((20, 3))
-        np.testing.assert_allclose(apply_inverse_shrunk_covariance(cov, m),
-                                   np.linalg.solve(dense, m), rtol=0, atol=1e-10)
-
-    def test_round_trip(self):
-        gen = np.random.default_rng(36)
-        cov = estimate_shrinkage(random_ensemble(gen, 15, 5))
-        s = cov.deviations.columns
-        dense = cov.phi * np.eye(15) + cov.delta * (s @ s.T)
-        m = gen.standard_normal(15)
-        back = dense @ apply_inverse_shrunk_covariance(cov, m)
-        np.testing.assert_allclose(back, m, rtol=0, atol=1e-9)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shrinkda.solvers import ObservationSpaceSystem, ensrf_transform, entkf_factors, ismf_solve
+from shrinkda.solvers import (TRIANGULAR_BLOCK, ObservationSpaceSystem, cholesky_solve,
+                             ensrf_transform, entkf_factors, ismf_solve)
 
 from helpers import ismf_loop
 
@@ -68,17 +69,46 @@ class TestIsmfSolve:
             ObservationSpaceSystem(np.diagonal(gamma), pi, np.array([1.0, 2.0]))
 
 
+class TestCholeskySolve:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 440])
+    def test_matches_dense_solve(self, n):
+        # one block, one full and one partial block, and seven blocks
+        gen = np.random.default_rng(100 + n)
+        a = gen.standard_normal((n, n + 5))
+        matrix = a @ a.T / n + np.eye(n)
+        rhs = gen.standard_normal((n, 7))
+        x, lower = cholesky_solve(matrix, rhs, "not positive definite")
+        expected = np.linalg.solve(matrix, rhs)
+        assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(np.tril(lower) - lower).max() == 0.0
+        vector, _ = cholesky_solve(matrix, rhs[:, 0], "not positive definite")
+        assert vector.shape == (n,)
+        assert np.abs(vector - expected[:, 0]).max() <= 1e-12 * np.abs(expected).max()
+        if n <= TRIANGULAR_BLOCK:
+            # a single block is one np.linalg.solve per factor, bit for bit
+            np.testing.assert_array_equal(
+                x, np.linalg.solve(lower.T, np.linalg.solve(lower, rhs)))
+
+    @pytest.mark.parametrize("n", [2, 70])
+    def test_not_positive_definite_raises_callers_message(self, n):
+        matrix = np.eye(n)
+        matrix[-1, -1] = -1.0
+        with pytest.raises(ValueError, match="^capacitance says no$"):
+            cholesky_solve(matrix, np.ones(n), "capacitance says no")
+
+
 class TestEnsrfTransform:
     def test_zero_v_is_identity(self):
-        t = ensrf_transform(np.zeros((5, 3)), np.zeros((5, 3)))
+        t = ensrf_transform(np.zeros((5, 3)), np.zeros((5, 3)), np.ones(5))
         np.testing.assert_allclose(t, np.eye(3), atol=1e-14)
 
     def test_scalar_case(self):
-        # V.T Z_V = [s] for a single member: transform is sqrt(1 - s)
+        # V.T Z_V = [s] for a single member: transform is sqrt(1 - s); with
+        # V = 1 the consistent R is 1 / s - 1
         s = 0.64
         v = np.array([[1.0]])
         z = np.array([[s]])
-        t = ensrf_transform(v, z)
+        t = ensrf_transform(v, z, np.array([1.0 / s - 1.0]))
         np.testing.assert_allclose(t, [[np.sqrt(1 - s)]], rtol=1e-14)
 
     def test_reconstruction(self):
@@ -87,7 +117,7 @@ class TestEnsrfTransform:
         v = gen.standard_normal((nobs, nens))
         r = np.diag(gen.uniform(0.5, 1.5, nobs))
         z_v = np.linalg.solve(r + v @ v.T, v)
-        t = ensrf_transform(v, z_v)
+        t = ensrf_transform(v, z_v, np.diagonal(r))
         target = np.eye(nens) - v.T @ z_v
         assert np.abs(t @ t.T - target).max() < 1e-9
 
@@ -96,7 +126,11 @@ class TestEnsrfTransform:
         v = np.array([[1.0]])
         z = np.array([[1.5]])
         with pytest.raises(ValueError, match="non-contractive"):
-            ensrf_transform(v, z)
+            ensrf_transform(v, z, np.array([1.0]))
+        # a small R widens the rounding margin, but not up to an eigenvalue
+        # of 1.5
+        with pytest.raises(ValueError, match="non-contractive"):
+            ensrf_transform(v, z, np.array([1e-10]))
 
 
 class TestEntkfFactors:
