@@ -1,6 +1,6 @@
 """Analysis steps for the seven ensemble filters.
 
-Stochastic EnKF, the square-root pair (EnSRF / transform), the
+Stochastic EnKF, the square-root pair (EnSRF / ETKF), the
 inflation-free primal/dual pair, and the two shrinkage-based filters that
 assimilate with an extended ensemble: full-space (observation-space
 weighted covariance) and reduced-space (ensemble-space weighted
@@ -74,15 +74,6 @@ def _innovation_matrix(bg, y, obs, rng):
     return perturbed - obs.project(bg.matrix)
 
 
-def _symmetric_sqrt_of_scaled_inverse(matrix: np.ndarray, scale: float) -> np.ndarray:
-    """Symmetric square root of scale * matrix^{-1} for SPD ``matrix``."""
-    sym = 0.5 * (matrix + matrix.T)
-    eigval, eigvec = np.linalg.eigh(sym)
-    if eigval[0] <= 0.0:
-        raise ValueError("weight matrix is not positive definite")
-    return (eigvec * np.sqrt(scale / eigval)) @ eigvec.T
-
-
 def enkf_analysis(bg: Ensemble, y, obs: ObservationSpec,
                   rng: RngStream | None = None, *,
                   innovations: np.ndarray | None = None) -> AnalysisResult:
@@ -121,31 +112,36 @@ def ensrf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     return AnalysisResult(Ensemble(analysis))
 
 
-def entkf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
-    """Deterministic transform step; equivalent to :func:`ensrf_analysis`.
-
-    Works through the singular value decomposition of the whitened
-    observed deviations instead of an observation-space solve.
-    """
+def _ensemble_space_prologue(bg, y, obs):
+    """Mean, anomalies U, observed anomalies H U and innovation y - H mean
+    of the deterministic ensemble-space filters."""
     y = _check_inputs(bg, y, obs)
     mean = ensemble_mean(bg)
-    s = deviations(bg).columns
     u = anomalies(bg).columns
-    v = obs.project(s)
-    factors = entkf_factors(v, obs.variances)
-    mean_a = mean + s @ factors.mean_weights(y - obs.project(mean))
-    analysis = mean_a[:, None] + u @ factors.transform
-    return AnalysisResult(Ensemble(analysis))
+    return mean, u, obs.project(u), y - obs.project(mean)
 
 
-def _enkf_n_pieces(bg, y, obs):
-    mean = ensemble_mean(bg)
-    u = anomalies(bg).columns
-    q = obs.project(u)
-    d0 = y - obs.project(mean)
-    rinv = 1.0 / obs.variances
-    eps_n = 1.0 + 1.0 / bg.nens
-    return mean, u, q, d0, rinv, eps_n
+def _transform_analysis(mean, u, w, eigval, eigvec) -> Ensemble:
+    """Members mean + U w + U sqrt(nens - 1) M^{-1/2}, for the SPD weight
+    matrix M = eigvec diag(eigval) eigvec.T."""
+    transform = (eigvec * np.sqrt((u.shape[1] - 1.0) / eigval)) @ eigvec.T
+    mean_a = mean + u @ w
+    return Ensemble(mean_a[:, None] + u @ transform)
+
+
+def entkf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
+    """Ensemble transform Kalman filter step (Hunt et al., 2007).
+
+    The dual step of :func:`enkf_du_analysis` with zeta fixed at nens - 1:
+    the weight matrix is (nens - 1) I + Q.T R^{-1} Q for Q = H U, taken
+    from the eigen kernel :func:`entkf_factors`. Equivalent to
+    :func:`ensrf_analysis`, which gets there by an observation-space solve.
+    """
+    mean, u, q, d0 = _ensemble_space_prologue(bg, y, obs)
+    lam, vec, proj = entkf_factors(q, d0, obs.variances)
+    eigval = lam + (bg.nens - 1.0)
+    analysis = _transform_analysis(mean, u, vec @ (proj / eigval), eigval, vec)
+    return AnalysisResult(analysis)
 
 
 def enkf_n_cost(w, q, d0, rinv, nens):
@@ -174,8 +170,8 @@ def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     final gradient norm exceeds ``ENKF_N_GRAD_TOL`` times
     max(1, |q.T R^{-1} d0|), the gradient norm at w = 0.
     """
-    y = _check_inputs(bg, y, obs)
-    mean, u, q, d0, rinv, _ = _enkf_n_pieces(bg, y, obs)
+    mean, u, q, d0 = _ensemble_space_prologue(bg, y, obs)
+    rinv = 1.0 / obs.variances
     nens = bg.nens
     args = (q, d0, rinv, nens)
 
@@ -204,12 +200,13 @@ def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
             f"finite-size optimizer did not converge: gradient norm {grad_norm:.3e}, "
             f"last iterate norm {np.linalg.norm(w):.3e}")
 
-    mean_a = mean + u @ w
-    transform = _symmetric_sqrt_of_scaled_inverse(enkf_n_hessian(w, q, rinv, nens),
-                                                  nens - 1.0)
-    analysis = mean_a[:, None] + u @ transform
+    hessian = enkf_n_hessian(w, q, rinv, nens)
+    eigval, eigvec = np.linalg.eigh(0.5 * (hessian + hessian.T))
+    if eigval[0] <= 0.0:
+        raise ValueError("weight matrix is not positive definite")
+    analysis = _transform_analysis(mean, u, w, eigval, eigvec)
     cost = enkf_n_cost(w, *args)
-    return AnalysisResult(Ensemble(analysis), {
+    return AnalysisResult(analysis, {
         "cost_primal": float(cost),
         "gradient_norm": grad_norm,
         "solver_iterations": float(result.nit + newton_steps),
@@ -220,18 +217,17 @@ def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     """Dual (one-dimensional) counterpart of the finite-size step.
 
     The dual cost is minimized over zeta in (0, nens / (1 + 1/nens)] by
-    bounded golden-section/parabolic search; the mean and ensemble follow
-    from the regularized ensemble-space system at the optimal zeta.
+    bounded golden-section/parabolic search on the eigenpairs of the kernel
+    :func:`entkf_factors`; the mean and ensemble follow from the weight
+    matrix Q.T R^{-1} Q + zeta I at the optimal zeta. Fixing zeta at
+    nens - 1 instead gives :func:`entkf_analysis`.
     """
-    y = _check_inputs(bg, y, obs)
-    mean, u, q, d0, rinv, eps_n = _enkf_n_pieces(bg, y, obs)
+    mean, u, q, d0 = _ensemble_space_prologue(bg, y, obs)
     nens = bg.nens
+    eps_n = 1.0 + 1.0 / nens
 
-    g = q * np.sqrt(rinv)[:, None]
-    dw = d0 * np.sqrt(rinv)
-    lam, vec = np.linalg.eigh(g.T @ g)
-    lam = np.clip(lam, 0.0, None)
-    proj = vec.T @ (g.T @ dw)
+    lam, vec, proj = entkf_factors(q, d0, obs.variances)
+    dw = d0 * np.sqrt(1.0 / obs.variances)
     base = float(dw @ dw)
     zeta_max = nens / eps_n
 
@@ -246,13 +242,10 @@ def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
                            f"{zeta_max:.3e}): {result.message}")
     zeta = float(result.x)
 
-    w = vec @ (proj / (lam + zeta))
-    mean_a = mean + u @ w
-    # the weight matrix is vec (lam + zeta) vec.T with lam >= 0 and zeta >=
-    # ENKF_DU_ZETA_MIN > 0, so its eigenpairs are already at hand
-    transform = (vec * np.sqrt((nens - 1.0) / (lam + zeta))) @ vec.T
-    analysis = mean_a[:, None] + u @ transform
-    return AnalysisResult(Ensemble(analysis), {
+    # lam >= 0 and zeta >= ENKF_DU_ZETA_MIN > 0, so the weight matrix is SPD
+    eigval = lam + zeta
+    analysis = _transform_analysis(mean, u, vec @ (proj / eigval), eigval, vec)
+    return AnalysisResult(analysis, {
         "dual_zeta": zeta,
         "cost_dual": float(dual_cost(zeta)),
         "solver_iterations": float(result.nfev),

@@ -356,7 +356,7 @@ def write_comparison_csv(rows, path) -> None:
             fh.write(f"{name},{_fmt(value)},{_fmt(seconds)}\n")
 
 
-def write_metadata(cfg: ExperimentConfig, path, model: ModelDefinition | None = None) -> None:
+def write_metadata(cfg: ExperimentConfig, path, model: ModelDefinition) -> None:
     """Sidecar recording the fully resolved configuration of a run."""
     items = {
         "model": cfg.model, "filter": cfg.filter, "nens": cfg.nens,
@@ -367,10 +367,9 @@ def write_metadata(cfg: ExperimentConfig, path, model: ModelDefinition | None = 
     }
     for key, value in sorted(cfg.model_overrides.items()):
         items[key] = value
-    params = getattr(model, "params", None)
-    if params is not None:
-        for f in fields(params):
-            items[f"resolved_qg_{f.name}"] = getattr(params, f.name)
+    if model.params is not None:
+        for f in fields(model.params):
+            items[f"resolved_qg_{f.name}"] = getattr(model.params, f.name)
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in items.items():
             fh.write(f"{key} = {value}\n")

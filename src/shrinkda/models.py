@@ -295,13 +295,18 @@ def rk4_step(tendency: Callable[[np.ndarray], np.ndarray],
 
 @dataclass(frozen=True)
 class ModelDefinition:
-    """Uniform forward-model interface used by the experiment harness."""
+    """Uniform forward-model interface used by the experiment harness.
+
+    ``params`` holds the resolved coefficients of a QG model and is None
+    for Lorenz-96.
+    """
 
     name: str
     nstate: int
     dt: float
     tendency: Callable[[np.ndarray], np.ndarray]
     initial_state: Callable[[], np.ndarray]
+    params: QgParams | None = None
 
     def step(self, state: np.ndarray) -> np.ndarray:
         """Advance one model time step."""
@@ -342,12 +347,9 @@ def qg_model(d1: int, d2: int, params: QgParams | None = None,
     def initial_state():
         return qg_initial_vorticity(grid)
 
-    model = ModelDefinition(name=name or f"qg-{d1 + 2}", nstate=grid.nstate,
-                            dt=params.dt, tendency=tendency,
-                            initial_state=initial_state)
-    object.__setattr__(model, "grid", grid)
-    object.__setattr__(model, "params", params)
-    return model
+    return ModelDefinition(name=name or f"qg-{d1 + 2}", nstate=grid.nstate,
+                           dt=params.dt, tendency=tendency,
+                           initial_state=initial_state, params=params)
 
 
 _QG_SIZES = {"qg-33": 31, "qg-65": 63, "qg-129": 127}

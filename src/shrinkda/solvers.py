@@ -6,9 +6,10 @@ update at a time, for the diagonal Gamma every filter has.
 ``ismf_solve`` applies the same identity to all columns at once, as a
 Woodbury solve with an m x m capacitance matrix; ``cholesky_solve`` is
 the one SPD solve, shared with the reduced-space filter, and
-``triangular_solve`` the blocked substitution behind it. The square-root
-and transform factorizations consumed by the deterministic filters live
-here as well.
+``triangular_solve`` the blocked substitution behind it.
+``ensrf_transform`` is the observation-space square root of the EnSRF;
+``entkf_factors`` is the ensemble-space eigen kernel behind the ETKF and
+the dual finite-size step.
 """
 
 from __future__ import annotations
@@ -148,47 +149,19 @@ def ensrf_transform(v: np.ndarray, z_v: np.ndarray, r_variances: np.ndarray) -> 
     return (eigvec * np.sqrt(1.0 - eigval)) @ eigvec.T
 
 
-@dataclass(frozen=True)
-class EntkfFactors:
-    """Factors of the transform filter built from the whitened deviations.
+def entkf_factors(q: np.ndarray, innovation: np.ndarray, r_variances: np.ndarray):
+    """Ensemble-space eigen kernel shared by the deterministic filters.
 
-    ``u`` and ``wt`` are the singular vectors of (R^{-1/2} V).T and ``sing``
-    its singular values; ``inv_factor`` is 1 / (1 + sing^2). ``transform``
-    is the symmetric contraction applied to the anomalies; it equals
-    (I + V.T R^{-1} V)^{-1/2}.
+    With G = R^{-1/2} Q for Q = H @ U (observed anomalies) and the whitened
+    innovation R^{-1/2} d, returns (lam, vec, proj): the eigenpairs of
+    G.T @ G, eigenvalues clipped at zero, and proj = vec.T @ G.T @ R^{-1/2} d.
+    For any zeta > 0 the weight matrix G.T @ G + zeta I is then
+    vec diag(lam + zeta) vec.T, and the mean weights are
+    vec @ (proj / (lam + zeta)).
     """
-
-    u: np.ndarray
-    sing: np.ndarray
-    wt: np.ndarray
-    r_std: np.ndarray
-    inv_factor: np.ndarray
-    transform: np.ndarray
-
-    def mean_weights(self, innovation: np.ndarray) -> np.ndarray:
-        """Optimal weights for the analysis mean given y - H @ xb_mean."""
-        whitened = np.asarray(innovation, dtype=float) / self.r_std
-        return self.u @ (self.sing * self.inv_factor * (self.wt @ whitened))
-
-
-def entkf_factors(v: np.ndarray, r_variances: np.ndarray) -> EntkfFactors:
-    """Factor the transform filter pieces from V = H @ S and diagonal R.
-
-    The singular value decomposition is taken of (R^{-1/2} V).T; the
-    returned transform uses the inverse square root so the analysis
-    covariance contracts, matching the square-root filter.
-    """
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    r_var = np.asarray(r_variances, dtype=float)
-    if np.any(r_var <= 0.0):
-        raise ValueError("observation variances must be positive")
-    if r_var.shape[0] != v.shape[0]:
-        raise ValueError("variance count must match observation rows")
-    r_std = np.sqrt(r_var)
-    nens = v.shape[1]
-    u, sing, wt = np.linalg.svd((v / r_std[:, None]).T, full_matrices=False)
-    inv_factor = 1.0 / (1.0 + sing**2)
-    # exact even when nobs < nens: unresolved directions stay untouched
-    transform = np.eye(nens) + (u * (np.sqrt(inv_factor) - 1.0)) @ u.T
-    return EntkfFactors(u=u, sing=sing, wt=wt, r_std=r_std,
-                        inv_factor=inv_factor, transform=transform)
+    sqrt_rinv = np.sqrt(1.0 / np.asarray(r_variances, dtype=float))
+    g = q * sqrt_rinv[:, None]
+    dw = innovation * sqrt_rinv
+    lam, vec = np.linalg.eigh(g.T @ g)
+    lam = np.clip(lam, 0.0, None)
+    return lam, vec, vec.T @ (g.T @ dw)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 from shrinkda import filters
 from shrinkda.ensemble import Ensemble, dense_sample_covariance, deviations, ensemble_mean
@@ -92,6 +93,24 @@ class TestEntkf:
         p = dense_sample_covariance(ens)
         target = (np.eye(9) - kalman_gain(ens, obs) @ h) @ p
         assert np.abs(dense_sample_covariance(res.analysis) - target).max() < 1e-8
+
+    def test_matches_hunt_formulas_with_fewer_observations_than_members(self):
+        # Hunt, Kostelich & Szunyogh (2007), eqs. 21-24, in dense form
+        gen = np.random.default_rng(84)
+        ens, obs, y = instance(gen, nstate=12, nens=8, p=0.25)
+        assert obs.nobs < ens.nens
+        k = ens.nens
+        mean = ensemble_mean(ens)
+        u = ens.matrix - mean[:, None]
+        yb = selection_matrix(obs, 12) @ u
+        rinv = np.diag(1.0 / obs.variances)
+        pa = np.linalg.inv((k - 1) * np.eye(k) + yb.T @ rinv @ yb)
+        wbar = pa @ yb.T @ rinv @ (y - obs.project(mean))
+        w = np.real(sqrtm((k - 1) * pa))
+        expected = mean[:, None] + u @ (wbar[:, None] + w)
+        got = entkf_analysis(ens, y, obs).analysis
+        np.testing.assert_allclose(ensemble_mean(got), mean + u @ wbar, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.matrix, expected, rtol=0, atol=1e-12)
 
 
 class TestEnkfN:

@@ -133,22 +133,29 @@ class TestEnsrfTransform:
             ensrf_transform(v, z, np.array([1e-10]))
 
 
+def transform_and_weights(v, d, r_var):
+    """The kernel's transform (I + V.T R^{-1} V)^{-1/2} and mean weights at
+    zeta = 1: the ETKF for V = H S, S = U / sqrt(nens - 1)."""
+    lam, vec, proj = entkf_factors(v, d, r_var)
+    return (vec / np.sqrt(1.0 + lam)) @ vec.T, vec @ (proj / (1.0 + lam))
+
+
 class TestEntkfFactors:
     def test_zero_v(self):
-        factors = entkf_factors(np.zeros((6, 4)), np.ones(6))
-        np.testing.assert_allclose(factors.transform, np.eye(4), atol=1e-14)
-        np.testing.assert_allclose(factors.mean_weights(np.ones(6)), np.zeros(4), atol=1e-14)
+        transform, weights = transform_and_weights(np.zeros((6, 4)), np.ones(6), np.ones(6))
+        np.testing.assert_allclose(transform, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(weights, np.zeros(4), atol=1e-14)
 
     def test_transform_matches_inverse_sqrt(self):
         gen = np.random.default_rng(67)
         nobs, nens = 25, 5
         v = gen.standard_normal((nobs, nens))
         r_var = gen.uniform(0.5, 1.5, nobs)
-        factors = entkf_factors(v, r_var)
+        transform, _ = transform_and_weights(v, np.zeros(nobs), r_var)
         m = np.eye(nens) + v.T @ np.diag(1.0 / r_var) @ v
         eigval, eigvec = np.linalg.eigh(m)
         expected = (eigvec / np.sqrt(eigval)) @ eigvec.T
-        np.testing.assert_allclose(factors.transform, expected, atol=1e-10)
+        np.testing.assert_allclose(transform, expected, atol=1e-10)
 
     def test_mean_weights_match_gain(self):
         gen = np.random.default_rng(68)
@@ -156,16 +163,15 @@ class TestEntkfFactors:
         v = gen.standard_normal((nobs, nens))
         r_var = gen.uniform(0.5, 1.5, nobs)
         d = gen.standard_normal(nobs)
-        factors = entkf_factors(v, r_var)
+        _, weights = transform_and_weights(v, d, r_var)
         expected = v.T @ np.linalg.solve(np.diag(r_var) + v @ v.T, d)
-        np.testing.assert_allclose(factors.mean_weights(d), expected, atol=1e-10)
+        np.testing.assert_allclose(weights, expected, atol=1e-10)
 
     def test_underdetermined_shape(self):
         # fewer observations than members still yields an exact transform
         gen = np.random.default_rng(69)
         v = gen.standard_normal((3, 7))
         r_var = np.full(3, 0.8)
-        factors = entkf_factors(v, r_var)
+        transform, _ = transform_and_weights(v, np.zeros(3), r_var)
         m = np.eye(7) + v.T @ np.diag(1.0 / r_var) @ v
-        np.testing.assert_allclose(factors.transform @ factors.transform,
-                                   np.linalg.inv(m), atol=1e-9)
+        np.testing.assert_allclose(transform @ transform, np.linalg.inv(m), atol=1e-9)
