@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+# minimize is not called; perfbench/twinbench.py wraps filters.minimize by name
+from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .ensemble import Ensemble, anomalies, deviations, ensemble_mean
 from .observations import ObservationSpec
@@ -28,10 +29,10 @@ FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-r
 _OBS_STREAM = 1
 _SYNTH_STREAM = 2
 
-# Gradient tolerance of the finite-size step: the BFGS/Newton target, and,
-# relative to the gradient norm at w = 0, the abort threshold.
+# Abort threshold of the finite-size step's primal gradient, relative to
+# its norm at w = 0, and the Newton steps that refine the dual optimum.
 ENKF_N_GRAD_TOL = 1e-8
-ENKF_N_MAX_ITER = 200
+ENKF_N_NEWTON_STEPS = 2
 # Bracket floor and abscissa tolerance of the dual step's scalar search.
 ENKF_DU_ZETA_MIN = 1e-8
 ENKF_DU_XTOL = 1e-10
@@ -113,12 +114,14 @@ def ensrf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
 
 
 def _ensemble_space_prologue(bg, y, obs):
-    """Mean, anomalies U, observed anomalies H U and innovation y - H mean
-    of the deterministic ensemble-space filters."""
+    """Mean, anomalies U, observed anomalies Q = H U, innovation
+    d0 = y - H mean and the eigen kernel :func:`entkf_factors` (lam, vec,
+    proj) of the deterministic ensemble-space filters."""
     y = _check_inputs(bg, y, obs)
     mean = ensemble_mean(bg)
     u = anomalies(bg).columns
-    return mean, u, obs.project(u), y - obs.project(mean)
+    q, d0 = obs.project(u), y - obs.project(mean)
+    return (mean, u, q, d0, *entkf_factors(q, d0, obs.variances))
 
 
 def _transform_analysis(mean, u, w, eigval, eigvec) -> Ensemble:
@@ -137,8 +140,7 @@ def entkf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     from the eigen kernel :func:`entkf_factors`. Equivalent to
     :func:`ensrf_analysis`, which gets there by an observation-space solve.
     """
-    mean, u, q, d0 = _ensemble_space_prologue(bg, y, obs)
-    lam, vec, proj = entkf_factors(q, d0, obs.variances)
+    mean, u, _, _, lam, vec, proj = _ensemble_space_prologue(bg, y, obs)
     eigval = lam + (bg.nens - 1.0)
     analysis = _transform_analysis(mean, u, vec @ (proj / eigval), eigval, vec)
     return AnalysisResult(analysis)
@@ -155,101 +157,78 @@ def enkf_n_gradient(w, q, d0, rinv, nens):
     return -q.T @ (rinv * res) + nens * w / (1.0 + 1.0 / nens + w @ w)
 
 
-def enkf_n_hessian(w, q, rinv, nens):
-    a = 1.0 + 1.0 / nens + w @ w
-    return (q.T * rinv) @ q + nens * (a * np.eye(w.shape[0]) - 2.0 * np.outer(w, w)) / a**2
-
-
-def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
-    """Finite-size (primal, inflation-free) step.
-
-    The ensemble-space weights minimize the finite-size cost by
-    quasi-Newton iteration with the analytic gradient, polished by Newton
-    steps with the analytic Hessian; the analysis ensemble is built from
-    the inverse Hessian at the optimum. Raises ``RuntimeError`` when the
-    final gradient norm exceeds ``ENKF_N_GRAD_TOL`` times
-    max(1, |q.T R^{-1} d0|), the gradient norm at w = 0.
-    """
-    mean, u, q, d0 = _ensemble_space_prologue(bg, y, obs)
-    rinv = 1.0 / obs.variances
-    nens = bg.nens
-    args = (q, d0, rinv, nens)
-
-    result = minimize(enkf_n_cost, np.zeros(nens), args=args,
-                      jac=enkf_n_gradient, method="BFGS",
-                      options={"gtol": ENKF_N_GRAD_TOL, "maxiter": ENKF_N_MAX_ITER})
-    w = result.x
-    grad = enkf_n_gradient(w, *args)
-    newton_steps = 0
-    while np.linalg.norm(grad) > ENKF_N_GRAD_TOL and newton_steps < 50:
-        step = np.linalg.solve(enkf_n_hessian(w, q, rinv, nens), grad)
-        # halve until the cost does not increase
-        alpha, base = 1.0, enkf_n_cost(w, *args)
-        while alpha > 1e-8 and enkf_n_cost(w - alpha * step, *args) > base:
-            alpha *= 0.5
-        w = w - alpha * step
-        grad = enkf_n_gradient(w, *args)
-        newton_steps += 1
-    grad_norm = float(np.linalg.norm(grad))
-    # Rounding keeps the gradient from falling much below machine precision
-    # times its norm at w = 0, which grows as 1/obs_std^2, so an absolute
-    # threshold aborts converged steps when obs_std is small.
-    grad_scale = max(1.0, float(np.linalg.norm(q.T @ (rinv * d0))))
-    if grad_norm > ENKF_N_GRAD_TOL * grad_scale:
-        raise RuntimeError(
-            f"finite-size optimizer did not converge: gradient norm {grad_norm:.3e}, "
-            f"last iterate norm {np.linalg.norm(w):.3e}")
-
-    hessian = enkf_n_hessian(w, q, rinv, nens)
-    eigval, eigvec = np.linalg.eigh(0.5 * (hessian + hessian.T))
-    if eigval[0] <= 0.0:
-        raise ValueError("weight matrix is not positive definite")
-    analysis = _transform_analysis(mean, u, w, eigval, eigvec)
-    cost = enkf_n_cost(w, *args)
-    return AnalysisResult(analysis, {
-        "cost_primal": float(cost),
-        "gradient_norm": grad_norm,
-        "solver_iterations": float(result.nit + newton_steps),
-    })
-
-
-def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
-    """Dual (one-dimensional) counterpart of the finite-size step.
-
-    The dual cost is minimized over zeta in (0, nens / (1 + 1/nens)] by
-    bounded golden-section/parabolic search on the eigenpairs of the kernel
-    :func:`entkf_factors`; the mean and ensemble follow from the weight
-    matrix Q.T R^{-1} Q + zeta I at the optimal zeta. Fixing zeta at
-    nens - 1 instead gives :func:`entkf_analysis`.
-    """
-    mean, u, q, d0 = _ensemble_space_prologue(bg, y, obs)
-    nens = bg.nens
+def _dual_search(lam, proj, d0, r_variances, nens):
+    """Bounded scalar search of the dual finite-size cost over zeta in
+    (0, nens / (1 + 1/nens)], on the eigenpairs of :func:`entkf_factors`.
+    Returns zeta, the dual cost there and the number of cost evaluations."""
     eps_n = 1.0 + 1.0 / nens
-
-    lam, vec, proj = entkf_factors(q, d0, obs.variances)
-    dw = d0 * np.sqrt(1.0 / obs.variances)
+    dw = d0 * np.sqrt(1.0 / r_variances)
     base = float(dw @ dw)
-    zeta_max = nens / eps_n
 
     def dual_cost(zeta):
         quad = base - np.sum(proj**2 / (zeta + lam))
         return 0.5 * quad + 0.5 * zeta * eps_n + 0.5 * nens * np.log(nens / zeta) - 0.5 * nens
 
-    result = minimize_scalar(dual_cost, bounds=(ENKF_DU_ZETA_MIN, zeta_max),
-                             method="bounded", options={"xatol": ENKF_DU_XTOL})
+    bounds = (ENKF_DU_ZETA_MIN, nens / eps_n)
+    result = minimize_scalar(dual_cost, bounds=bounds, method="bounded",
+                             options={"xatol": ENKF_DU_XTOL})
     if not result.success:
-        raise RuntimeError(f"dual optimizer failed on bracket ({ENKF_DU_ZETA_MIN:.3e}, "
-                           f"{zeta_max:.3e}): {result.message}")
-    zeta = float(result.x)
+        raise RuntimeError(f"dual optimizer failed on bracket ({bounds[0]:.3e}, "
+                           f"{bounds[1]:.3e}): {result.message}")
+    return float(result.x), float(dual_cost(result.x)), result.nfev
+
+
+def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
+    """Finite-size (primal, inflation-free) step.
+
+    The primal cost's minimizer is the dual step's weights w = vec p, with
+    p = proj / (lam + zeta), at the dual optimum zeta (Bocquet, 2011), which
+    Newton steps on f(zeta) = zeta (1 + 1/nens + |p|^2) - nens refine. The
+    members come from the inverse primal Hessian at w, in the kernel's
+    eigenbasis diag(lam + zeta) - (2 zeta^2 / nens) p p.T. Raises
+    ``RuntimeError`` when the primal gradient at w exceeds ``ENKF_N_GRAD_TOL``
+    times max(1, |proj|), where |proj| = |Q.T R^{-1} d0| is its norm at w = 0.
+    """
+    mean, u, q, d0, lam, vec, proj = _ensemble_space_prologue(bg, y, obs)
+    nens = bg.nens
+    zeta, _, nfev = _dual_search(lam, proj, d0, obs.variances, nens)
+    # f' >= 0 at a dual minimum; from ENKF_DU_XTOL one step reaches rounding
+    for _ in range(ENKF_N_NEWTON_STEPS):
+        p = proj / (lam + zeta)
+        a = 1.0 + 1.0 / nens + p @ p
+        zeta -= (zeta * a - nens) / (a - 2.0 * zeta * np.sum(p**2 / (lam + zeta)))
+    p = proj / (lam + zeta)
+    w = vec @ p
+    args = (q, d0, 1.0 / obs.variances, nens)
+    grad_norm = float(np.linalg.norm(enkf_n_gradient(w, *args)))
+    if grad_norm > ENKF_N_GRAD_TOL * max(1.0, float(np.linalg.norm(proj))):
+        raise RuntimeError(
+            f"finite-size optimizer did not converge: gradient norm {grad_norm:.3e}, "
+            f"last iterate norm {np.linalg.norm(w):.3e}")
+    eigval, eigvec = np.linalg.eigh(np.diag(lam + zeta) - (2.0 * zeta**2 / nens) * np.outer(p, p))
+    if eigval[0] <= 0.0:
+        raise ValueError("weight matrix is not positive definite")
+    analysis = _transform_analysis(mean, u, w, eigval, vec @ eigvec)
+    return AnalysisResult(analysis, {"cost_primal": float(enkf_n_cost(w, *args)),
+                                     "gradient_norm": grad_norm,
+                                     "solver_iterations": float(nfev + ENKF_N_NEWTON_STEPS)})
+
+
+def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
+    """Dual (one-dimensional) counterpart of the finite-size step.
+
+    zeta minimizes the dual cost by the search :func:`enkf_n_analysis` also
+    runs; the mean and ensemble follow from the weight matrix
+    Q.T R^{-1} Q + zeta I. Fixing zeta at nens - 1 gives :func:`entkf_analysis`.
+    """
+    mean, u, _, d0, lam, vec, proj = _ensemble_space_prologue(bg, y, obs)
+    zeta, cost, nfev = _dual_search(lam, proj, d0, obs.variances, bg.nens)
 
     # lam >= 0 and zeta >= ENKF_DU_ZETA_MIN > 0, so the weight matrix is SPD
     eigval = lam + zeta
     analysis = _transform_analysis(mean, u, vec @ (proj / eigval), eigval, vec)
-    return AnalysisResult(analysis, {
-        "dual_zeta": zeta,
-        "cost_dual": float(dual_cost(zeta)),
-        "solver_iterations": float(result.nfev),
-    })
+    return AnalysisResult(analysis, {"dual_zeta": zeta, "cost_dual": cost,
+                                     "solver_iterations": float(nfev)})
 
 
 def estimate_shrinkage(bg: Ensemble) -> ShrinkageCovariance:

@@ -221,11 +221,11 @@ def _solver_checks() -> list:
 # filters
 
 
-def _filter_instance(gen, nstate=12, nens=5, p=0.75):
+def _filter_instance(gen, nstate=12, nens=5, p=0.75, obs_std=0.1):
     ens = _random_ensemble(gen, nstate, nens)
-    obs = ObservationSpec.from_fraction(nstate, p, 0.1)
+    obs = ObservationSpec.from_fraction(nstate, p, obs_std)
     truth = gen.standard_normal(nstate)
-    y = obs.project(truth) + 0.1 * gen.standard_normal(obs.nobs)
+    y = obs.project(truth) + obs_std * gen.standard_normal(obs.nobs)
     return ens, obs, y
 
 
@@ -252,6 +252,7 @@ def _filter_checks() -> list:
 
     results.append(_fs_objective_check(gen))
     results.append(_rs_fs_span_check(gen))
+    results.append(_enkf_n_stationary_check(gen))
     return results
 
 
@@ -336,6 +337,25 @@ def _rs_fs_span_check(gen) -> CheckResult:
     return _result("filters.rs_equals_fs_on_full_span", rs_gap < 1e-9 and fs_gap < 1e-9,
                    f"max relative gap to the Kalman update with Bhat: rs {rs_gap:.2e}, "
                    f"fs {fs_gap:.2e} (k = 0)")
+
+
+def _enkf_n_stationary_check(gen) -> CheckResult:
+    """The enkf-n mean is a stationary point of the primal cost: the least
+    squares w of mean_a - mean_b = U w zeroes ``filters.enkf_n_gradient``,
+    relative to its norm at w = 0, on Lorenz-96 and QG sized ensembles."""
+    worst = 0.0
+    for nstate, nens in ((40, 20), (961, 40)):
+        for obs_std in (1.0, 1e-2, 1e-5):
+            ens, obs, y = _filter_instance(gen, nstate, nens, 0.7, obs_std)
+            mean_a = filters.enkf_n_analysis(ens, y, obs).analysis.matrix.mean(axis=1)
+            mean_b = ens.matrix.mean(axis=1)
+            u = ens.matrix - mean_b[:, None]
+            w = np.linalg.lstsq(u, mean_a - mean_b, rcond=None)[0]
+            q, d0, rinv = obs.project(u), y - obs.project(mean_b), 1.0 / obs.variances
+            grad = float(np.linalg.norm(filters.enkf_n_gradient(w, q, d0, rinv, nens)))
+            worst = max(worst, grad / max(1.0, float(np.linalg.norm(q.T @ (rinv * d0)))))
+    return _result("filters.enkf_n_stationary", worst < 1e-10,
+                   f"worst relative primal gradient {worst:.2e} at obs_std 1, 1e-2, 1e-5")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ def selection_matrix(obs, nstate):
     return h
 
 
+def enkf_n_hessian(w, q, rinv, nens):
+    """Dense Hessian of the primal finite-size cost ``filters.enkf_n_cost``
+    at ensemble-space weights w."""
+    a = 1.0 + 1.0 / nens + w @ w
+    return (q.T * rinv) @ q + nens * (a * np.eye(w.shape[0]) - 2.0 * np.outer(w, w)) / a**2
+
+
 def ismf_loop(sys):
     """The paper's iterative Sherman-Morrison formula, one column at a time.
 

@@ -13,7 +13,7 @@ from shrinkda.sampling import (RngStream, draw_synthetic_members, extend_ensembl
                                perturb_observations)
 from shrinkda.shrinkage import ShrinkageCovariance
 
-from helpers import random_ensemble, selection_matrix
+from helpers import enkf_n_hessian, random_ensemble, selection_matrix
 
 
 def instance(gen, nstate=10, nens=6, p=0.7, obs_std=0.1):
@@ -151,6 +151,27 @@ class TestEnkfN:
         assert res.analysis.nens == ens.nens
         assert "cost_primal" in res.diagnostics
         assert res.diagnostics["gradient_norm"] <= 1e-8
+
+    @pytest.mark.parametrize("nstate, nens, p", [(40, 20, 0.7), (12, 8, 0.25)])
+    def test_matches_dense_primal_hessian(self, nstate, nens, p):
+        # the mean is a stationary point of the primal cost, and the members
+        # come from the dense inverse primal Hessian there
+        gen = np.random.default_rng(118)
+        ens, obs, y = instance(gen, nstate=nstate, nens=nens, p=p)
+        mean_b = ensemble_mean(ens)
+        u = ens.matrix - mean_b[:, None]
+        q = obs.project(u)
+        d0 = y - obs.project(mean_b)
+        rinv = 1.0 / obs.variances
+        got = enkf_n_analysis(ens, y, obs).analysis
+        mean_a = ensemble_mean(got)
+        w = np.linalg.lstsq(u, mean_a - mean_b, rcond=None)[0]
+        np.testing.assert_allclose(mean_a, mean_b + u @ w, rtol=0, atol=1e-10)
+        grad = enkf_n_gradient(w, q, d0, rinv, nens)
+        assert np.linalg.norm(grad) < 1e-10 * max(1.0, np.linalg.norm(q.T @ (rinv * d0)))
+        inv_sqrt = np.real(sqrtm(np.linalg.inv(enkf_n_hessian(w, q, rinv, nens))))
+        expected = mean_a[:, None] + u @ (np.sqrt(nens - 1.0) * inv_sqrt)
+        np.testing.assert_allclose(got.matrix, expected, rtol=0, atol=1e-10)
 
     def test_non_convergence_reports_iterate(self, monkeypatch):
         gen = np.random.default_rng(117)
