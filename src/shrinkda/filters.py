@@ -17,10 +17,12 @@ from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .ensemble import Ensemble, anomalies, deviations, ensemble_mean
 from .observations import ObservationSpec
-from .sampling import RngStream, draw_synthetic_members, extend_ensemble, perturb_observations
+# extend_ensemble is not called; perfbench/twinbench.py wraps filters.extend_ensemble by name
+from .sampling import (RngStream, draw_synthetic_members, extend_ensemble,  # noqa: F401
+                       perturb_observations)
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import (ObservationSpaceSystem, cholesky_factor, cholesky_solve, ensrf_transform,
-                      entkf_factors, ismf_solve, triangular_solve)
+                      GRAM_ROW_BLOCK, entkf_factors, ismf_solve, triangular_solve)
 
 FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-rs")
 
@@ -248,15 +250,26 @@ def _shrinkage_diagnostics(cov: ShrinkageCovariance) -> dict:
 
 
 def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations):
-    """Shrinkage estimate, innovations D and extended ensemble of FS and RS."""
+    """Shrinkage estimate, innovations D and the extended anomalies of FS and
+    RS: one (nstate, nens + k) buffer holding the real anomalies about the
+    real mean, then the k synthetic members drawn straight into their
+    columns and centred there in place. It is the one extended-ensemble
+    array of the analysis; FS scales it in place."""
     y = _check_inputs(bg, y, obs)
     rng = _require_stream(rng, "draw synthetic members")
     if shrinkage is None and bg.nens < 3:
         raise ValueError("too few members for RBLW")
     cov = shrinkage if shrinkage is not None else estimate_shrinkage(bg)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, int(k), rng.child(_SYNTH_STREAM))
-    return cov, d, extend_ensemble(bg, synthetic)
+    k, mean = int(k), ensemble_mean(bg)
+    extended = np.empty((bg.nstate, bg.nens + k))
+    np.subtract(bg.matrix, mean[:, None], out=extended[:, :bg.nens])
+    synthetic = draw_synthetic_members(mean, cov, k, rng.child(_SYNTH_STREAM),
+                                       out=extended[:, bg.nens:])
+    if not np.all(np.isfinite(synthetic)):
+        raise ValueError("synthetic members contain non-finite entries")
+    synthetic -= mean[:, None]
+    return cov, d, extended
 
 
 def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
@@ -273,9 +286,10 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     ``innovations`` are testing hooks that bypass estimation and observation
     perturbation; the synthetic draws always need ``rng``.
     """
-    cov, d, extended = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations)
-
-    basis = np.sqrt(cov.delta) * extended.scaled_deviations()
+    cov, d, basis = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations)
+    # the scaled deviations sqrt(delta) * anomalies / sqrt(nk - 1), in place
+    basis /= np.sqrt(basis.shape[1] - 1)
+    basis *= np.sqrt(cov.delta)
     pi = obs.project(basis)
     z = ismf_solve(ObservationSpaceSystem(obs.variances + cov.phi, pi, d))
     analysis = bg.matrix + basis @ (pi.T @ z) + cov.phi * obs.scatter(z)
@@ -289,18 +303,21 @@ def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: Observation
     and q_ext = H U, for the basis U = ``u_ext``. By the Woodbury identity
     w_ens = U.T diag(d) U - Y.T Y / phi, with d = 1/phi + H.T R^{-1} 1 and
     Y = L^{-1} S.T U for L L.T = (phi/delta) I + S.T S (size nens). The
-    first term is the Gram G.T G of G = U sqrt(d), one symmetric rank-k
-    product, so w_ens is exactly symmetric; delta = 0 drops the second.
+    first term is the Gram G.T G of G = U sqrt(d), summed over
+    ``GRAM_ROW_BLOCK``-row blocks G_b as symmetric rank-k products
+    G_b.T G_b, so G is never formed whole and w_ens is exactly symmetric;
+    delta = 0 drops the second.
     """
     if cov.phi <= 0.0:
         raise ValueError("invalid shrinkage parameters")
-    weights = obs.scatter(1.0 / obs.variances)
-    weights += 1.0 / cov.phi
-    gram = u_ext * np.sqrt(weights)[:, None]
-    w_ens = gram.T @ gram
-    # G is dropped before H U is formed, so these two large temporaries
-    # are never alive at once
-    del gram
+    sqrt_weights = obs.scatter(1.0 / obs.variances)
+    sqrt_weights += 1.0 / cov.phi
+    np.sqrt(sqrt_weights, out=sqrt_weights)
+    w_ens = np.zeros((u_ext.shape[1], u_ext.shape[1]))
+    for start in range(0, u_ext.shape[0], GRAM_ROW_BLOCK):
+        rows = slice(start, start + GRAM_ROW_BLOCK)
+        block = u_ext[rows] * sqrt_weights[rows, None]
+        w_ens += block.T @ block
     if cov.delta > 0.0:
         s = cov.deviations.columns
         inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s
@@ -328,7 +345,7 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     wide = bg.nens + int(k) - 1 > bg.nstate
     cov, d, extended = _shrinkage_prologue(bg, y, obs, 0 if wide else k, rng,
                                            shrinkage, innovations)
-    basis = np.eye(bg.nstate) if wide else extended.anomalies()[:, 1:]
+    basis = np.eye(bg.nstate) if wide else extended[:, 1:]
     w_ens, q = enkf_rs_system(cov, basis, obs)
     lam, lower = cholesky_solve(w_ens, q.T @ (d / obs.variances[:, None]),
                                 "rank-deficient ensemble space: weight matrix is not "

@@ -8,8 +8,8 @@ reproducible regardless of evaluation order.
 Synthetic members from N(mean, phi * I + delta * S @ S.T) are
 mean + sqrt(phi) * eps1 + sqrt(delta) * S @ eps2, with eps1 (length
 nstate) and eps2 (length nens) from one member's normals; S meets the
-eps2 of all members in one product, and the covariance matrix and its
-square root are never formed.
+eps2 of a chunk of members in one product, and the covariance matrix and
+its square root are never formed.
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ from .shrinkage import ShrinkageCovariance
 
 _U64 = (1 << 64) - 1
 _BITS53 = 1 << 53
+# Members drawn per chunk: a chunk's normals are (nstate + nens, about this
+# many), not (nstate + nens, k), and np.array_split keeps every chunk at
+# least half this wide once k exceeds it. On OpenBLAS the chunks' S @ eps2
+# columns then carry the bits of one whole-block product at the shapes the
+# compares run (k = 400 on qg-33 and qg-65, 200 on l96-40). A one-column
+# product (GEMV) rounds differently, and so do the trailing columns of some
+# whole-block widths (k = 300 and 401 at nstate 961), so at other shapes a
+# chunked draw can differ from a whole-block one in the last bit.
+SYNTHETIC_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -76,12 +85,12 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def member_normals(rng: RngStream, count: int, size: int) -> np.ndarray:
+def member_normals(rng: RngStream, count: int, size: int, first: int = 0) -> np.ndarray:
     """An F-ordered (size, count) block of standard normals whose column i
-    is ``standard_normal`` of member generator i of ``rng``.
+    is ``standard_normal`` of member generator ``first + i`` of ``rng``.
 
-    One Philox is rewound to the stream's start and advanced i * 2**128
-    for member i, which is what ``Philox.jumped(i)`` does without building
+    One Philox is rewound to the stream's start and advanced j * 2**128
+    for member j, which is what ``Philox.jumped(j)`` does without building
     (and entropy-seeding) a new bit generator per member.
     """
     out = np.empty((size, count), order="F")
@@ -90,7 +99,7 @@ def member_normals(rng: RngStream, count: int, size: int) -> np.ndarray:
     start = bitgen.state
     for i in range(count):
         bitgen.state = start
-        bitgen.advance(i << 128)
+        bitgen.advance((first + i) << 128)
         out[:, i] = standard_normal(gen, size)
     return out
 
@@ -139,11 +148,14 @@ class ExtendedEnsemble:
 
 
 def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
-                           k: int, rng: RngStream) -> np.ndarray:
+                           k: int, rng: RngStream, out: np.ndarray | None = None) -> np.ndarray:
     """Draw k members from N(mean, phi*I + delta*S@S.T) as an (nstate, k) array.
 
     Member i takes column i of ``member_normals(rng, k, nstate + nens)``:
-    eps1 then eps2, so the output does not depend on evaluation order.
+    eps1 then eps2, so the output does not depend on evaluation order. The
+    members are drawn ``SYNTHETIC_CHUNK`` at a time and written into
+    ``out`` (an (nstate, k) array, such as the synthetic columns of a
+    larger buffer) when it is given, else into a new array.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -152,14 +164,22 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
     if mean.shape[0] != s.shape[0]:
         raise ValueError("mean length must equal nstate")
     nstate, nens = s.shape
-    eps = member_normals(rng, k, nstate + nens)
-    draws = s @ eps[nstate:]
-    draws *= np.sqrt(cov.delta)
-    part1 = eps[:nstate]
-    part1 *= np.sqrt(cov.phi)
-    part1 += mean[:, None]
-    draws += part1
-    return draws
+    if out is None:
+        out = np.empty((nstate, k))
+    elif out.shape != (nstate, k):
+        raise ValueError("out must be (nstate, k)")
+    chunks = np.array_split(np.arange(k), -(-k // SYNTHETIC_CHUNK)) if k else []
+    for chunk in chunks:
+        first = int(chunk[0])
+        eps = member_normals(rng, chunk.size, nstate + nens, first=first)
+        draws = s @ eps[nstate:]
+        draws *= np.sqrt(cov.delta)
+        part1 = eps[:nstate]
+        part1 *= np.sqrt(cov.phi)
+        part1 += mean[:, None]
+        draws += part1
+        out[:, first:first + chunk.size] = draws
+    return out
 
 
 def extend_ensemble(real: Ensemble, synthetic) -> ExtendedEnsemble:

@@ -36,8 +36,10 @@ class ShrinkageCovariance:
     def __post_init__(self):
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must lie in [0, 1]")
-        if self.mu < 0.0:
-            raise ValueError("mu must be nonnegative")
+        # a nan or inf mu passes a plain mu < 0 test and would surface only
+        # later, as non-finite synthetic members
+        if not (np.isfinite(self.mu) and self.mu >= 0.0):
+            raise ValueError("mu must be finite and nonnegative")
 
     @property
     def phi(self) -> float:

@@ -21,6 +21,14 @@ import numpy as np
 # Row block of the blocked triangular solves: a system of at most this
 # many unknowns is one block, solved as a whole.
 TRIANGULAR_BLOCK = 64
+# Rows per block of the Gram-type products A.T diag(w) A of the shrinkage
+# filters (the capacitance matrix here, the reduced-space weight matrix in
+# ``filters.enkf_rs_system``): a weighted copy of this many rows of A,
+# 1.7 MiB at 440 columns, is their one temporary, not a copy of all of A.
+# On qg-65 (2 vCPU), 1024-row blocks left a 7-filter compare's peak RSS
+# at 131 MiB against 126 MiB, and made the reduced-space Gram (3969 rows)
+# about 2.5 ms faster per analysis, within 0.2 ms of one whole product.
+GRAM_ROW_BLOCK = 512
 # Allowed overshoot of the top eigenvalue of V.T Z_V above one, in units
 # of eps * sum(V**2 / r), the rounding of the Woodbury solve behind Z_V.
 ENSRF_ROUNDING_MARGIN = 16.0
@@ -58,23 +66,27 @@ def ismf_solve(sys: ObservationSpaceSystem) -> np.ndarray:
     """Solve (Gamma + Pi @ Pi.T) @ Z = rhs with the ISMF identity applied to
     all columns of Pi at once.
 
-    With U = Gamma^{-1} Pi and the capacitance matrix C = I + Pi.T @ U,
-    Z = Gamma^{-1} rhs - U @ C^{-1} @ Pi.T @ Gamma^{-1} rhs (Woodbury). C is
-    factored once by Cholesky; cost is O(m^2 * nobs + m^3) in BLAS-3
-    beyond the two diagonal scalings. Every eigenvalue of C is at least
-    one, so a failed factorization can only come from rounding or
-    non-finite input and raises ``ValueError``; there is no fallback.
+    With the capacitance matrix C = I + Pi.T @ Gamma^{-1} @ Pi,
+    Z = Gamma^{-1} rhs - Gamma^{-1} @ Pi @ C^{-1} @ Pi.T @ Gamma^{-1} rhs
+    (Woodbury). C is summed over ``GRAM_ROW_BLOCK``-row blocks of Pi, so
+    no second (nobs, m) array is formed, and factored once by Cholesky;
+    cost is O(m^2 * nobs + m^3) in BLAS-3 beyond the diagonal scalings.
+    Every eigenvalue of C is at least one, so a failed factorization can
+    only come from rounding or non-finite input and raises ``ValueError``;
+    there is no fallback.
     """
     diag = sys.gamma_diagonal[:, None]
     z = sys.rhs / diag
     if sys.pi.shape[1] == 0 or not np.any(sys.pi):
         return z
-    u = sys.pi / diag
-    capacitance = sys.pi.T @ u
+    capacitance = np.zeros((sys.pi.shape[1], sys.pi.shape[1]))
+    for start in range(0, sys.pi.shape[0], GRAM_ROW_BLOCK):
+        rows = slice(start, start + GRAM_ROW_BLOCK)
+        capacitance += sys.pi[rows].T @ (sys.pi[rows] / diag[rows])
     capacitance[np.diag_indices_from(capacitance)] += 1.0
     w, _ = cholesky_solve(capacitance, sys.pi.T @ z,
                           "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite")
-    z -= u @ w
+    z -= (sys.pi @ w) / diag
     return z
 
 

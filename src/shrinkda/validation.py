@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,6 +254,7 @@ def _filter_checks() -> list:
     results.append(_fs_objective_check(gen))
     results.append(_rs_fs_span_check(gen))
     results.append(_enkf_n_stationary_check(gen))
+    results.append(_shrinkage_memory_check(gen))
     return results
 
 
@@ -356,6 +358,35 @@ def _enkf_n_stationary_check(gen) -> CheckResult:
             worst = max(worst, grad / max(1.0, float(np.linalg.norm(q.T @ (rinv * d0)))))
     return _result("filters.enkf_n_stationary", worst < 1e-10,
                    f"worst relative primal gradient {worst:.2e} at obs_std 1, 1e-2, 1e-5")
+
+
+def _shrinkage_memory_check(gen) -> CheckResult:
+    """FS and RS hold the extended ensemble once: one enkf-fs and one
+    enkf-rs analysis on a qg-65 shaped ensemble (nstate 3969, nens 40,
+    k 400, p 0.7) each peak below 2.5 (nstate, nens + k) float64 arrays of
+    tracemalloc-traced memory. That fits the anomaly buffer, its observed
+    rows and block-sized temporaries; a second full-size copy of the
+    extended ensemble does not fit (FS read 3.8 and RS 3.2 arrays while the
+    draws, the anomalies and the scaled basis were separate arrays)."""
+    nstate, nens, k = 3969, 40, 400
+    ens, obs, y = _filter_instance(gen, nstate, nens, 0.7, 0.1)
+    unit = nstate * (nens + k) * 8
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    peaks = {}
+    try:
+        for key in ("enkf-fs", "enkf-rs"):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            filters.run_filter(key, ens, y, obs, RngStream(19), synthetic_members=k)
+            peaks[key] = (tracemalloc.get_traced_memory()[1] - base) / unit
+    finally:
+        if started:
+            tracemalloc.stop()
+    return _result("filters.shrinkage_peak_memory", max(peaks.values()) < 2.5,
+                   ", ".join(f"{key} peaks at {peak:.2f}" for key, peak in peaks.items())
+                   + " (nstate, nens + k) arrays")
 
 
 # ---------------------------------------------------------------------------

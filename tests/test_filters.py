@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import sqrtm
 
 from shrinkda import filters
-from shrinkda.ensemble import Ensemble, dense_sample_covariance, deviations, ensemble_mean
+from shrinkda.ensemble import (DeviationMatrix, Ensemble, dense_sample_covariance, deviations,
+                               ensemble_mean)
 from shrinkda.filters import (enkf_analysis, enkf_du_analysis, enkf_fs_analysis,
                               enkf_n_analysis, enkf_n_cost, enkf_n_gradient,
                               enkf_rs_analysis, enkf_rs_system, ensrf_analysis,
@@ -349,6 +350,19 @@ class TestEnkfRs:
         forced = ShrinkageCovariance(mu=1.0, gamma=0.0, deviations=deviations(ens))
         with pytest.raises(ValueError, match="invalid shrinkage parameters"):
             enkf_rs_analysis(ens, y, obs, 2, RngStream(3), shrinkage=forced)
+
+
+@pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])
+def test_non_finite_synthetic_members_refused(step):
+    # deviations near the float range overflow S @ eps2; the draws are
+    # checked before they are centred or enter a product
+    gen = np.random.default_rng(97)
+    ens, obs, y = instance(gen, nens=4)
+    huge = np.tile([1.5e308, -1.5e308, 1.5e308, -1.5e308], (ens.nstate, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        forced = ShrinkageCovariance(mu=1.0, gamma=0.5, deviations=DeviationMatrix(huge))
+        with pytest.raises(ValueError, match="synthetic members contain non-finite entries"):
+            step(ens, y, obs, 3, RngStream(4), shrinkage=forced)
 
 
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])

@@ -70,6 +70,14 @@ class TestRngStream:
                                     for gen in rng.member_generators(count)])
         np.testing.assert_array_equal(block, expected)
 
+    def test_member_normals_offset_selects_columns_of_the_whole_block(self):
+        # the chunked synthetic draw asks for members first..first+count-1
+        rng = RngStream(5, 3)
+        block = member_normals(rng, 10, 9)
+        for first, count in [(0, 10), (3, 4), (9, 1), (10, 0)]:
+            np.testing.assert_array_equal(member_normals(rng, count, 9, first=first),
+                                          block[:, first:first + count])
+
     def test_standard_normal_raw_bits_match_bounded_integers(self):
         # the top 53 raw bits are gen.integers(0, 2**53), also after the
         # generator has consumed part of its output buffer
@@ -106,6 +114,38 @@ class TestDrawSyntheticMembers:
         cov = make_cov(gen, 8, 4)
         draws = draw_synthetic_members(np.zeros(8), cov, 0, RngStream(1))
         assert draws.shape == (8, 0)
+
+    @pytest.mark.parametrize("nstate,nens,k", [(40, 20, k) for k in (0, 1, 7, 64, 65, 401)]
+                             + [(961, 40, 400)])
+    def test_chunked_draw_equals_whole_block_formula(self, nstate, nens, k):
+        # members are drawn SYNTHETIC_CHUNK at a time; the chunks' S @ eps2
+        # columns carry the bits of one whole-block product at the l96-40
+        # and qg-33 shapes of the compares (k = 1 stays a one-column product
+        # either way). On OpenBLAS, whole-block products of some other
+        # widths (k = 300, 401 at nstate 961) round their last columns
+        # differently, so the shapes here are the ones the runs use.
+        gen = np.random.default_rng(42)
+        cov = make_cov(gen, nstate, nens, mu=1.3, gamma=0.4)
+        mean = gen.standard_normal(nstate)
+        rng = RngStream(9, 2)
+        eps = member_normals(rng, k, nstate + nens)
+        whole = ((cov.deviations.columns @ eps[nstate:]) * np.sqrt(cov.delta)
+                 + (eps[:nstate] * np.sqrt(cov.phi) + mean[:, None]))
+        np.testing.assert_array_equal(draw_synthetic_members(mean, cov, k, rng), whole)
+
+    def test_draws_into_a_given_array(self):
+        # the shrinkage filters draw into the synthetic columns of their
+        # one extended-anomaly buffer
+        gen = np.random.default_rng(43)
+        cov = make_cov(gen, 8, 4)
+        mean = gen.standard_normal(8)
+        buffer = np.zeros((8, 4 + 70))
+        out = draw_synthetic_members(mean, cov, 70, RngStream(2), out=buffer[:, 4:])
+        assert out.base is buffer and not np.any(buffer[:, :4])
+        np.testing.assert_array_equal(buffer[:, 4:],
+                                      draw_synthetic_members(mean, cov, 70, RngStream(2)))
+        with pytest.raises(ValueError, match="out must be"):
+            draw_synthetic_members(mean, cov, 70, RngStream(2), out=buffer)
 
 
 class TestExtendEnsemble:

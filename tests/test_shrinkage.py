@@ -85,3 +85,11 @@ class TestShrinkageCovarianceType:
         with pytest.raises(ValueError, match="gamma"):
             ShrinkageCovariance(mu=1.0, gamma=1.5, deviations=devs)
 
+    @pytest.mark.parametrize("mu", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_mu_must_be_finite_and_nonnegative(self, mu):
+        # nan passes a plain mu < 0 test, and would surface only later, in
+        # the filters, as non-finite synthetic members
+        gen = np.random.default_rng(26)
+        devs = deviations(random_ensemble(gen, 8, 4))
+        with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+            ShrinkageCovariance(mu=mu, gamma=0.5, deviations=devs)
