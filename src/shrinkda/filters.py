@@ -9,11 +9,10 @@ covariance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# minimize is not called; perfbench/twinbench.py wraps filters.minimize by name
-from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .ensemble import Ensemble, anomalies, deviations, ensemble_mean
 from .observations import ObservationSpec
@@ -32,12 +31,13 @@ _OBS_STREAM = 1
 _SYNTH_STREAM = 2
 
 # Abort threshold of the finite-size step's primal gradient, relative to
-# its norm at w = 0, and the Newton steps that refine the dual optimum.
+# its norm at w = 0.
 ENKF_N_GRAD_TOL = 1e-8
-ENKF_N_NEWTON_STEPS = 2
-# Bracket floor and abscissa tolerance of the dual step's scalar search.
+# Bracket floor, step cap and relative step tolerance of the dual step's
+# scalar search.
 ENKF_DU_ZETA_MIN = 1e-8
-ENKF_DU_XTOL = 1e-10
+ENKF_DU_MAX_STEPS = 100
+ENKF_DU_STEP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,46 +159,83 @@ def enkf_n_gradient(w, q, d0, rinv, nens):
     return -q.T @ (rinv * res) + nens * w / (1.0 + 1.0 / nens + w @ w)
 
 
-def _dual_search(lam, proj, d0, r_variances, nens):
-    """Bounded scalar search of the dual finite-size cost over zeta in
-    (0, nens / (1 + 1/nens)], on the eigenpairs of :func:`entkf_factors`.
-    Returns zeta, the dual cost there and the number of cost evaluations."""
+def minimize_scalar(lam, proj, d0, r_variances, nens):
+    """Minimize the dual finite-size cost over zeta in the bracket
+    [``ENKF_DU_ZETA_MIN``, nens / (1 + 1/nens)], on the eigenpairs of
+    :func:`entkf_factors`. Returns zeta, the dual cost there and the number
+    of Newton or bisection steps. The name is the benchmark's wrap point.
+
+    The cost's derivative is f / (2 zeta), f(zeta) = zeta (1 + 1/nens +
+    |p|^2) - nens with p = proj / (lam + zeta), and f >= 0 at the upper end,
+    so a root where f goes from - to + is a local minimum. Newton steps on f
+    start at the upper end and shrink the sign bracket [lo, hi]; a step that
+    would leave it is a bisection instead. lo starts at the floor as if f < 0
+    there: when f >= 0 at every point tried, hi closes in on the floor, a
+    minimum at the bracket's end, and the search returns it to the step
+    tolerance. f is not evaluated at the floor, because rounding leaves the
+    null direction of G.T G a tiny proj whose proj^2 / zeta can make
+    f(floor) > 0 while f < 0 inside. Raises ``RuntimeError`` when f is not
+    finite, as a nan or inf in proj makes it, or after ``ENKF_DU_MAX_STEPS``
+    steps.
+    """
     eps_n = 1.0 + 1.0 / nens
-    dw = d0 * np.sqrt(1.0 / r_variances)
-    base = float(dw @ dw)
 
-    def dual_cost(zeta):
-        quad = base - np.sum(proj**2 / (zeta + lam))
-        return 0.5 * quad + 0.5 * zeta * eps_n + 0.5 * nens * np.log(nens / zeta) - 0.5 * nens
+    def f_and_slope(zeta):
+        p = proj / (lam + zeta)
+        a = eps_n + float(p @ p)
+        f = zeta * a - nens
+        if not math.isfinite(f):
+            raise RuntimeError(f"dual search: f({zeta:.3e}) is not finite; "
+                               "check the eigenvalues and projected innovation")
+        return f, a - 2.0 * zeta * float(np.sum(p**2 / (lam + zeta)))
 
-    bounds = (ENKF_DU_ZETA_MIN, nens / eps_n)
-    result = minimize_scalar(dual_cost, bounds=bounds, method="bounded",
-                             options={"xatol": ENKF_DU_XTOL})
-    if not result.success:
-        raise RuntimeError(f"dual optimizer failed on bracket ({bounds[0]:.3e}, "
-                           f"{bounds[1]:.3e}): {result.message}")
-    return float(result.x), float(dual_cost(result.x)), result.nfev
+    def result(zeta, steps):
+        dw = d0 * np.sqrt(1.0 / r_variances)
+        quad = float(dw @ dw) - float(np.sum(proj**2 / (zeta + lam)))
+        cost = 0.5 * quad + 0.5 * zeta * eps_n + 0.5 * nens * math.log(nens / zeta) - 0.5 * nens
+        return zeta, cost, steps
+
+    lo, hi = ENKF_DU_ZETA_MIN, nens / eps_n
+    zeta = hi
+    for steps in range(1, ENKF_DU_MAX_STEPS + 1):
+        f, slope = f_and_slope(zeta)
+        if f == 0.0:
+            return result(zeta, steps)
+        if f < 0.0:
+            lo = zeta
+        else:
+            hi = zeta
+        if slope > 0.0 and lo < zeta - f / slope < hi:
+            new = zeta - f / slope
+        else:
+            new = 0.5 * (lo + hi)
+        step, zeta = new - zeta, new
+        if abs(step) <= ENKF_DU_STEP_RTOL * zeta:
+            return result(zeta, steps)
+    raise RuntimeError(f"dual search: no root of f after {ENKF_DU_MAX_STEPS} steps, "
+                       f"sign bracket ({lo:.3e}, {hi:.3e})")
+
+
+# Not called: the traced benchmark still wraps filters.minimize by name
+# until its wrap point goes (ROADMAP item 2).
+def minimize(*_args, **_kwargs):
+    raise NotImplementedError("shrinkda.filters.minimize is a placeholder")
 
 
 def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     """Finite-size (primal, inflation-free) step.
 
     The primal cost's minimizer is the dual step's weights w = vec p, with
-    p = proj / (lam + zeta), at the dual optimum zeta (Bocquet, 2011), which
-    Newton steps on f(zeta) = zeta (1 + 1/nens + |p|^2) - nens refine. The
-    members come from the inverse primal Hessian at w, in the kernel's
-    eigenbasis diag(lam + zeta) - (2 zeta^2 / nens) p p.T. Raises
-    ``RuntimeError`` when the primal gradient at w exceeds ``ENKF_N_GRAD_TOL``
-    times max(1, |proj|), where |proj| = |Q.T R^{-1} d0| is its norm at w = 0.
+    p = proj / (lam + zeta), at the dual optimum zeta (Bocquet, 2011) that
+    :func:`minimize_scalar` finds. The members come from the inverse primal
+    Hessian at w, in the kernel's eigenbasis diag(lam + zeta) -
+    (2 zeta^2 / nens) p p.T. Raises ``RuntimeError`` when the primal
+    gradient at w exceeds ``ENKF_N_GRAD_TOL`` times max(1, |proj|), where
+    |proj| = |Q.T R^{-1} d0| is its norm at w = 0.
     """
     mean, u, q, d0, lam, vec, proj = _ensemble_space_prologue(bg, y, obs)
     nens = bg.nens
-    zeta, _, nfev = _dual_search(lam, proj, d0, obs.variances, nens)
-    # f' >= 0 at a dual minimum; from ENKF_DU_XTOL one step reaches rounding
-    for _ in range(ENKF_N_NEWTON_STEPS):
-        p = proj / (lam + zeta)
-        a = 1.0 + 1.0 / nens + p @ p
-        zeta -= (zeta * a - nens) / (a - 2.0 * zeta * np.sum(p**2 / (lam + zeta)))
+    zeta, _, steps = minimize_scalar(lam, proj, d0, obs.variances, nens)
     p = proj / (lam + zeta)
     w = vec @ p
     args = (q, d0, 1.0 / obs.variances, nens)
@@ -213,24 +250,24 @@ def enkf_n_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     analysis = _transform_analysis(mean, u, w, eigval, vec @ eigvec)
     return AnalysisResult(analysis, {"cost_primal": float(enkf_n_cost(w, *args)),
                                      "gradient_norm": grad_norm,
-                                     "solver_iterations": float(nfev + ENKF_N_NEWTON_STEPS)})
+                                     "solver_iterations": float(steps)})
 
 
 def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     """Dual (one-dimensional) counterpart of the finite-size step.
 
-    zeta minimizes the dual cost by the search :func:`enkf_n_analysis` also
-    runs; the mean and ensemble follow from the weight matrix
-    Q.T R^{-1} Q + zeta I. Fixing zeta at nens - 1 gives :func:`entkf_analysis`.
+    zeta minimizes the dual cost by the search :func:`minimize_scalar`, which
+    :func:`enkf_n_analysis` also runs; the mean and ensemble follow from the
+    weight matrix Q.T R^{-1} Q + zeta I. Fixing zeta at nens - 1 gives :func:`entkf_analysis`.
     """
     mean, u, _, d0, lam, vec, proj = _ensemble_space_prologue(bg, y, obs)
-    zeta, cost, nfev = _dual_search(lam, proj, d0, obs.variances, bg.nens)
+    zeta, cost, steps = minimize_scalar(lam, proj, d0, obs.variances, bg.nens)
 
     # lam >= 0 and zeta >= ENKF_DU_ZETA_MIN > 0, so the weight matrix is SPD
     eigval = lam + zeta
     analysis = _transform_analysis(mean, u, vec @ (proj / eigval), eigval, vec)
     return AnalysisResult(analysis, {"dual_zeta": zeta, "cost_dual": cost,
-                                     "solver_iterations": float(nfev)})
+                                     "solver_iterations": float(steps)})
 
 
 def estimate_shrinkage(bg: Ensemble) -> ShrinkageCovariance:

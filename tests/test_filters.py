@@ -9,6 +9,8 @@ from shrinkda.filters import (enkf_analysis, enkf_du_analysis, enkf_fs_analysis,
                               enkf_n_analysis, enkf_n_cost, enkf_n_gradient,
                               enkf_rs_analysis, enkf_rs_system, ensrf_analysis,
                               entkf_analysis, estimate_shrinkage, run_filter)
+from shrinkda.harness import make_initial_ensemble, propagate_matrix
+from shrinkda.models import get_model
 from shrinkda.observations import ObservationSpec
 from shrinkda.sampling import (RngStream, draw_synthetic_members, extend_ensemble,
                                perturb_observations)
@@ -23,6 +25,30 @@ def instance(gen, nstate=10, nens=6, p=0.7, obs_std=0.1):
     truth = gen.standard_normal(nstate)
     y = obs.project(truth) + obs_std * gen.standard_normal(obs.nobs)
     return ens, obs, y
+
+
+def dual_search_case(case):
+    """Ensemble, observation spec and observations of a dual-search test."""
+    if case == "random-15x6":
+        return instance(np.random.default_rng(83), nstate=15, nens=6)
+    if case == "random-qg-33":
+        return instance(np.random.default_rng(88), nstate=961, nens=40, obs_std=0.01)
+    # a 10-step Lorenz-96 forecast of a 20-member ensemble
+    obs_std = {"l96-40-obs-1": 1.0, "l96-40-obs-1e-5": 1e-5}[case]
+    model = get_model("l96-40")
+    x0 = model.initial_state()
+    ens = make_initial_ensemble(x0, 0.05, 20, RngStream(5))
+    matrix = propagate_matrix(model, ens.matrix, 10, workers=1)
+    truth = propagate_matrix(model, x0, 10, workers=1)
+    obs = ObservationSpec.from_fraction(40, 0.7, obs_std)
+    y = obs.project(truth) + obs_std * np.random.default_rng(89).standard_normal(obs.nobs)
+    return Ensemble(matrix), obs, y
+
+
+def dual_f(zeta, lam, proj, nens):
+    """zeta (1 + 1/nens + |p|^2) - nens for p = proj / (lam + zeta): twice
+    zeta times the derivative of the dual cost."""
+    return zeta * (1 + 1 / nens + np.sum((proj / (lam + zeta))**2)) - nens
 
 
 def kalman_gain(ens, obs):
@@ -192,9 +218,10 @@ class TestEnkfDu:
         assert 0.0 < res.diagnostics["dual_zeta"] <= upper + 1e-12
         assert np.isfinite(res.diagnostics["cost_dual"])
 
-    def test_zeta_matches_grid_search(self):
-        gen = np.random.default_rng(83)
-        ens, obs, y = instance(gen, nstate=15, nens=6)
+    @pytest.mark.parametrize("case", ["random-15x6", "l96-40-obs-1", "l96-40-obs-1e-5",
+                                      "random-qg-33"])
+    def test_zeta_matches_grid_search(self, case):
+        ens, obs, y = dual_search_case(case)
         res = enkf_du_analysis(ens, y, obs)
         # independent grid-search oracle over the dual cost
         u = (ens.matrix - ensemble_mean(ens)[:, None])
@@ -214,7 +241,45 @@ class TestEnkfDu:
         best = zs[np.argmin(costs)]
         cell = zs[1] - zs[0]
         assert abs(res.diagnostics["dual_zeta"] - best) <= cell
-        assert abs(res.diagnostics["cost_dual"] - costs.min()) < 1e-6
+        # Newton converges in 3-5 steps on these cases
+        assert res.diagnostics["solver_iterations"] <= 10
+        # both costs cancel |dw|^2 down to the minimum, so each rounds at eps |dw|^2
+        assert abs(res.diagnostics["cost_dual"] - costs.min()) < 1e-6 + 1e-14 * (dw @ dw)
+
+    def test_floor_returned_when_f_nonnegative_there(self):
+        # an innovation far outside the spread: f >= 0 on the whole bracket
+        lam, proj, nens = np.array([0.5, 2.0, 3.0]), np.array([1e6, -2e6, 3e6]), 4
+        floor = filters.ENKF_DU_ZETA_MIN
+        assert dual_f(floor, lam, proj, nens) >= 0.0
+        zeta, cost, steps = filters.minimize_scalar(lam, proj, np.ones(3), np.ones(3), nens)
+        assert abs(zeta - floor) <= 2 * filters.ENKF_DU_STEP_RTOL * floor
+        assert np.isfinite(cost) and steps < filters.ENKF_DU_MAX_STEPS
+
+    def test_interior_root_past_a_falling_top_and_a_rounding_floor(self):
+        # f falls towards the upper end (zeta > lam[1]), so Newton cannot
+        # start there, and proj = 1e-3 on the null direction makes
+        # f(floor) > 0; f still goes from - to + near 3.8e-4, the minimum
+        lam, proj, nens = np.array([0.0, 0.35]), np.array([1e-3, 40.0]), 5
+        top = nens / (1 + 1 / nens)
+        assert dual_f(filters.ENKF_DU_ZETA_MIN, lam, proj, nens) > 0.0
+        assert dual_f(1e-4, lam, proj, nens) < 0.0 < dual_f(top, lam, proj, nens)
+        assert dual_f(0.99 * top, lam, proj, nens) > dual_f(top, lam, proj, nens)
+        zeta, _, _ = filters.minimize_scalar(lam, proj, np.ones(2), np.ones(2), nens)
+        assert 1e-4 < zeta < 1e-3
+        assert abs(dual_f(zeta, lam, proj, nens)) < 1e-12 * nens
+        assert dual_f(0.9 * zeta, lam, proj, nens) < 0.0 < dual_f(1.1 * zeta, lam, proj, nens)
+
+    def test_non_finite_projection_raises(self):
+        lam, proj = np.array([0.5, 2.0]), np.array([1.0, np.nan])
+        with pytest.raises(RuntimeError, match="dual search"):
+            filters.minimize_scalar(lam, proj, np.ones(2), np.ones(2), 3)
+
+    def test_step_cap_raises(self, monkeypatch):
+        ens, obs, y = instance(np.random.default_rng(85))
+        assert enkf_du_analysis(ens, y, obs).diagnostics["solver_iterations"] > 1
+        monkeypatch.setattr(filters, "ENKF_DU_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="dual search: no root of f after 1 steps"):
+            enkf_du_analysis(ens, y, obs)
 
     def test_duality_gap(self):
         gen = np.random.default_rng(84)
