@@ -4,7 +4,11 @@ Every member has its own counter-based Philox stream: member i of a
 stream is the stream's Philox key with the counter advanced by i * 2**128,
 so one bit generator serves all members. ``member_normals`` is the one
 place where a stream becomes standard normals, so every draw is
-reproducible regardless of evaluation order.
+reproducible regardless of evaluation order. The normals are numpy's
+``Generator.standard_normal`` (the ziggurat method of Marsaglia & Tsang,
+J. Stat. Softw. 2000); NEP 19 lets numpy change that sequence between
+versions, and the golden test in ``tests/test_sampling.py`` would catch
+such a change.
 Synthetic members from N(mean, phi * I + delta * S @ S.T) are
 mean + sqrt(phi) * eps1 + sqrt(delta) * S @ eps2, with eps1 (length
 nstate) and eps2 (length nens) from one member's normals; S meets the
@@ -17,13 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .ensemble import Ensemble
 from .shrinkage import ShrinkageCovariance
 
 _U64 = (1 << 64) - 1
-_BITS53 = 1 << 53
 # Members drawn per chunk: a chunk's normals are (nstate + nens, about this
 # many), not (nstate + nens, k), and np.array_split keeps every chunk at
 # least half this wide once k exceeds it. On OpenBLAS the chunks' S @ eps2
@@ -70,19 +72,15 @@ class RngStream:
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
-    """Standard normals via inverse CDF of 53-bit uniforms.
+    """Standard normals from numpy's ziggurat sampler,
+    ``gen.standard_normal(size)``. The name is the benchmark's wrap point
+    for counting normals.
 
-    The top 53 bits of each raw 64-bit draw equal
-    ``gen.integers(0, 2**53, dtype=np.int64)``: Lemire's bounded method
-    never rejects a power-of-two range, so it keeps exactly those bits.
-    The offset keeps the uniforms strictly inside (0, 1) so the inverse
-    CDF never hits an endpoint.
+    Two consecutive calls of n1 and n2 give the n1 + n2 normals of one
+    call: the synthetic draw takes eps1 and eps2 of a member in one call,
+    and the validation suite takes them in two.
     """
-    bits = gen.bit_generator.random_raw(size)
-    bits >>= 11
-    u = bits + 0.5
-    u /= _BITS53
-    return ndtri(u, out=u)
+    return gen.standard_normal(size)
 
 
 def member_normals(rng: RngStream, count: int, size: int, first: int = 0) -> np.ndarray:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from shrinkda.ensemble import deviations
 from shrinkda.observations import ObservationSpec
@@ -78,27 +77,39 @@ class TestRngStream:
             np.testing.assert_array_equal(member_normals(rng, count, 9, first=first),
                                           block[:, first:first + count])
 
-    def test_standard_normal_raw_bits_match_bounded_integers(self):
-        # the top 53 raw bits are gen.integers(0, 2**53), also after the
-        # generator has consumed part of its output buffer
-        raw, ref = (first_generator(RngStream(19, 4)) for _ in range(2))
-        for gen in (raw, ref):
-            gen.integers(0, 1 << 53, size=3, dtype=np.int64)
-            gen.integers(0, 10, dtype=np.int32)
-        u = (ref.integers(0, 1 << 53, size=1001, dtype=np.int64) + 0.5) / (1 << 53)
-        np.testing.assert_array_equal(standard_normal(raw, 1001), ndtri(u))
+    def test_standard_normal_is_the_generators_ziggurat(self):
+        # member 3 of stream (19, 4) is a Philox seeded from that seed
+        # sequence and jumped 3 times; the draw is the Generator's own
+        # standard_normal, also after part of its output buffer is consumed
+        jumped = np.random.Philox(seed=np.random.SeedSequence(entropy=19, spawn_key=(4,)))
+        ref = np.random.Generator(jumped.jumped(3))
+        gen = list(RngStream(19, 4).member_generators(4))[3]
+        for g in (gen, ref):
+            g.integers(0, 10, dtype=np.int32)
+            g.standard_normal(3)
+        np.testing.assert_array_equal(standard_normal(gen, 1001), ref.standard_normal(1001))
+
+    @pytest.mark.parametrize("n1, n2", [(961, 40), (3, 1998)])
+    def test_standard_normal_calls_concatenate(self, n1, n2):
+        # the synthetic draw takes a member's eps1 and eps2 in one call of
+        # nstate + nens, the validation suite in two
+        one, two = (first_generator(RngStream(23, 6)) for _ in range(2))
+        np.testing.assert_array_equal(
+            np.concatenate([standard_normal(two, n1), standard_normal(two, n2)]),
+            standard_normal(one, n1 + n2))
 
     def test_member_normals_golden_values(self):
         # fixed values of the stream layout; any change to seeding, member
-        # addressing or the normal transform moves them
+        # addressing or numpy's normal sampler (NEP 19 allows one between
+        # numpy versions) moves them
         block = member_normals(RngStream(7, 2), 3, 5)
         np.testing.assert_array_equal(block[[0, 1, 4], 0],
-                                      [0.903777393289854, -3.096725177768677,
-                                       -0.4062967137550125])
+                                      [-0.7969519139059715, 0.02463804932539474,
+                                       -0.5171573830510016])
         np.testing.assert_array_equal(block[[0, 3], 1],
-                                      [-0.48308633439184867, 1.9226629968770674])
+                                      [-0.19361427959317568, 1.325675730559669])
         np.testing.assert_array_equal(block[[2, 4], 2],
-                                      [-0.006886457006462198, 0.18405783345769433])
+                                      [1.6025925539054202, -0.783210261207971])
 
 
 class TestDrawSyntheticMembers:
