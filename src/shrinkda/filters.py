@@ -90,8 +90,8 @@ def enkf_analysis(bg: Ensemble, y, obs: ObservationSpec,
     s = deviations(bg).columns
     v = obs.project(s)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    z = ismf_solve(ObservationSpaceSystem(obs.variances, v, d))
-    analysis = bg.matrix + s @ (v.T @ z)
+    _, w = ismf_solve(ObservationSpaceSystem(obs.variances, v, d))
+    analysis = bg.matrix + s @ w
     return AnalysisResult(Ensemble(analysis))
 
 
@@ -108,8 +108,8 @@ def ensrf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     v = obs.project(s)
     innovation = y - obs.project(mean)
     rhs = np.column_stack([innovation, v])
-    z = ismf_solve(ObservationSpaceSystem(obs.variances, v, rhs))
-    mean_a = mean + s @ (v.T @ z[:, 0])
+    z, w = ismf_solve(ObservationSpaceSystem(obs.variances, v, rhs))
+    mean_a = mean + s @ w[:, 0]
     transform = ensrf_transform(v, z[:, 1:], obs.variances)
     analysis = mean_a[:, None] + u @ transform
     return AnalysisResult(Ensemble(analysis))
@@ -319,7 +319,10 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     real members only; k synthetic draws widen the deviation basis, the
     observation-space system (Gamma + Pi Pi.T) Z = D with Gamma = R + phi*I
     on the observed rows is solved through its (nens + k)-square capacitance
-    matrix, and only the real members are updated. ``shrinkage`` and
+    matrix, and only the real members are updated by
+    basis @ (Pi.T Z) + phi * H.T Z. Pi is the observed rows of the basis,
+    which :func:`ismf_solve` reads in place (``rows``) and which returns
+    Pi.T Z, so no (nobs, nens + k) copy is formed. ``shrinkage`` and
     ``innovations`` are testing hooks that bypass estimation and observation
     perturbation; the synthetic draws always need ``rng``.
     """
@@ -327,41 +330,49 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     # the scaled deviations sqrt(delta) * anomalies / sqrt(nk - 1), in place
     basis /= np.sqrt(basis.shape[1] - 1)
     basis *= np.sqrt(cov.delta)
-    pi = obs.project(basis)
-    z = ismf_solve(ObservationSpaceSystem(obs.variances + cov.phi, pi, d))
-    analysis = bg.matrix + basis @ (pi.T @ z) + cov.phi * obs.scatter(z)
+    z, w = ismf_solve(ObservationSpaceSystem(obs.variances + cov.phi, basis, d, rows=obs.indices))
+    analysis = bg.matrix + basis @ w + cov.phi * obs.scatter(z)
     return AnalysisResult(Ensemble(analysis), _shrinkage_diagnostics(cov))
 
 
-def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: ObservationSpec):
-    """Ensemble-space weighted covariance and projected data operator.
+def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: ObservationSpec,
+                   d: np.ndarray):
+    """Ensemble-space weighted covariance and projected data.
 
-    Returns (w_ens, q_ext) with w_ens = U.T (Bhat^{-1} + H.T R^{-1} H) U
-    and q_ext = H U, for the basis U = ``u_ext``. By the Woodbury identity
-    w_ens = U.T diag(d) U - Y.T Y / phi, with d = 1/phi + H.T R^{-1} 1 and
+    Returns (w_ens, rhs) with w_ens = U.T (Bhat^{-1} + H.T R^{-1} H) U
+    and rhs = Q.T R^{-1} D for Q = H U, the basis U = ``u_ext`` and the
+    innovations D = ``d``. By the Woodbury identity
+    w_ens = U.T diag(a) U - Y.T Y / phi, with a = 1/phi + H.T R^{-1} 1 and
     Y = L^{-1} S.T U for L L.T = (phi/delta) I + S.T S (size nens). The
-    first term is the Gram G.T G of G = U sqrt(d), summed over
+    first term is the Gram G.T G of G = U sqrt(a), summed over
     ``GRAM_ROW_BLOCK``-row blocks G_b as symmetric rank-k products
     G_b.T G_b, so G is never formed whole and w_ens is exactly symmetric;
-    delta = 0 drops the second.
+    delta = 0 drops the second. The same loop adds each block's share
+    G_b.T (H.T R^{-1} D / sqrt(a))_b of rhs, which only the observed rows
+    of U_b reach, so Q is never formed either.
     """
     if cov.phi <= 0.0:
         raise ValueError("invalid shrinkage parameters")
     sqrt_weights = obs.scatter(1.0 / obs.variances)
     sqrt_weights += 1.0 / cov.phi
     np.sqrt(sqrt_weights, out=sqrt_weights)
+    # H.T R^{-1} D / sqrt(a), zero on the unobserved rows: G_b.T times its
+    # rows is block b's share of Q.T R^{-1} D
+    weighted_d = obs.scatter(d / (obs.variances * sqrt_weights[obs.indices])[:, None])
     w_ens = np.zeros((u_ext.shape[1], u_ext.shape[1]))
+    rhs = np.zeros((u_ext.shape[1], weighted_d.shape[1]))
     for start in range(0, u_ext.shape[0], GRAM_ROW_BLOCK):
         rows = slice(start, start + GRAM_ROW_BLOCK)
         block = u_ext[rows] * sqrt_weights[rows, None]
         w_ens += block.T @ block
+        rhs += block.T @ weighted_d[rows]
     if cov.delta > 0.0:
         s = cov.deviations.columns
         inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s
         lower = cholesky_factor(inner, "shrunk covariance is not positive definite")
         y = triangular_solve(lower, s.T @ u_ext, lower=True)
         w_ens -= (y.T @ y) / cov.phi
-    return w_ens, obs.project(u_ext)
+    return w_ens, rhs
 
 
 def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
@@ -370,7 +381,7 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
                      innovations: np.ndarray | None = None) -> AnalysisResult:
     """Reduced-space shrinkage step: assimilate in the extended ensemble span.
 
-    Per-member weights lambda solve W lambda = Q.T R^{-1} D, with (W, Q) from
+    Per-member weights lambda solve W lambda = Q.T R^{-1} D, both sides from
     :func:`enkf_rs_system`, by one Cholesky solve W = L L.T; the analysis is
     X^b + U @ lambda. The shape picks the basis U. Tall (nens + k - 1 <=
     nstate): the extended anomalies without the first real one, the same
@@ -383,8 +394,8 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     cov, d, extended = _shrinkage_prologue(bg, y, obs, 0 if wide else k, rng,
                                            shrinkage, innovations)
     basis = np.eye(bg.nstate) if wide else extended[:, 1:]
-    w_ens, q = enkf_rs_system(cov, basis, obs)
-    lam, lower = cholesky_solve(w_ens, q.T @ (d / obs.variances[:, None]),
+    w_ens, rhs = enkf_rs_system(cov, basis, obs, d)
+    lam, lower = cholesky_solve(w_ens, rhs,
                                 "rank-deficient ensemble space: weight matrix is not "
                                 "positive definite")
     analysis = bg.matrix + basis @ lam

@@ -170,13 +170,12 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
     for chunk in chunks:
         first = int(chunk[0])
         eps = member_normals(rng, chunk.size, nstate + nens, first=first)
-        draws = s @ eps[nstate:]
+        draws = np.matmul(s, eps[nstate:], out=out[:, first:first + chunk.size])
         draws *= np.sqrt(cov.delta)
         part1 = eps[:nstate]
         part1 *= np.sqrt(cov.phi)
         part1 += mean[:, None]
         draws += part1
-        out[:, first:first + chunk.size] = draws
     return out
 
 

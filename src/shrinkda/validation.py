@@ -193,7 +193,7 @@ def _solver_checks() -> list:
     results = []
 
     var, pi, rhs = _random_diagonal_system(gen, 2000, 100, 5)
-    resid = _relative_residual(var, pi, rhs, ismf_solve(ObservationSpaceSystem(var, pi, rhs)))
+    resid = _relative_residual(var, pi, rhs, ismf_solve(ObservationSpaceSystem(var, pi, rhs))[0])
     results.append(_result("solvers.ismf_residual", resid < 1e-8,
                            f"relative residual {resid:.2e} at nobs=2000, m=100"))
 
@@ -201,7 +201,7 @@ def _solver_checks() -> list:
     worst = 0.0
     for _ in range(10):
         perm = gen.permutation(pi.shape[1])
-        z = ismf_solve(ObservationSpaceSystem(var, pi[:, perm], rhs))
+        z, _ = ismf_solve(ObservationSpaceSystem(var, pi[:, perm], rhs))
         worst = max(worst, _relative_residual(var, pi, rhs, z))
     results.append(_result("solvers.ismf_column_order_free", worst < 1e-8,
                            f"worst residual over 10 permutations {worst:.2e}"))
@@ -363,11 +363,12 @@ def _enkf_n_stationary_check(gen) -> CheckResult:
 def _shrinkage_memory_check(gen) -> CheckResult:
     """FS and RS hold the extended ensemble once: one enkf-fs and one
     enkf-rs analysis on a qg-65 shaped ensemble (nstate 3969, nens 40,
-    k 400, p 0.7) each peak below 2.5 (nstate, nens + k) float64 arrays of
-    tracemalloc-traced memory. That fits the anomaly buffer, its observed
-    rows and block-sized temporaries; a second full-size copy of the
-    extended ensemble does not fit (FS read 3.8 and RS 3.2 arrays while the
-    draws, the anomalies and the scaled basis were separate arrays)."""
+    k 400, p 0.7) each peak below 2.0 (nstate, nens + k) float64 arrays of
+    tracemalloc-traced memory. That fits the anomaly buffer and
+    block-sized temporaries, with no copy of its observed rows (0.7
+    arrays); FS and RS read 2.3 while they copied those rows out, and 3.8
+    and 3.2 while the draws, the anomalies and the scaled basis were
+    separate arrays."""
     nstate, nens, k = 3969, 40, 400
     ens, obs, y = _filter_instance(gen, nstate, nens, 0.7, 0.1)
     unit = nstate * (nens + k) * 8
@@ -384,7 +385,7 @@ def _shrinkage_memory_check(gen) -> CheckResult:
     finally:
         if started:
             tracemalloc.stop()
-    return _result("filters.shrinkage_peak_memory", max(peaks.values()) < 2.5,
+    return _result("filters.shrinkage_peak_memory", max(peaks.values()) < 2.0,
                    ", ".join(f"{key} peaks at {peak:.2f}" for key, peak in peaks.items())
                    + " (nstate, nens + k) arrays")
 

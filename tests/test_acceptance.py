@@ -85,7 +85,7 @@ def test_criterion_3_solver_equivalence():
         gamma = np.diag(var)
         pi = gen.standard_normal((nobs, m))
         rhs = gen.standard_normal((nobs, 3))
-        z = ismf_solve(ObservationSpaceSystem(var, pi, rhs))
+        z, _ = ismf_solve(ObservationSpaceSystem(var, pi, rhs))
         dense = np.linalg.solve(gamma + pi @ pi.T, rhs)
         worst_diff = max(worst_diff,
                          np.linalg.norm(z - dense) / np.linalg.norm(dense))

@@ -371,10 +371,16 @@ class TestEnkfRs:
         assert np.abs(res.analysis.matrix - oracle).max() < 1e-8
 
     def test_projection_identity_two_ways(self):
+        for nstate in (12, 1100):  # one row block, three
+            self._check_projection_identity(nstate)
+
+    @staticmethod
+    def _check_projection_identity(nstate):
         gen = np.random.default_rng(92)
-        nstate, nens, k = 12, 4, 6
+        nens, k = 4, 6
         ens = random_ensemble(gen, nstate, nens)
         obs = ObservationSpec.from_fraction(nstate, 0.75, 0.1)
+        d = gen.standard_normal((obs.nobs, nens))
         cov = estimate_shrinkage(ens)
         synthetic = draw_synthetic_members(ensemble_mean(ens), cov, k, RngStream(4))
         ext = extend_ensemble(ens, synthetic)
@@ -385,9 +391,12 @@ class TestEnkfRs:
         unshrunk = ShrinkageCovariance(mu=cov.mu, gamma=1.0, deviations=cov.deviations)
         for case, u in ((cov, ext.anomalies()), (unshrunk, ext.anomalies()),
                         (cov, np.eye(nstate))):
-            w_fast, q_ext = enkf_rs_system(case, u, obs)
+            w_fast, rhs = enkf_rs_system(case, u, obs, d)
             np.testing.assert_array_equal(w_fast, w_fast.T)
-            np.testing.assert_array_equal(q_ext, h @ u)
+            # Q.T R^{-1} D with the dense Q = H U, to rounding: the row blocks
+            # sum it in another order, from weighted rows of U
+            rhs_dense = (h @ u).T @ (d / obs.variances[:, None])
+            assert np.abs(rhs - rhs_dense).max() <= 1e-13 * np.abs(rhs_dense).max()
             # dense evaluation of the projected weighted covariance
             s = case.deviations.columns
             bhat = case.phi * np.eye(nstate) + case.delta * (s @ s.T)
@@ -410,7 +419,7 @@ class TestEnkfRs:
         cov = estimate_shrinkage(ens)
         synthetic = draw_synthetic_members(ensemble_mean(ens), cov, 3, RngStream(5).child(2))
         basis = extend_ensemble(ens, synthetic).anomalies()[:, 1:]
-        w_ens, _ = enkf_rs_system(cov, basis, obs)
+        w_ens, _ = enkf_rs_system(cov, basis, obs, np.zeros((obs.nobs, ens.nens)))
         assert res.diagnostics["condition_estimate"] <= np.linalg.cond(w_ens)
 
     def test_zero_basis_rank_deficient_error(self):

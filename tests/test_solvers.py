@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shrinkda.observations import ObservationSpec
 from shrinkda.solvers import (TRIANGULAR_BLOCK, ObservationSpaceSystem, cholesky_solve,
                              ensrf_transform, entkf_factors, ismf_solve)
 
@@ -12,8 +13,9 @@ class TestIsmfSolve:
         gen = np.random.default_rng(60)
         var = gen.uniform(0.5, 2.0, 12)
         rhs = gen.standard_normal((12, 3))
-        z = ismf_solve(ObservationSpaceSystem(var, np.zeros((12, 4)), rhs))
+        z, w = ismf_solve(ObservationSpaceSystem(var, np.zeros((12, 4)), rhs))
         np.testing.assert_array_equal(z, rhs / var[:, None])
+        np.testing.assert_array_equal(w, np.zeros((4, 3)))
 
     def test_rank_one_matches_sherman_morrison(self):
         gen = np.random.default_rng(61)
@@ -21,7 +23,7 @@ class TestIsmfSolve:
         var = gen.uniform(0.5, 2.0, n)
         v = gen.standard_normal((n, 1))
         d = gen.standard_normal(n)
-        z = ismf_solve(ObservationSpaceSystem(var, v, d))
+        z, _ = ismf_solve(ObservationSpaceSystem(var, v, d))
         # classical rank-one update formula
         gd = d / var
         gv = v[:, 0] / var
@@ -34,16 +36,21 @@ class TestIsmfSolve:
         var = gen.uniform(0.5, 2.0, n)
         pi = gen.standard_normal((n, m))
         rhs = gen.standard_normal((n, 4))
-        z = ismf_solve(ObservationSpaceSystem(var, pi, rhs))
+        z, _ = ismf_solve(ObservationSpaceSystem(var, pi, rhs))
         expected = np.linalg.solve(np.diag(var) + pi @ pi.T, rhs)
         assert np.linalg.norm(z - expected) / np.linalg.norm(expected) < 1e-10
 
-    @pytest.mark.parametrize("nobs, m, r, graded_gamma", [
-        (673, 440, 40, False),  # qg-33 enkf-fs: nobs 673, nens + K = 440, 40 members
-        (1500, 15, 3, True),    # tall, nobs >> m, with Gamma graded over two decades
-    ])
-    def test_matches_ismf_loop_and_dense_solve(self, nobs, m, r, graded_gamma):
+    # ids are nobs-m-r-graded_gamma
+    @pytest.mark.parametrize("nstate, p, m, r, graded_gamma", [
+        (961, 0.7, 440, 40, False),  # qg-33 enkf-fs: nobs 673, nens + K = 440, 40 members
+        (2000, 0.75, 15, 3, True),   # tall, nobs 1500 >> m, Gamma graded over two decades
+        (400, 0.7, 60, 5, False),    # nobs 280, one partial row block
+        (700, 1.0, 40, 40, False),   # p = 1 and K = 0: every row observed, m = nens
+    ], ids=["673-440-40-False", "1500-15-3-True", "280-60-5-False", "700-40-40-False"])
+    def test_matches_ismf_loop_and_dense_solve(self, nstate, p, m, r, graded_gamma):
         gen = np.random.default_rng(70)
+        rows = ObservationSpec.from_fraction(nstate, p, 1.0).indices
+        nobs = rows.shape[0]
         if graded_gamma:
             var = 10.0 ** gen.uniform(-1.0, 1.0, nobs)
         else:
@@ -51,12 +58,32 @@ class TestIsmfSolve:
         pi = 0.3 * gen.standard_normal((nobs, m))
         rhs = gen.standard_normal((nobs, r))
         system = ObservationSpaceSystem(var, pi, rhs)
-        z = ismf_solve(system)
+        z, w = ismf_solve(system)
+        # the same Pi read in place as rows of a larger basis, whose other
+        # rows are nan so that reading one would show in Z and W
+        basis = np.full((nstate, m), np.nan)
+        basis[rows] = pi
+        z_rows, w_rows = ismf_solve(ObservationSpaceSystem(var, basis, rhs, rows=rows))
         loop = ismf_loop(system)
         dense = np.linalg.solve(np.diag(var) + pi @ pi.T, rhs)
         # float64 solves of a system with condition number below 1e3
-        assert np.abs(z - loop).max() <= 1e-12 * np.abs(loop).max()
-        assert np.abs(z - dense).max() <= 1e-12 * np.abs(dense).max()
+        for zz in (z, z_rows):
+            assert np.abs(zz - loop).max() <= 1e-12 * np.abs(loop).max()
+            assert np.abs(zz - dense).max() <= 1e-12 * np.abs(dense).max()
+        # W = Pi.T Z by the push-through identity, to the rounding of the product
+        for ww, zz in ((w, z), (w_rows, z_rows)):
+            assert np.abs(ww - pi.T @ zz).max() <= 1e-12 * (np.abs(pi).T @ np.abs(zz)).max()
+        # gathering rows 0..nobs-1 reads the same blocks as the view of Pi
+        z_all, w_all = ismf_solve(ObservationSpaceSystem(var, pi, rhs, rows=np.arange(nobs)))
+        np.testing.assert_array_equal(z_all, z)
+        np.testing.assert_array_equal(w_all, w)
+
+    def test_rows_must_index_pi(self):
+        var = np.ones(3)
+        with pytest.raises(ValueError, match="rows must be a vector of row indices"):
+            ObservationSpaceSystem(var, np.ones((5, 2)), np.ones(3), rows=np.array([0, 2, 5]))
+        with pytest.raises(ValueError, match="row count of Pi and rhs"):
+            ObservationSpaceSystem(var, np.ones((5, 2)), np.ones(3), rows=np.array([0, 2]))
 
     def test_indefinite_gamma_raises(self):
         # an indefinite Gamma would make the capacitance matrix
