@@ -18,7 +18,7 @@ from .ensemble import Ensemble, anomalies, deviations, ensemble_mean
 from .observations import ObservationSpec
 # extend_ensemble is not called; perfbench/twinbench.py wraps filters.extend_ensemble by name
 from .sampling import (RngStream, draw_synthetic_members, extend_ensemble,  # noqa: F401
-                       perturb_observations)
+                       member_normals, perturb_observations)
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import (ObservationSpaceSystem, cholesky_factor, cholesky_solve, ensrf_transform,
                       GRAM_ROW_BLOCK, entkf_factors, ismf_solve, triangular_solve)
@@ -29,6 +29,9 @@ FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-r
 # fed the same stream draw the same perturbed observations.
 _OBS_STREAM = 1
 _SYNTH_STREAM = 2
+# The normals behind the full-space step's unobserved rows.
+_UNOBSERVED_STREAM = 3
+_NON_FINITE_SYNTHETIC = "synthetic members contain non-finite entries"
 
 # Abort threshold of the finite-size step's primal gradient, relative to
 # its norm at w = 0.
@@ -286,12 +289,17 @@ def _shrinkage_diagnostics(cov: ShrinkageCovariance) -> dict:
     return {"mu": cov.mu, "gamma": cov.gamma, "phi": cov.phi, "delta": cov.delta}
 
 
-def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations):
-    """Shrinkage estimate, innovations D and the extended anomalies of FS and
-    RS: one (nstate, nens + k) buffer holding the real anomalies about the
-    real mean, then the k synthetic members drawn straight into their
-    columns and centred there in place. It is the one extended-ensemble
-    array of the analysis; FS scales it in place."""
+def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
+    """Shrinkage estimate, innovations D, the real mean and the extended
+    anomalies of FS and RS: one (nrows, nens + k) buffer holding the real
+    anomalies about the real mean, then the k synthetic members drawn
+    straight into their columns and centred there in place. It is the one
+    extended-ensemble array of the analysis; FS scales it in place.
+
+    RS holds every row (``rows`` None). FS passes its observed rows: each
+    synthetic member then draws eps1 on those rows only, and the members'
+    eps2 come back as an (nens, k) array (else None), from which FS builds
+    the unobserved rows of its update in closed form."""
     y = _check_inputs(bg, y, obs)
     rng = _require_stream(rng, "draw synthetic members")
     if shrinkage is None and bg.nens < 3:
@@ -299,14 +307,23 @@ def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations):
     cov = shrinkage if shrinkage is not None else estimate_shrinkage(bg)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
     k, mean = int(k), ensemble_mean(bg)
-    extended = np.empty((bg.nstate, bg.nens + k))
-    np.subtract(bg.matrix, mean[:, None], out=extended[:, :bg.nens])
+    held = slice(None) if rows is None else rows
+    extended = np.empty((mean[held].shape[0], bg.nens + k))
+    np.subtract(bg.matrix[held], mean[held, None], out=extended[:, :bg.nens])
+    eps2 = None if rows is None else np.empty((bg.nens, k))
     synthetic = draw_synthetic_members(mean, cov, k, rng.child(_SYNTH_STREAM),
-                                       out=extended[:, bg.nens:])
+                                       out=extended[:, bg.nens:], rows=rows, eps2=eps2)
     if not np.all(np.isfinite(synthetic)):
-        raise ValueError("synthetic members contain non-finite entries")
-    synthetic -= mean[:, None]
-    return cov, d, extended
+        raise ValueError(_NON_FINITE_SYNTHETIC)
+    synthetic -= mean[held, None]
+    return cov, d, mean, extended, eps2
+
+
+def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric PSD matrix, by ``eigh``; the
+    negative eigenvalues that rounding can leave are clipped to 0."""
+    lam, vec = np.linalg.eigh(gram)
+    return (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
 
 
 def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
@@ -316,22 +333,49 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     """Full-space shrinkage step with an extended ensemble.
 
     The background covariance estimate phi*I + delta*S@S.T comes from the
-    real members only; k synthetic draws widen the deviation basis, the
-    observation-space system (Gamma + Pi Pi.T) Z = D with Gamma = R + phi*I
-    on the observed rows is solved through its (nens + k)-square capacitance
-    matrix, and only the real members are updated by
-    basis @ (Pi.T Z) + phi * H.T Z. Pi is the observed rows of the basis,
-    which :func:`ismf_solve` reads in place (``rows``) and which returns
-    Pi.T Z, so no (nobs, nens + k) copy is formed. ``shrinkage`` and
-    ``innovations`` are testing hooks that bypass estimation and observation
-    perturbation; the synthetic draws always need ``rng``.
+    real members only; k synthetic draws widen the deviation basis
+    c [U | sqrt(phi) E1 + sqrt(delta) S E2], c = sqrt(delta / (nens + k - 1)),
+    with U the real anomalies and E1, E2 the synthetic members' normals.
+    The observation-space system (Gamma + Pi Pi.T) Z = D with Gamma =
+    R + phi*I is solved through its (nens + k)-square capacitance matrix
+    (:func:`ismf_solve`, which also returns W = Pi.T Z); Pi, the observed
+    rows of the basis, is the only part of it that is formed, and the
+    synthetic members draw only their observed rows of E1. Only the real
+    members are updated, by basis @ W + phi * H.T Z.
+
+    On the observed rows that is Pi W + phi Z. On the unobserved rows
+    (subscript u) it is c [U_u W_r + sqrt(delta) S_u (E2 W_s) +
+    sqrt(phi) E1_u W_s] for W = [W_r; W_s] split at the real members. E1_u
+    is independent of everything that sets W, so given W the rows of
+    E1_u W_s are i.i.d. N(0, W_s.T W_s), and the step draws them as
+    G sqrt(W_s.T W_s): G is one (nunobs, nens) normal block from its own
+    substream, and the square root is :func:`_psd_sqrt`. The analysis
+    has the distribution of the step with E1 drawn in full, not its bits.
+    A non-finite unobserved-row term is refused like a non-finite draw.
+    ``shrinkage`` and ``innovations`` are testing hooks that bypass
+    estimation and observation perturbation; the synthetic draws always
+    need ``rng``.
     """
-    cov, d, basis = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations)
-    # the scaled deviations sqrt(delta) * anomalies / sqrt(nk - 1), in place
-    basis /= np.sqrt(basis.shape[1] - 1)
-    basis *= np.sqrt(cov.delta)
-    z, w = ismf_solve(ObservationSpaceSystem(obs.variances + cov.phi, basis, d, rows=obs.indices))
-    analysis = bg.matrix + basis @ w + cov.phi * obs.scatter(z)
+    cov, d, mean, pi, eps2 = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations,
+                                                 rows=obs.indices)
+    nens, scale = bg.nens, np.sqrt(cov.delta / (pi.shape[1] - 1))
+    pi *= scale
+    z, w = ismf_solve(ObservationSpaceSystem(obs.variances + cov.phi, pi, d))
+    analysis = np.array(bg.matrix)
+    analysis[obs.indices] += pi @ w + cov.phi * z
+    unobserved = np.setdiff1d(np.arange(bg.nstate), obs.indices, assume_unique=True)
+    if unobserved.size:
+        w_real, w_syn = w[:nens], w[nens:]
+        term = (bg.matrix[unobserved] - mean[unobserved, None]) @ w_real
+        if k:
+            gram = w_syn.T @ w_syn
+            term += np.sqrt(cov.delta) * (cov.deviations.columns[unobserved] @ (eps2 @ w_syn))
+            if not (np.all(np.isfinite(term)) and np.all(np.isfinite(gram))):
+                raise ValueError(_NON_FINITE_SYNTHETIC)
+            normals = member_normals(rng.child(_UNOBSERVED_STREAM), nens, unobserved.size)
+            term += np.sqrt(cov.phi) * (normals @ _psd_sqrt(gram))
+        term *= scale
+        analysis[unobserved] += term
     return AnalysisResult(Ensemble(analysis), _shrinkage_diagnostics(cov))
 
 
@@ -391,8 +435,8 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     ``condition_estimate`` is (max diag L / min diag L)^2 <= cond(W).
     """
     wide = bg.nens + int(k) - 1 > bg.nstate
-    cov, d, extended = _shrinkage_prologue(bg, y, obs, 0 if wide else k, rng,
-                                           shrinkage, innovations)
+    cov, d, _, extended, _ = _shrinkage_prologue(bg, y, obs, 0 if wide else k, rng,
+                                                 shrinkage, innovations)
     basis = np.eye(bg.nstate) if wide else extended[:, 1:]
     w_ens, rhs = enkf_rs_system(cov, basis, obs, d)
     lam, lower = cholesky_solve(w_ens, rhs,

@@ -13,7 +13,12 @@ Synthetic members from N(mean, phi * I + delta * S @ S.T) are
 mean + sqrt(phi) * eps1 + sqrt(delta) * S @ eps2, with eps1 (length
 nstate) and eps2 (length nens) from one member's normals; S meets the
 eps2 of a chunk of members in one product, and the covariance matrix and
-its square root are never formed.
+its square root are never formed. A draw can be restricted to some rows
+of the state: each member then takes eps1 on those rows only, nrows +
+nens normals in all, and can hand its eps2 to the caller. The full-space
+filter draws only the observed rows this way and builds the
+contribution of the unobserved rows in closed form
+(``filters.enkf_fs_analysis``).
 """
 
 from __future__ import annotations
@@ -145,15 +150,19 @@ class ExtendedEnsemble:
         return self.anomalies() / np.sqrt(self.nk - 1)
 
 
-def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
-                           k: int, rng: RngStream, out: np.ndarray | None = None) -> np.ndarray:
-    """Draw k members from N(mean, phi*I + delta*S@S.T) as an (nstate, k) array.
+def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance, k: int, rng: RngStream,
+                           out: np.ndarray | None = None, *, rows: np.ndarray | None = None,
+                           eps2: np.ndarray | None = None) -> np.ndarray:
+    """Draw k members from N(mean, phi*I + delta*S@S.T) as an (nrows, k) array.
 
-    Member i takes column i of ``member_normals(rng, k, nstate + nens)``:
-    eps1 then eps2, so the output does not depend on evaluation order. The
-    members are drawn ``SYNTHETIC_CHUNK`` at a time and written into
-    ``out`` (an (nstate, k) array, such as the synthetic columns of a
-    larger buffer) when it is given, else into a new array.
+    Member i takes column i of ``member_normals(rng, k, nrows + nens)``:
+    eps1 then eps2, so the output does not depend on evaluation order.
+    ``rows`` (state indices) restricts the draw to those rows of the
+    members, with eps1 drawn on them alone; the default is every row,
+    nrows = nstate. The members are drawn ``SYNTHETIC_CHUNK`` at a time and
+    written into ``out`` (an (nrows, k) array, such as the synthetic
+    columns of a larger buffer) when it is given, else into a new array.
+    ``eps2``, an (nens, k) array, receives each member's eps2 when given.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -161,18 +170,24 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance,
     s = cov.deviations.columns
     if mean.shape[0] != s.shape[0]:
         raise ValueError("mean length must equal nstate")
-    nstate, nens = s.shape
+    if rows is not None:
+        mean, s = mean[rows], s[rows]
+    nrows, nens = s.shape
     if out is None:
-        out = np.empty((nstate, k))
-    elif out.shape != (nstate, k):
-        raise ValueError("out must be (nstate, k)")
+        out = np.empty((nrows, k))
+    elif out.shape != (nrows, k):
+        raise ValueError("out must be (nrows, k)")
+    if eps2 is not None and eps2.shape != (nens, k):
+        raise ValueError("eps2 must be (nens, k)")
     chunks = np.array_split(np.arange(k), -(-k // SYNTHETIC_CHUNK)) if k else []
     for chunk in chunks:
-        first = int(chunk[0])
-        eps = member_normals(rng, chunk.size, nstate + nens, first=first)
-        draws = np.matmul(s, eps[nstate:], out=out[:, first:first + chunk.size])
+        cols = slice(int(chunk[0]), int(chunk[0]) + chunk.size)
+        eps = member_normals(rng, chunk.size, nrows + nens, first=cols.start)
+        if eps2 is not None:
+            eps2[:, cols] = eps[nrows:]
+        draws = np.matmul(s, eps[nrows:], out=out[:, cols])
         draws *= np.sqrt(cov.delta)
-        part1 = eps[:nstate]
+        part1 = eps[:nrows]
         part1 *= np.sqrt(cov.phi)
         part1 += mean[:, None]
         draws += part1

@@ -39,17 +39,13 @@ class ObservationSpaceSystem:
     """System (Gamma + Pi @ Pi.T) @ Z = rhs with a diagonal SPD Gamma.
 
     ``gamma_diagonal`` holds the nobs diagonal entries of Gamma, all
-    positive, and ``rhs`` the right-hand sides. ``pi`` holds the low-rank
-    update columns: Pi itself when ``rows`` is None, else a larger array
-    whose rows ``rows`` (nobs indices) are Pi, so that a filter whose Pi is
-    the observed rows of a state-space basis passes the basis without
-    copying those rows out.
+    positive, ``pi`` the (nobs, m) low-rank update columns and ``rhs`` the
+    right-hand sides.
     """
 
     gamma_diagonal: np.ndarray
     pi: np.ndarray
     rhs: np.ndarray
-    rows: np.ndarray | None = None
 
     def __post_init__(self):
         diag = np.asarray(self.gamma_diagonal, dtype=float)
@@ -57,22 +53,13 @@ class ObservationSpaceSystem:
         rhs = np.asarray(self.rhs, dtype=float)
         if rhs.ndim == 1:
             rhs = rhs[:, None]
-        rows = None if self.rows is None else np.asarray(self.rows, dtype=int)
-        if rows is not None and (rows.ndim != 1 or np.any(rows < 0) or np.any(rows >= pi.shape[0])):
-            raise ValueError("rows must be a vector of row indices of pi")
-        nobs = pi.shape[0] if rows is None else rows.shape[0]
-        if diag.ndim != 1 or not diag.shape[0] == nobs == rhs.shape[0]:
+        if diag.ndim != 1 or not diag.shape[0] == pi.shape[0] == rhs.shape[0]:
             raise ValueError("gamma_diagonal must be a vector with the row count of Pi and rhs")
         if np.any(diag <= 0.0):
             raise ValueError("diagonal entries must be positive")
         object.__setattr__(self, "gamma_diagonal", diag)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "rows", rows)
-
-    def pi_rows(self, block: slice) -> np.ndarray:
-        """Rows ``block`` of Pi: a view of ``pi``, or a gather through ``rows``."""
-        return self.pi[block] if self.rows is None else self.pi[self.rows[block]]
 
 
 def ismf_solve(sys: ObservationSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -83,10 +70,10 @@ def ismf_solve(sys: ObservationSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     T = Pi.T @ Gamma^{-1} rhs, W = C^{-1} T and
     Z = Gamma^{-1} rhs - Gamma^{-1} @ Pi @ W (Woodbury); W equals Pi.T @ Z
     by the push-through identity, so a caller needs no second product with
-    Pi. Pi is read only through ``GRAM_ROW_BLOCK``-row blocks
-    (``ObservationSpaceSystem.pi_rows``): one pass sums C, as the symmetric
-    rank-k products B.T @ B of the blocks B = Gamma^{-1/2} Pi_b, and T; a
-    second applies the correction. No (nobs, m) array is formed. C is
+    Pi. Pi is read only through ``GRAM_ROW_BLOCK``-row blocks: one pass
+    sums C, as the symmetric rank-k products B.T @ B of the blocks
+    B = Gamma^{-1/2} Pi_b, and T; a second applies the correction. No
+    weighted (nobs, m) copy of Pi is formed. C is
     factored once by Cholesky; cost is O(m^2 * nobs + m^3) in BLAS-3
     beyond the diagonal scalings. Every eigenvalue of C is at least one,
     so a failed factorization can only come from rounding or non-finite
@@ -99,7 +86,7 @@ def ismf_solve(sys: ObservationSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     t = np.zeros((m, sys.rhs.shape[1]))
     blocks = [slice(start, start + GRAM_ROW_BLOCK) for start in range(0, diag.shape[0], GRAM_ROW_BLOCK)]
     for block in blocks:
-        b = sys.pi_rows(block) * scale[block]
+        b = sys.pi[block] * scale[block]
         capacitance += b.T @ b
         t += b.T @ (sys.rhs[block] * scale[block])
     capacitance[np.diag_indices_from(capacitance)] += 1.0
@@ -107,7 +94,7 @@ def ismf_solve(sys: ObservationSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
                           "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite")
     z = sys.rhs / diag
     for block in blocks:
-        z[block] -= (sys.pi_rows(block) @ w) / diag[block]
+        z[block] -= (sys.pi[block] @ w) / diag[block]
     return z, w
 
 

@@ -2,7 +2,10 @@
 
 import numpy as np
 
-from shrinkda.ensemble import Ensemble
+from shrinkda.ensemble import Ensemble, ensemble_mean
+from shrinkda.filters import estimate_shrinkage
+from shrinkda.sampling import draw_synthetic_members, extend_ensemble, perturb_observations
+from shrinkda.solvers import ObservationSpaceSystem, ismf_solve
 
 
 def random_ensemble(gen, nstate, nens, spread=1.0):
@@ -43,6 +46,27 @@ def ismf_loop(sys):
         if k + 1 < m:
             u[:, k + 1:] -= np.outer(h, v_k @ u[:, k + 1:])
     return z
+
+
+def enkf_fs_explicit(bg, y, obs, k, rng, *, shrinkage=None, innovations=None):
+    """The full-space step with every row of the synthetic members drawn:
+    the reference for ``filters.enkf_fs_analysis``, which draws only their
+    observed rows and builds the unobserved rows in closed form.
+
+    Same substreams for the perturbed observations and the draws, and the
+    same arguments; returns the analysis matrix. The two analyses have one
+    distribution. Their bits differ unless every row is observed or k = 0,
+    where the two steps draw the same normals.
+    """
+    cov = shrinkage if shrinkage is not None else estimate_shrinkage(bg)
+    if innovations is None:
+        d = perturb_observations(y, obs, bg.nens, rng.child(1)) - obs.project(bg.matrix)
+    else:
+        d = np.asarray(innovations, dtype=float)
+    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, k, rng.child(2))
+    basis = np.sqrt(cov.delta) * extend_ensemble(bg, synthetic).scaled_deviations()
+    z, w = ismf_solve(ObservationSpaceSystem(obs.variances + cov.phi, obs.project(basis), d))
+    return bg.matrix + basis @ w + cov.phi * obs.scatter(z)
 
 
 def poisson_solve_dense(omega, grid):

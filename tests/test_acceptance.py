@@ -123,8 +123,10 @@ def test_criterion_4_filter_cross_checks():
     fs = enkf_fs_analysis(ens, y, obs, k, rng).analysis.matrix
     cov = estimate_shrinkage(ens)
     d = perturb_observations(y, obs, nens, rng.child(1)) - obs.project(ens.matrix)
-    syn = draw_synthetic_members(ensemble_mean(ens), cov, k, rng.child(2))
-    sdev = extend_ensemble(ens, syn).scaled_deviations()
+    # FS draws only the observed rows; its unobserved rows are those of the
+    # explicit draw with the implied block E1_u = G M W_s^+
+    fs_syn = validation.fs_replayed_members(ens, obs, cov, d, k, rng)
+    sdev = extend_ensemble(ens, fs_syn).scaled_deviations()
     bhat = cov.phi * np.eye(nstate) + cov.delta * (sdev @ sdev.T)
     h = selection_matrix(obs, nstate)
     r = np.diag(obs.variances)
@@ -132,8 +134,9 @@ def test_criterion_4_filter_cross_checks():
     fs_gap = np.abs(fs - fs_oracle).max()
     assert fs_gap < 1e-9
 
-    # reduced-space filter against the dense normal equations
+    # reduced-space filter against the dense normal equations; RS draws in full
     rs = enkf_rs_analysis(ens, y, obs, k, rng).analysis.matrix
+    syn = draw_synthetic_members(ensemble_mean(ens), cov, k, rng.child(2))
     u = extend_ensemble(ens, syn).anomalies()
     s = cov.deviations.columns
     bhat_real = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)

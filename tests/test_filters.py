@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
-from shrinkda import filters
+from shrinkda import filters, sampling, validation
 from shrinkda.ensemble import (DeviationMatrix, Ensemble, dense_sample_covariance, deviations,
                                ensemble_mean)
 from shrinkda.filters import (enkf_analysis, enkf_du_analysis, enkf_fs_analysis,
@@ -15,8 +15,9 @@ from shrinkda.observations import ObservationSpec
 from shrinkda.sampling import (RngStream, draw_synthetic_members, extend_ensemble,
                                perturb_observations)
 from shrinkda.shrinkage import ShrinkageCovariance
+from shrinkda.validation import fs_replayed_members
 
-from helpers import enkf_n_hessian, random_ensemble, selection_matrix
+from helpers import enkf_fs_explicit, enkf_n_hessian, random_ensemble, selection_matrix
 
 
 def instance(gen, nstate=10, nens=6, p=0.7, obs_std=0.1):
@@ -329,7 +330,9 @@ class TestEnkfFs:
         cov = estimate_shrinkage(ens)
         perturbed = perturb_observations(y, obs, nens, rng.child(1))
         d = perturbed - obs.project(ens.matrix)
-        synthetic = draw_synthetic_members(ensemble_mean(ens), cov, k, rng.child(2))
+        # the observed-row draw, and the unobserved rows that make the
+        # explicit draw's update the step's (E1_u = G M W_s^+)
+        synthetic = fs_replayed_members(ens, obs, cov, d, k, rng)
         ext = extend_ensemble(ens, synthetic)
         sdev = ext.scaled_deviations()
         bhat = cov.phi * np.eye(nstate) + cov.delta * (sdev @ sdev.T)
@@ -337,6 +340,70 @@ class TestEnkfFs:
         r = np.diag(obs.variances)
         oracle = ens.matrix + bhat @ h.T @ np.linalg.solve(r + h @ bhat @ h.T, d)
         assert np.abs(res.analysis.matrix - oracle).max() < 1e-9
+
+    def test_distribution_matches_explicit_draw(self):
+        # FS draws only the observed rows of the synthetic members and the
+        # unobserved rows' term from its own normal block; the explicit-draw
+        # reference draws every row. With D fixed, the analyses' means, second
+        # moments and member cross-moments (raw moments of the increments
+        # A - X_b over all 60 entries and their 1830 pairs) agree over 3000
+        # draws a side. A Welch t of 5.5 has a normal tail of 3.8e-8, so the
+        # 1890 statistics exceed it by chance with probability below 1e-4
+        # (union bound), whatever the stream; a square root 10% too large
+        # reads about 7 here, and one that ignores the cross-member terms 19.
+        gen = np.random.default_rng(98)
+        nstate, nens, k, draws = 12, 5, 30, 3000
+        ens = random_ensemble(gen, nstate, nens)
+        obs = ObservationSpec.from_fraction(nstate, 0.5, 0.1)
+        y = gen.standard_normal(obs.nobs)
+        d = 0.3 * gen.standard_normal((obs.nobs, nens))
+        explicit = np.array([enkf_fs_explicit(ens, y, obs, k, RngStream(seed), innovations=d)
+                             for seed in range(draws)])
+        fs = np.array([enkf_fs_analysis(ens, y, obs, k, RngStream(draws + seed),
+                                        innovations=d).analysis.matrix
+                       for seed in range(draws)])
+        upper = np.triu_indices(nstate * nens)
+
+        def statistics(analyses):
+            inc = (analyses - ens.matrix).reshape(draws, -1)
+            return np.hstack([inc, (inc[:, :, None] * inc[:, None, :])[:, upper[0], upper[1]]])
+
+        a, b = statistics(explicit), statistics(fs)
+        t = (a.mean(0) - b.mean(0)) / np.sqrt((a.var(0, ddof=1) + b.var(0, ddof=1)) / draws)
+        assert t.size == 60 + 1830
+        assert np.abs(t).max() < 5.5
+
+    @pytest.mark.parametrize("p, k", [(1.0, 6), (0.5, 0)])
+    def test_nothing_extra_drawn_when_every_row_observed_or_k_zero(self, monkeypatch, p, k):
+        # with no unobserved row, or no synthetic member, the step draws the
+        # normals of the explicit draw and no others, and updates as it does
+        gen = np.random.default_rng(99)
+        ens = random_ensemble(gen, 12, 4)
+        obs = ObservationSpec.from_fraction(12, p, 0.1)
+        y = gen.standard_normal(obs.nobs)
+        counted = []
+
+        def counting(gen, size):
+            counted.append(size)
+            return gen.standard_normal(size)
+
+        monkeypatch.setattr(sampling, "standard_normal", counting)
+        fs = enkf_fs_analysis(ens, y, obs, k, RngStream(8)).analysis.matrix
+        fs_normals, counted[:] = sum(counted), []
+        explicit = enkf_fs_explicit(ens, y, obs, k, RngStream(8))
+        assert fs_normals == sum(counted) == k * (12 + 4) + 4 * obs.nobs
+        assert np.abs(fs - explicit).max() <= 1e-12 * np.abs(explicit).max()
+
+    def test_zero_innovation_and_full_span_checks(self):
+        # the property-suite checks at FS's edges, as they stand: zero
+        # innovations leave the members bit for bit (tolerance 0, with
+        # unobserved rows and synthetic members), and at k = 0 FS is the
+        # Kalman update with prior phi I + delta S S.T
+        gen = np.random.default_rng(95)
+        ens, obs, y = validation._filter_instance(gen)
+        for check in (validation._zero_innovation_check(ens, obs, y),
+                      validation._rs_fs_span_check(gen)):
+            assert check.passed, check.detail
 
     def test_requires_three_members(self):
         gen = np.random.default_rng(89)
@@ -444,14 +511,20 @@ class TestEnkfRs:
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])
 def test_non_finite_synthetic_members_refused(step):
     # deviations near the float range overflow S @ eps2; the draws are
-    # checked before they are centred or enter a product
+    # checked before they are centred or enter a product. With the huge
+    # deviations on the unobserved rows alone, FS draws finite observed rows,
+    # and the overflow is in the S term of its unobserved rows, which it
+    # checks the same way before the update
     gen = np.random.default_rng(97)
     ens, obs, y = instance(gen, nens=4)
     huge = np.tile([1.5e308, -1.5e308, 1.5e308, -1.5e308], (ens.nstate, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        forced = ShrinkageCovariance(mu=1.0, gamma=0.5, deviations=DeviationMatrix(huge))
-        with pytest.raises(ValueError, match="synthetic members contain non-finite entries"):
-            step(ens, y, obs, 3, RngStream(4), shrinkage=forced)
+    huge_unobserved = huge.copy()
+    huge_unobserved[obs.indices] = deviations(ens).columns[obs.indices]
+    for columns in (huge, huge_unobserved):
+        with np.errstate(over="ignore", invalid="ignore"):
+            forced = ShrinkageCovariance(mu=1.0, gamma=0.5, deviations=DeviationMatrix(columns))
+            with pytest.raises(ValueError, match="synthetic members contain non-finite entries"):
+                step(ens, y, obs, 3, RngStream(4), shrinkage=forced)
 
 
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])

@@ -159,6 +159,25 @@ class TestDrawSyntheticMembers:
             draw_synthetic_members(mean, cov, 70, RngStream(2), out=buffer)
 
 
+    def test_chosen_rows_draw_their_own_normals(self):
+        # a draw on some rows takes nrows + nens normals a member, eps1 on
+        # those rows then eps2, and hands the eps2 block back
+        gen = np.random.default_rng(44)
+        cov = make_cov(gen, 30, 5, mu=1.3, gamma=0.4)
+        mean = gen.standard_normal(30)
+        rows = np.array([0, 3, 4, 17, 29])
+        rng = RngStream(9, 3)
+        eps = member_normals(rng, 70, rows.size + 5)
+        eps2 = np.empty((5, 70))
+        draws = draw_synthetic_members(mean, cov, 70, rng, rows=rows, eps2=eps2)
+        expected = ((cov.deviations.columns[rows] @ eps[rows.size:]) * np.sqrt(cov.delta)
+                    + (eps[:rows.size] * np.sqrt(cov.phi) + mean[rows, None]))
+        np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(eps2, eps[rows.size:])
+        with pytest.raises(ValueError, match="eps2 must be"):
+            draw_synthetic_members(mean, cov, 70, rng, rows=rows, eps2=eps2[:, 1:])
+
+
 class TestExtendEnsemble:
     def test_empty_synthetic(self):
         gen = np.random.default_rng(46)

@@ -49,8 +49,7 @@ class TestIsmfSolve:
     ], ids=["673-440-40-False", "1500-15-3-True", "280-60-5-False", "700-40-40-False"])
     def test_matches_ismf_loop_and_dense_solve(self, nstate, p, m, r, graded_gamma):
         gen = np.random.default_rng(70)
-        rows = ObservationSpec.from_fraction(nstate, p, 1.0).indices
-        nobs = rows.shape[0]
+        nobs = ObservationSpec.from_fraction(nstate, p, 1.0).nobs
         if graded_gamma:
             var = 10.0 ** gen.uniform(-1.0, 1.0, nobs)
         else:
@@ -59,31 +58,20 @@ class TestIsmfSolve:
         rhs = gen.standard_normal((nobs, r))
         system = ObservationSpaceSystem(var, pi, rhs)
         z, w = ismf_solve(system)
-        # the same Pi read in place as rows of a larger basis, whose other
-        # rows are nan so that reading one would show in Z and W
-        basis = np.full((nstate, m), np.nan)
-        basis[rows] = pi
-        z_rows, w_rows = ismf_solve(ObservationSpaceSystem(var, basis, rhs, rows=rows))
         loop = ismf_loop(system)
         dense = np.linalg.solve(np.diag(var) + pi @ pi.T, rhs)
         # float64 solves of a system with condition number below 1e3
-        for zz in (z, z_rows):
-            assert np.abs(zz - loop).max() <= 1e-12 * np.abs(loop).max()
-            assert np.abs(zz - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.abs(z - loop).max() <= 1e-12 * np.abs(loop).max()
+        assert np.abs(z - dense).max() <= 1e-12 * np.abs(dense).max()
         # W = Pi.T Z by the push-through identity, to the rounding of the product
-        for ww, zz in ((w, z), (w_rows, z_rows)):
-            assert np.abs(ww - pi.T @ zz).max() <= 1e-12 * (np.abs(pi).T @ np.abs(zz)).max()
-        # gathering rows 0..nobs-1 reads the same blocks as the view of Pi
-        z_all, w_all = ismf_solve(ObservationSpaceSystem(var, pi, rhs, rows=np.arange(nobs)))
-        np.testing.assert_array_equal(z_all, z)
-        np.testing.assert_array_equal(w_all, w)
+        assert np.abs(w - pi.T @ z).max() <= 1e-12 * (np.abs(pi).T @ np.abs(z)).max()
 
-    def test_rows_must_index_pi(self):
+    def test_row_counts_must_agree(self):
         var = np.ones(3)
-        with pytest.raises(ValueError, match="rows must be a vector of row indices"):
-            ObservationSpaceSystem(var, np.ones((5, 2)), np.ones(3), rows=np.array([0, 2, 5]))
         with pytest.raises(ValueError, match="row count of Pi and rhs"):
-            ObservationSpaceSystem(var, np.ones((5, 2)), np.ones(3), rows=np.array([0, 2]))
+            ObservationSpaceSystem(var, np.ones((5, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="row count of Pi and rhs"):
+            ObservationSpaceSystem(var, np.ones((3, 2)), np.ones(4))
 
     def test_indefinite_gamma_raises(self):
         # an indefinite Gamma would make the capacitance matrix
