@@ -48,7 +48,7 @@ def _cmd_compare(args) -> int:
     if cfg.output:
         write_comparison_csv(rows, cfg.output)
         write_metadata(cfg, cfg.output + ".meta",
-                       get_model(cfg.model, cfg.model_overrides))
+                       get_model(cfg.model, cfg.model_overrides), filters=keys)
         print(f"wrote {cfg.output} and {cfg.output}.meta")
     return 0
 

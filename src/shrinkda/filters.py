@@ -99,23 +99,22 @@ def enkf_analysis(bg: Ensemble, y, obs: ObservationSpec,
 
 
 def ensrf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
-    """Deterministic square-root step.
+    """Deterministic square-root step: mean + S W + U C^{-1/2}.
 
-    The mean moves by the standard gain; the anomalies are contracted by
-    the symmetric square root of I - V.T (R + V V.T)^{-1} V.
+    W = V.T Z for the observation-space solve (R + V V.T) Z = d, V = H S,
+    of :func:`ismf_solve`; C^{-1/2}, the symmetric square root of
+    I - V.T (R + V V.T)^{-1} V, comes from the eigenpairs of the
+    capacitance C = I + V.T R^{-1} V (:func:`ensrf_transform`). S is U
+    scaled by 1 / sqrt(nens - 1), so :func:`_transform_analysis` on S
+    builds the members.
     """
     y = _check_inputs(bg, y, obs)
     mean = ensemble_mean(bg)
     s = deviations(bg).columns
-    u = anomalies(bg).columns
     v = obs.project(s)
-    innovation = y - obs.project(mean)
-    rhs = np.column_stack([innovation, v])
-    z, w = ismf_solve(ObservationSpaceSystem(obs.variances, v, rhs))
-    mean_a = mean + s @ w[:, 0]
-    transform = ensrf_transform(v, z[:, 1:], obs.variances)
-    analysis = mean_a[:, None] + u @ transform
-    return AnalysisResult(Ensemble(analysis))
+    _, w = ismf_solve(ObservationSpaceSystem(obs.variances, v, y - obs.project(mean)))
+    eigval, eigvec = ensrf_transform(v, obs.variances)
+    return AnalysisResult(_transform_analysis(mean, s, w[:, 0], eigval, eigvec))
 
 
 def _ensemble_space_prologue(bg, y, obs):
@@ -143,7 +142,7 @@ def entkf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     The dual step of :func:`enkf_du_analysis` with zeta fixed at nens - 1:
     the weight matrix is (nens - 1) I + Q.T R^{-1} Q for Q = H U, taken
     from the eigen kernel :func:`entkf_factors`. Equivalent to
-    :func:`ensrf_analysis`, which gets there by an observation-space solve.
+    :func:`ensrf_analysis`, whose mean comes from an observation-space solve.
     """
     mean, u, _, _, lam, vec, proj = _ensemble_space_prologue(bg, y, obs)
     eigval = lam + (bg.nens - 1.0)

@@ -356,12 +356,15 @@ def write_comparison_csv(rows, path) -> None:
             fh.write(f"{name},{_fmt(value)},{_fmt(seconds)}\n")
 
 
-def write_metadata(cfg: ExperimentConfig, path, model: ModelDefinition) -> None:
-    """Sidecar recording the fully resolved configuration of a run."""
+def write_metadata(cfg: ExperimentConfig, path, model: ModelDefinition, filters=None) -> None:
+    """Sidecar recording the fully resolved configuration of a run, or of a
+    comparison of the keys ``filters``: it names them all, with the K of the
+    shrinkage filters among them."""
+    runs = configs_for_filters(cfg, filters) if filters else [cfg]
     items = {
-        "model": cfg.model, "filter": cfg.filter, "nens": cfg.nens,
-        "synthetic_ratio": cfg.synthetic_ratio,
-        "synthetic_members": cfg.synthetic_members, "p": cfg.p,
+        "model": cfg.model, **({"filters": ",".join(filters)} if filters else {"filter": cfg.filter}),
+        "nens": cfg.nens, "synthetic_ratio": cfg.synthetic_ratio,
+        "synthetic_members": max(run.synthetic_members for run in runs), "p": cfg.p,
         "sigma_b": cfg.sigma_b, "obs_std": cfg.obs_std, "n_cycles": cfg.n_cycles,
         "steps_per_cycle": cfg.steps_per_cycle, "rng_seed": cfg.rng_seed,
     }

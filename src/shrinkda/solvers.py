@@ -7,7 +7,8 @@ update at a time, for the diagonal Gamma every filter has.
 Woodbury solve with an m x m capacitance matrix; ``cholesky_solve`` is
 the one SPD solve, shared with the reduced-space filter, and
 ``triangular_solve`` the blocked substitution behind it.
-``ensrf_transform`` is the observation-space square root of the EnSRF;
+``ensrf_transform`` is the eigen decomposition of the EnSRF's capacitance
+matrix, whose inverse square root contracts its anomalies;
 ``entkf_factors`` is the ensemble-space eigen kernel behind the ETKF and
 the dual finite-size step.
 """
@@ -29,9 +30,6 @@ TRIANGULAR_BLOCK = 64
 # at 131 MiB against 126 MiB, and made the reduced-space Gram (3969 rows)
 # about 2.5 ms faster per analysis, within 0.2 ms of one whole product.
 GRAM_ROW_BLOCK = 512
-# Allowed overshoot of the top eigenvalue of V.T Z_V above one, in units
-# of eps * sum(V**2 / r), the rounding of the Woodbury solve behind Z_V.
-ENSRF_ROUNDING_MARGIN = 16.0
 
 
 @dataclass(frozen=True)
@@ -146,27 +144,19 @@ def triangular_solve(tri: np.ndarray, rhs: np.ndarray, *, lower: bool) -> np.nda
     return x
 
 
-def ensrf_transform(v: np.ndarray, z_v: np.ndarray, r_variances: np.ndarray) -> np.ndarray:
-    """Symmetric square root of I - V.T @ Z_V used by the square-root filter.
+def ensrf_transform(v: np.ndarray, r_variances: np.ndarray):
+    """Eigenpairs (eigval, eigvec) of the square-root filter's capacitance
+    C = I + G.T @ G, G = R^{-1/2} V for R = diag(``r_variances``).
 
-    ``z_v`` solves (R + V @ V.T) @ Z_V = V with R = diag(``r_variances``),
-    so V.T @ Z_V is symmetric PSD with eigenvalues below one; the transform
-    satisfies T @ T.T = I - V.T @ Z_V. Rounding in Z_V grows like
-    eps * s^2 / r for a singular value s of V, so an eigenvalue may exceed
-    one by ``ENSRF_ROUNDING_MARGIN`` * eps * sum(V**2 / r) (plus 1e-8)
-    before the system is refused as inconsistent.
+    C^{-1} = I - V.T (R + V V.T)^{-1} V (Woodbury), so C^{-1/2} is the
+    EnSRF's symmetric contraction (Tippett et al., 2003), here without the
+    cancelling difference of an observation-space solve. Eigenvalues that
+    rounding leaves below one, the least any eigenvalue of C can be, are
+    clipped to one.
     """
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    z_v = np.atleast_2d(np.asarray(z_v, dtype=float))
-    prod = v.T @ z_v
-    prod = 0.5 * (prod + prod.T)
-    eigval, eigvec = np.linalg.eigh(prod)
-    whitened = float(np.sum(v**2 / np.asarray(r_variances, dtype=float)[:, None]))
-    margin = 1e-8 + ENSRF_ROUNDING_MARGIN * np.finfo(float).eps * whitened
-    if eigval.size and eigval[-1] > 1.0 + margin:
-        raise ValueError("non-contractive update")
-    eigval = np.clip(eigval, 0.0, 1.0)
-    return (eigvec * np.sqrt(1.0 - eigval)) @ eigvec.T
+    g = v * np.sqrt(1.0 / np.asarray(r_variances, dtype=float))[:, None]
+    eigval, eigvec = np.linalg.eigh(g.T @ g)
+    return np.clip(1.0 + eigval, 1.0, None), eigvec
 
 
 def entkf_factors(q: np.ndarray, innovation: np.ndarray, r_variances: np.ndarray):

@@ -206,15 +206,17 @@ def _solver_checks() -> list:
     results.append(_result("solvers.ismf_column_order_free", worst < 1e-8,
                            f"worst residual over 10 permutations {worst:.2e}"))
 
+    # T = C^{-1/2} for the capacitance C = I + V.T R^{-1} V
     v = gen.standard_normal((30, 6))
     r_var = gen.uniform(0.5, 1.5, 30)
-    z_v = np.linalg.solve(np.diag(r_var) + v @ v.T, v)
-    t = ensrf_transform(v, z_v, r_var)
+    eigval, eigvec = ensrf_transform(v, r_var)
+    t = (eigvec / np.sqrt(eigval)) @ eigvec.T
     asym = float(np.abs(t - t.T).max())
     norm = float(np.linalg.norm(t, 2))
+    inverse = float(np.abs(t @ (np.eye(6) + v.T @ (v / r_var[:, None])) @ t - np.eye(6)).max())
     results.append(_result("solvers.ensrf_transform_contractive",
-                           asym < 1e-12 and norm <= 1.0 + 1e-10,
-                           f"asymmetry {asym:.1e}, spectral norm {norm:.12f}"))
+                           asym < 1e-12 and norm <= 1.0 + 1e-10 and inverse < 1e-10,
+                           f"asymmetry {asym:.1e}, spectral norm {norm:.12f}, |TCT - I| {inverse:.1e}"))
     return results
 
 

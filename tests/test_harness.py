@@ -24,12 +24,15 @@ def tiny_config(**kw):
 
 
 def ensrf_rounding_scale(bg, obs):
-    """eps cond(M)^2 for the weight matrix M = (nens - 1) I + Q.T R^{-1} Q,
+    """eps cond(M) for the weight matrix M = (nens - 1) I + Q.T R^{-1} Q,
     Q = H U: ensrf's one-analysis rounding against entkf, relative to the
-    spread (test_ensrf_entkf_first_cycle_members_agree)."""
+    spread (test_ensrf_entkf_first_cycle_members_agree). Both filters
+    contract by the inverse root of M, up to the scale, so their members
+    differ by the rounding of two eigen decompositions and of ensrf's
+    Cholesky solve for the mean."""
     q = obs.project(bg.matrix - bg.matrix.mean(axis=1, keepdims=True))
     weight = (bg.nens - 1) * np.eye(bg.nens) + q.T @ (q / obs.variances[:, None])
-    return np.finfo(float).eps * np.linalg.cond(weight)**2
+    return np.finfo(float).eps * np.linalg.cond(weight)
 
 
 def entkf_rounding_growth(cfg, monkeypatch):
@@ -301,7 +304,7 @@ class TestCompareFilters:
 
     def test_ensrf_entkf_agree(self, monkeypatch):
         # the two filters differ only in rounding, which the chaotic 5-cycle
-        # run amplifies (gaps of 1.7e-8 to 1.3e-5 at these seeds), so the
+        # run amplifies (gaps of 1e-14 to 1e-12 at these seeds), so the
         # bound is the run's own growth of rounding-size changes; the
         # total RMSE gap is at most the largest per-cycle gap
         for seed in (11, 1, 2, 3, 4, 5):
@@ -329,8 +332,8 @@ class TestCompareFilters:
     def test_ensrf_entkf_first_cycle_members_agree(self, seed):
         # one analysis of the tiny_config set-up, so no chaotic growth: the
         # members differ by ensrf's rounding, which the weight matrix
-        # M = (nens - 1) I + Q.T R^{-1} Q amplifies like eps cond(M)^2
-        # (measured 2e-8 to 1.1e-6 of the spread here, at most 0.2 of the bound)
+        # M = (nens - 1) I + Q.T R^{-1} Q amplifies like eps cond(M)
+        # (measured 8e-14 to 2e-12 of the spread here, at most 0.05 of the bound)
         cfg = tiny_config(n_cycles=1, rng_seed=seed)
         model = get_model(cfg.model)
         obs = ObservationSpec.from_fraction(model.nstate, cfg.p, cfg.obs_std)
@@ -343,17 +346,19 @@ class TestCompareFilters:
         assert np.abs(a - b).max() < ensrf_rounding_scale(bg, obs) * spread
 
     @pytest.mark.parametrize("obs_std", [1e-4, 1e-5])
-    def test_ensrf_runs_with_tiny_observation_error(self, obs_std):
-        # V.T Z_V overshoots one by about eps * s^2 / r here (8e-8 and 1e-5
-        # in the first cycle), which a fixed 1e-8 margin refused as
-        # non-contractive; the Woodbury rounding also keeps ensrf within
-        # one obs_std of entkf rather than at its bits
+    def test_ensrf_runs_with_tiny_observation_error(self, obs_std, monkeypatch):
+        # cond(M) reaches 2e8 here. A contraction taken as the root of
+        # I - V.T (R + V V.T)^{-1} V cancels: V.T (R + V V.T)^{-1} V
+        # overshot one by about eps s^2 / r (8e-8 and 1e-5 in the first
+        # cycle) and left ensrf 0.015 and 0.33 obs_std from entkf. The
+        # capacitance's inverse root keeps the gap at the run's growth of
+        # rounding-size changes (below 1e-15 against a bound above 1e-11)
         cfg = ExperimentConfig(model="l96-5", filter="ensrf", nens=8, p=1.0, sigma_b=0.2,
                                n_cycles=10, rng_seed=3, obs_std=obs_std)
         (_, ensrf, _), (_, entkf, _) = compare_filters(configs_for_filters(cfg,
                                                                            ["ensrf", "entkf"]))
         assert entkf < 2.0 * obs_std
-        assert abs(ensrf - entkf) < obs_std
+        assert abs(ensrf - entkf) < 10.0 * entkf_rounding_growth(cfg, monkeypatch)
 
     def test_heterogeneous_models_rejected(self):
         cfgs = [tiny_config(), tiny_config(model="l96-9")]
@@ -493,6 +498,27 @@ class TestCli:
         assert cli.main(["compare", "--config", str(cfg)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["ensrf", "entkf", "enkf"]
+
+    @pytest.mark.parametrize("lines, synthetic_members", [
+        ("filters = enkf,enkf-fs\n", 8),            # enkf-fs ran with K = 2 * 4
+        ("filter = enkf-fs\nfilters = enkf,ensrf\n", 0),  # no shrinkage filter ran
+    ], ids=["shrinkage-listed", "shrinkage-only-in-filter"])
+    def test_compare_sidecar_names_the_filters_that_ran(self, tmp_path, lines,
+                                                       synthetic_members):
+        # the sidecar once described the first config only: filter = enkf and
+        # K = 0 while enkf-fs ran with K = 8, or K = 8 for an enkf-fs that
+        # never ran
+        cfg = tmp_path / "cmp.cfg"
+        out = tmp_path / "cmp.csv"
+        cfg.write_text(f"model = l96-8\n{lines}nens = 4\nsynthetic_ratio = 2\np = 0.75\n"
+                       f"sigma_b = 0.1\nn_cycles = 1\nrng_seed = 5\noutput = {out}\n")
+        assert cli.main(["compare", "--config", str(cfg)]) == 0
+        text = (tmp_path / "cmp.csv.meta").read_text()
+        meta = dict(line.split(" = ", 1) for line in text.splitlines())
+        ran = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+        assert meta["filters"] == ",".join(ran)
+        assert "filter" not in meta
+        assert meta["synthetic_members"] == str(synthetic_members)
 
     def test_missing_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

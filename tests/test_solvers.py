@@ -112,40 +112,39 @@ class TestCholeskySolve:
             cholesky_solve(matrix, np.ones(n), "capacitance says no")
 
 
+def ensrf_contraction(v, r_var):
+    """C^{-1/2} from the eigenpairs of the capacitance C = I + V.T R^{-1} V."""
+    eigval, eigvec = ensrf_transform(v, r_var)
+    return (eigvec / np.sqrt(eigval)) @ eigvec.T
+
+
 class TestEnsrfTransform:
     def test_zero_v_is_identity(self):
-        t = ensrf_transform(np.zeros((5, 3)), np.zeros((5, 3)), np.ones(5))
-        np.testing.assert_allclose(t, np.eye(3), atol=1e-14)
+        # C = I: unit eigenvalues, and the contraction is the identity
+        eigval, _ = ensrf_transform(np.zeros((5, 3)), np.ones(5))
+        np.testing.assert_array_equal(eigval, np.ones(3))
+        np.testing.assert_allclose(ensrf_contraction(np.zeros((5, 3)), np.ones(5)), np.eye(3),
+                                   atol=1e-14)
 
     def test_scalar_case(self):
-        # V.T Z_V = [s] for a single member: transform is sqrt(1 - s); with
-        # V = 1 the consistent R is 1 / s - 1
+        # one member with V = 1 and R = 1 / s - 1: V.T (R + V V.T)^{-1} V = s,
+        # C = 1 + 1 / R = 1 / (1 - s) and the contraction is sqrt(1 - s)
         s = 0.64
-        v = np.array([[1.0]])
-        z = np.array([[s]])
-        t = ensrf_transform(v, z, np.array([1.0 / s - 1.0]))
-        np.testing.assert_allclose(t, [[np.sqrt(1 - s)]], rtol=1e-14)
+        r = np.array([1.0 / s - 1.0])
+        eigval, _ = ensrf_transform(np.array([[1.0]]), r)
+        np.testing.assert_allclose(eigval, [1.0 / (1.0 - s)], rtol=1e-14)
+        np.testing.assert_allclose(ensrf_contraction(np.array([[1.0]]), r),
+                                   [[np.sqrt(1 - s)]], rtol=1e-14)
 
     def test_reconstruction(self):
+        # the dense observation-space square root is the oracle
         gen = np.random.default_rng(65)
         nobs, nens = 30, 6
         v = gen.standard_normal((nobs, nens))
         r = np.diag(gen.uniform(0.5, 1.5, nobs))
-        z_v = np.linalg.solve(r + v @ v.T, v)
-        t = ensrf_transform(v, z_v, np.diagonal(r))
-        target = np.eye(nens) - v.T @ z_v
+        t = ensrf_contraction(v, np.diagonal(r))
+        target = np.eye(nens) - v.T @ np.linalg.solve(r + v @ v.T, v)
         assert np.abs(t @ t.T - target).max() < 1e-9
-
-    def test_non_contractive_rejected(self):
-        # eigenvalue above one signals an inconsistent system
-        v = np.array([[1.0]])
-        z = np.array([[1.5]])
-        with pytest.raises(ValueError, match="non-contractive"):
-            ensrf_transform(v, z, np.array([1.0]))
-        # a small R widens the rounding margin, but not up to an eigenvalue
-        # of 1.5
-        with pytest.raises(ValueError, match="non-contractive"):
-            ensrf_transform(v, z, np.array([1e-10]))
 
 
 def transform_and_weights(v, d, r_var):
