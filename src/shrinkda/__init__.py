@@ -19,8 +19,7 @@ from .models import (ModelDefinition, QgGrid, QgParams, arakawa_jacobian, get_mo
                      lorenz96_tendency, pad, poisson_solve, qg_initial_vorticity,
                      qg_tendency, rk4_step)
 from .observations import ObservationSpec
-from .sampling import (ExtendedEnsemble, RngStream, draw_synthetic_members,
-                       extend_ensemble, perturb_observations)
+from .sampling import RngStream, draw_synthetic_members, perturb_observations
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import ObservationSpaceSystem, ensrf_transform, entkf_factors, ismf_solve
 

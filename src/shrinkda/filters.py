@@ -21,7 +21,7 @@ from .sampling import (RngStream, draw_synthetic_members, extend_ensemble,  # no
                        member_normals, perturb_observations)
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import (ObservationSpaceSystem, cholesky_factor, cholesky_solve, ensrf_transform,
-                      GRAM_ROW_BLOCK, entkf_factors, ismf_solve, triangular_solve)
+                      entkf_factors, ismf_solve, triangular_solve, weighted_gram)
 
 FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-rs")
 
@@ -93,7 +93,7 @@ def enkf_analysis(bg: Ensemble, y, obs: ObservationSpec,
     s = deviations(bg).columns
     v = obs.project(s)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    _, w = ismf_solve(ObservationSpaceSystem(obs.variances, v, d))
+    w = ismf_solve(ObservationSpaceSystem(obs.variances, v, d))
     analysis = bg.matrix + s @ w
     return AnalysisResult(Ensemble(analysis))
 
@@ -101,8 +101,8 @@ def enkf_analysis(bg: Ensemble, y, obs: ObservationSpec,
 def ensrf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     """Deterministic square-root step: mean + S W + U C^{-1/2}.
 
-    W = V.T Z for the observation-space solve (R + V V.T) Z = d, V = H S,
-    of :func:`ismf_solve`; C^{-1/2}, the symmetric square root of
+    W = V.T Z for the observation-space system (R + V V.T) Z = d, V = H S,
+    from :func:`ismf_solve`; C^{-1/2}, the symmetric square root of
     I - V.T (R + V V.T)^{-1} V, comes from the eigenpairs of the
     capacitance C = I + V.T R^{-1} V (:func:`ensrf_transform`). S is U
     scaled by 1 / sqrt(nens - 1), so :func:`_transform_analysis` on S
@@ -112,7 +112,7 @@ def ensrf_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
     mean = ensemble_mean(bg)
     s = deviations(bg).columns
     v = obs.project(s)
-    _, w = ismf_solve(ObservationSpaceSystem(obs.variances, v, y - obs.project(mean)))
+    w = ismf_solve(ObservationSpaceSystem(obs.variances, v, y - obs.project(mean)))
     eigval, eigvec = ensrf_transform(v, obs.variances)
     return AnalysisResult(_transform_analysis(mean, s, w[:, 0], eigval, eigvec))
 
@@ -335,14 +335,15 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     real members only; k synthetic draws widen the deviation basis
     c [U | sqrt(phi) E1 + sqrt(delta) S E2], c = sqrt(delta / (nens + k - 1)),
     with U the real anomalies and E1, E2 the synthetic members' normals.
-    The observation-space system (Gamma + Pi Pi.T) Z = D with Gamma =
-    R + phi*I is solved through its (nens + k)-square capacitance matrix
-    (:func:`ismf_solve`, which also returns W = Pi.T Z); Pi, the observed
-    rows of the basis, is the only part of it that is formed, and the
-    synthetic members draw only their observed rows of E1. Only the real
-    members are updated, by basis @ W + phi * H.T Z.
+    For the observation-space system (Gamma + Pi Pi.T) Z = D with Gamma =
+    R + phi*I, :func:`ismf_solve` returns W = Pi.T Z through its
+    (nens + k)-square capacitance matrix; Pi, the observed rows of the
+    basis, is the only part of it that is formed, and the synthetic
+    members draw only their observed rows of E1. Only the real members
+    are updated, by basis @ W + phi * H.T Z.
 
-    On the observed rows that is Pi W + phi Z. On the unobserved rows
+    On the observed rows that is Pi W + phi Z = (R Pi W + phi D) / Gamma,
+    as Z = Gamma^{-1} (D - Pi W), so Z is never formed. On the unobserved rows
     (subscript u) it is c [U_u W_r + sqrt(delta) S_u (E2 W_s) +
     sqrt(phi) E1_u W_s] for W = [W_r; W_s] split at the real members. E1_u
     is independent of everything that sets W, so given W the rows of
@@ -359,22 +360,22 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
                                                  rows=obs.indices)
     nens, scale = bg.nens, np.sqrt(cov.delta / (pi.shape[1] - 1))
     pi *= scale
-    z, w = ismf_solve(ObservationSpaceSystem(obs.variances + cov.phi, pi, d))
+    gamma = obs.variances + cov.phi
+    w = ismf_solve(ObservationSpaceSystem(gamma, pi, d))
     analysis = np.array(bg.matrix)
-    analysis[obs.indices] += pi @ w + cov.phi * z
+    analysis[obs.indices] += (obs.variances[:, None] * (pi @ w) + cov.phi * d) / gamma[:, None]
     unobserved = np.setdiff1d(np.arange(bg.nstate), obs.indices, assume_unique=True)
-    if unobserved.size:
-        w_real, w_syn = w[:nens], w[nens:]
-        term = (bg.matrix[unobserved] - mean[unobserved, None]) @ w_real
-        if k:
-            gram = w_syn.T @ w_syn
-            term += np.sqrt(cov.delta) * (cov.deviations.columns[unobserved] @ (eps2 @ w_syn))
-            if not (np.all(np.isfinite(term)) and np.all(np.isfinite(gram))):
-                raise ValueError(_NON_FINITE_SYNTHETIC)
-            normals = member_normals(rng.child(_UNOBSERVED_STREAM), nens, unobserved.size)
-            term += np.sqrt(cov.phi) * (normals @ _psd_sqrt(gram))
-        term *= scale
-        analysis[unobserved] += term
+    w_real, w_syn = w[:nens], w[nens:]
+    term = (bg.matrix[unobserved] - mean[unobserved, None]) @ w_real
+    if k:
+        gram = w_syn.T @ w_syn
+        term += np.sqrt(cov.delta) * (cov.deviations.columns[unobserved] @ (eps2 @ w_syn))
+        if not (np.all(np.isfinite(term)) and np.all(np.isfinite(gram))):
+            raise ValueError(_NON_FINITE_SYNTHETIC)
+        normals = member_normals(rng.child(_UNOBSERVED_STREAM), nens, unobserved.size)
+        term += np.sqrt(cov.phi) * (normals @ _psd_sqrt(gram))
+    term *= scale
+    analysis[unobserved] += term
     return AnalysisResult(Ensemble(analysis), _shrinkage_diagnostics(cov))
 
 
@@ -387,28 +388,17 @@ def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: Observation
     innovations D = ``d``. By the Woodbury identity
     w_ens = U.T diag(a) U - Y.T Y / phi, with a = 1/phi + H.T R^{-1} 1 and
     Y = L^{-1} S.T U for L L.T = (phi/delta) I + S.T S (size nens). The
-    first term is the Gram G.T G of G = U sqrt(a), summed over
-    ``GRAM_ROW_BLOCK``-row blocks G_b as symmetric rank-k products
-    G_b.T G_b, so G is never formed whole and w_ens is exactly symmetric;
-    delta = 0 drops the second. The same loop adds each block's share
-    G_b.T (H.T R^{-1} D / sqrt(a))_b of rhs, which only the observed rows
-    of U_b reach, so Q is never formed either.
+    first term is the blocked Gram of :func:`weighted_gram` with weights a,
+    so it is exactly symmetric; delta = 0 drops the second. Given the
+    right-hand side H.T R^{-1} D / a, zero on the unobserved rows, the same
+    loop returns U.T H.T R^{-1} D = rhs, so Q is never formed.
     """
     if cov.phi <= 0.0:
         raise ValueError("invalid shrinkage parameters")
-    sqrt_weights = obs.scatter(1.0 / obs.variances)
-    sqrt_weights += 1.0 / cov.phi
-    np.sqrt(sqrt_weights, out=sqrt_weights)
-    # H.T R^{-1} D / sqrt(a), zero on the unobserved rows: G_b.T times its
-    # rows is block b's share of Q.T R^{-1} D
-    weighted_d = obs.scatter(d / (obs.variances * sqrt_weights[obs.indices])[:, None])
-    w_ens = np.zeros((u_ext.shape[1], u_ext.shape[1]))
-    rhs = np.zeros((u_ext.shape[1], weighted_d.shape[1]))
-    for start in range(0, u_ext.shape[0], GRAM_ROW_BLOCK):
-        rows = slice(start, start + GRAM_ROW_BLOCK)
-        block = u_ext[rows] * sqrt_weights[rows, None]
-        w_ens += block.T @ block
-        rhs += block.T @ weighted_d[rows]
+    weights = obs.scatter(1.0 / obs.variances)
+    weights += 1.0 / cov.phi
+    w_ens, rhs = weighted_gram(u_ext, np.sqrt(weights),
+                               obs.scatter(d / (obs.variances * weights[obs.indices])[:, None]))
     if cov.delta > 0.0:
         s = cov.deviations.columns
         inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s

@@ -17,6 +17,7 @@ interior; ``pad`` adds that ring to a (d1, d2[, members]) field.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable
@@ -365,16 +366,18 @@ def _reject_unread(key: str, overrides: dict, accepted) -> None:
 def get_model(key: str, overrides: dict | None = None) -> ModelDefinition:
     """Resolve a CLI model key (``l96-<n>``, ``qg-33``, ``qg-65``, ``qg-129``).
 
+    n is in decimal digits and at least 4, so that the neighbours i - 2,
+    i - 1 and i + 1 are distinct; any other key raises ``ValueError``.
+
     ``overrides`` may adjust coefficients: ``model_dt`` sets the time step,
     ``l96_forcing`` the Lorenz-96 forcing and ``qg_<name>`` the QgParams
     field ``name``. A key the resolved model does not read raises
     ``ValueError``.
     """
     overrides = dict(overrides or {})
-    if key.startswith("l96-"):
-        n = int(key.split("-", 1)[1])
+    if re.fullmatch(r"l96-[0-9]+", key) and int(key[4:]) >= 4:
         _reject_unread(key, overrides, ("l96_forcing", "model_dt"))
-        return lorenz96_model(n=n,
+        return lorenz96_model(n=int(key[4:]),
                               forcing=float(overrides.get("l96_forcing", 8.0)),
                               dt=float(overrides.get("model_dt", 0.05)))
     if key in _QG_SIZES:
@@ -384,4 +387,5 @@ def get_model(key: str, overrides: dict | None = None) -> ModelDefinition:
         _reject_unread(key, overrides, names)
         params = replace(QgParams(), **{names[k]: float(v) for k, v in overrides.items()})
         return qg_model(d, d, params=params, name=key)
-    raise ValueError(f"unknown model key {key!r}")
+    raise ValueError(f"unknown model key {key!r}; choose l96-<n> with n >= 4, "
+                     f"{', '.join(_QG_SIZES)}")

@@ -1,16 +1,15 @@
-"""Linear solvers shared by the filters.
+"""Linear solvers shared by the filters, one kernel per system shape.
 
-The iterative Sherman-Morrison formula (ISMF) solves
-(Gamma + Pi @ Pi.T) @ Z = rhs by folding in the columns of Pi one rank-one
-update at a time, for the diagonal Gamma every filter has.
-``ismf_solve`` applies the same identity to all columns at once, as a
-Woodbury solve with an m x m capacitance matrix; ``cholesky_solve`` is
-the one SPD solve, shared with the reduced-space filter, and
+``ismf_solve`` solves the observation-space system (Gamma + Pi @ Pi.T) Z =
+rhs, for the diagonal Gamma every filter has, through its m x m
+capacitance matrix (Woodbury) and returns W = Pi.T @ Z, the only part
+of the solution the filters read. ``weighted_gram`` is the one blocked
+weighted Gram, behind that capacitance and the reduced-space weight
+matrix. ``cholesky_solve`` is the one SPD solve, and
 ``triangular_solve`` the blocked substitution behind it.
-``ensrf_transform`` is the eigen decomposition of the EnSRF's capacitance
-matrix, whose inverse square root contracts its anomalies;
-``entkf_factors`` is the ensemble-space eigen kernel behind the ETKF and
-the dual finite-size step.
+``entkf_factors`` is the ensemble-space eigen kernel behind the ETKF, the
+dual finite-size step and, shifted by one, the EnSRF's capacitance
+(``ensrf_transform``).
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ import numpy as np
 # Row block of the blocked triangular solves: a system of at most this
 # many unknowns is one block, solved as a whole.
 TRIANGULAR_BLOCK = 64
-# Rows per block of the Gram-type products A.T diag(w) A of the shrinkage
-# filters (the capacitance matrix here, the reduced-space weight matrix in
-# ``filters.enkf_rs_system``): a weighted copy of this many rows of A,
-# 1.7 MiB at 440 columns, is their one temporary, not a copy of all of A.
+# Rows per block of ``weighted_gram``, which builds the capacitance matrix
+# of ``ismf_solve`` and the weight matrix of ``filters.enkf_rs_system``: a
+# weighted copy of this many rows, 1.7 MiB at 440 columns, is its one
+# temporary, not a copy of the whole matrix.
 # On qg-65 (2 vCPU), 1024-row blocks left a 7-filter compare's peak RSS
 # at 131 MiB against 126 MiB, and made the reduced-space Gram (3969 rows)
 # about 2.5 ms faster per analysis, within 0.2 ms of one whole product.
@@ -60,40 +59,43 @@ class ObservationSpaceSystem:
         object.__setattr__(self, "rhs", rhs)
 
 
-def ismf_solve(sys: ObservationSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (Gamma + Pi @ Pi.T) @ Z = rhs with the ISMF identity applied to
-    all columns of Pi at once; returns (Z, W) with W = Pi.T @ Z.
+def weighted_gram(a: np.ndarray, sqrt_weights: np.ndarray, rhs: np.ndarray):
+    """(B.T @ B, B.T @ (sqrt_weights * rhs)) for B = diag(sqrt_weights) @ a.
+
+    Summed over ``GRAM_ROW_BLOCK``-row blocks as symmetric rank-k products
+    B_b.T @ B_b (BLAS SYRK), so the Gram is exactly symmetric; each block
+    of ``a`` and of ``rhs`` is weighted inside the loop, so no weighted
+    copy of either is formed whole.
+    """
+    gram = np.zeros((a.shape[1], a.shape[1]))
+    cross = np.zeros((a.shape[1], rhs.shape[1]))
+    for start in range(0, a.shape[0], GRAM_ROW_BLOCK):
+        rows = slice(start, start + GRAM_ROW_BLOCK)
+        block = a[rows] * sqrt_weights[rows, None]
+        gram += block.T @ block
+        cross += block.T @ (rhs[rows] * sqrt_weights[rows, None])
+    return gram, cross
+
+
+def ismf_solve(sys: ObservationSpaceSystem) -> np.ndarray:
+    """W = Pi.T @ Z for the solution Z of (Gamma + Pi @ Pi.T) @ Z = rhs: the
+    ISMF identity applied to all columns of Pi at once.
 
     With the capacitance matrix C = I + Pi.T @ Gamma^{-1} @ Pi and
-    T = Pi.T @ Gamma^{-1} rhs, W = C^{-1} T and
-    Z = Gamma^{-1} rhs - Gamma^{-1} @ Pi @ W (Woodbury); W equals Pi.T @ Z
-    by the push-through identity, so a caller needs no second product with
-    Pi. Pi is read only through ``GRAM_ROW_BLOCK``-row blocks: one pass
-    sums C, as the symmetric rank-k products B.T @ B of the blocks
-    B = Gamma^{-1/2} Pi_b, and T; a second applies the correction. No
-    weighted (nobs, m) copy of Pi is formed. C is
-    factored once by Cholesky; cost is O(m^2 * nobs + m^3) in BLAS-3
-    beyond the diagonal scalings. Every eigenvalue of C is at least one,
-    so a failed factorization can only come from rounding or non-finite
-    input and raises ``ValueError``; there is no fallback.
+    T = Pi.T @ Gamma^{-1} rhs, both from :func:`weighted_gram`, W = C^{-1} T
+    by the push-through identity Pi.T (Gamma + Pi Pi.T)^{-1} =
+    C^{-1} Pi.T Gamma^{-1}. A caller that needs Z takes it as
+    Z = Gamma^{-1} (rhs - Pi @ W) (Woodbury). C is factored once by
+    Cholesky; cost is O(m^2 * nobs + m^3) in BLAS-3 beyond the diagonal
+    scalings. Every eigenvalue of C is at least one, so a failed
+    factorization can only come from rounding or non-finite input and
+    raises ``ValueError``; there is no fallback.
     """
-    diag = sys.gamma_diagonal[:, None]
-    scale = np.sqrt(1.0 / diag)
-    m = sys.pi.shape[1]
-    capacitance = np.zeros((m, m))
-    t = np.zeros((m, sys.rhs.shape[1]))
-    blocks = [slice(start, start + GRAM_ROW_BLOCK) for start in range(0, diag.shape[0], GRAM_ROW_BLOCK)]
-    for block in blocks:
-        b = sys.pi[block] * scale[block]
-        capacitance += b.T @ b
-        t += b.T @ (sys.rhs[block] * scale[block])
+    capacitance, t = weighted_gram(sys.pi, np.sqrt(1.0 / sys.gamma_diagonal), sys.rhs)
     capacitance[np.diag_indices_from(capacitance)] += 1.0
     w, _ = cholesky_solve(capacitance, t,
                           "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite")
-    z = sys.rhs / diag
-    for block in blocks:
-        z[block] -= (sys.pi[block] @ w) / diag[block]
-    return z, w
+    return w
 
 
 def cholesky_factor(matrix: np.ndarray, failure: str) -> np.ndarray:
@@ -146,17 +148,16 @@ def triangular_solve(tri: np.ndarray, rhs: np.ndarray, *, lower: bool) -> np.nda
 
 def ensrf_transform(v: np.ndarray, r_variances: np.ndarray):
     """Eigenpairs (eigval, eigvec) of the square-root filter's capacitance
-    C = I + G.T @ G, G = R^{-1/2} V for R = diag(``r_variances``).
+    C = I + G.T @ G, G = R^{-1/2} V for R = diag(``r_variances``): the
+    eigenpairs of :func:`entkf_factors`, eigenvalues shifted by one, so
+    none is below one.
 
     C^{-1} = I - V.T (R + V V.T)^{-1} V (Woodbury), so C^{-1/2} is the
     EnSRF's symmetric contraction (Tippett et al., 2003), here without the
-    cancelling difference of an observation-space solve. Eigenvalues that
-    rounding leaves below one, the least any eigenvalue of C can be, are
-    clipped to one.
+    cancelling difference of an observation-space solve.
     """
-    g = v * np.sqrt(1.0 / np.asarray(r_variances, dtype=float))[:, None]
-    eigval, eigvec = np.linalg.eigh(g.T @ g)
-    return np.clip(1.0 + eigval, 1.0, None), eigvec
+    lam, vec, _ = entkf_factors(v, 0.0, r_variances)
+    return 1.0 + lam, vec
 
 
 def entkf_factors(q: np.ndarray, innovation: np.ndarray, r_variances: np.ndarray):

@@ -48,6 +48,12 @@ def ismf_loop(sys):
     return z
 
 
+def ismf_z(sys):
+    """Z = Gamma^{-1} (rhs - Pi @ W) from the W = Pi.T @ Z of ``ismf_solve``
+    (Woodbury): the solution of the ``ObservationSpaceSystem`` itself."""
+    return (sys.rhs - sys.pi @ ismf_solve(sys)) / sys.gamma_diagonal[:, None]
+
+
 def enkf_fs_explicit(bg, y, obs, k, rng, *, shrinkage=None, innovations=None):
     """The full-space step with every row of the synthetic members drawn:
     the reference for ``filters.enkf_fs_analysis``, which draws only their
@@ -65,7 +71,9 @@ def enkf_fs_explicit(bg, y, obs, k, rng, *, shrinkage=None, innovations=None):
         d = np.asarray(innovations, dtype=float)
     synthetic = draw_synthetic_members(ensemble_mean(bg), cov, k, rng.child(2))
     basis = np.sqrt(cov.delta) * extend_ensemble(bg, synthetic).scaled_deviations()
-    z, w = ismf_solve(ObservationSpaceSystem(obs.variances + cov.phi, obs.project(basis), d))
+    system = ObservationSpaceSystem(obs.variances + cov.phi, obs.project(basis), d)
+    w = ismf_solve(system)
+    z = (system.rhs - system.pi @ w) / system.gamma_diagonal[:, None]
     return bg.matrix + basis @ w + cov.phi * obs.scatter(z)
 
 

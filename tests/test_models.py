@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,9 +290,11 @@ class TestModelRegistry:
         assert model.nstate == nstate
         assert isinstance(model, ModelDefinition)
 
-    def test_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown model key"):
-            get_model("qg-17")
+    # and Lorenz-96 keys whose n is not a decimal integer of at least 4
+    @pytest.mark.parametrize("key", ["qg-17", "l96-x", "l96-40.5", "l96--5", "l96-4_0", "l96-3"])
+    def test_unknown_key(self, key):
+        with pytest.raises(ValueError, match=f"unknown model key '{re.escape(key)}'"):
+            get_model(key)
 
     def test_overrides_apply(self):
         model = get_model("qg-33", {"qg_drag": 0.5, "model_dt": 2.0})

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from shrinkda.observations import ObservationSpec
-from shrinkda.solvers import (TRIANGULAR_BLOCK, ObservationSpaceSystem, cholesky_solve,
-                             ensrf_transform, entkf_factors, ismf_solve)
+from shrinkda.solvers import (GRAM_ROW_BLOCK, TRIANGULAR_BLOCK, ObservationSpaceSystem,
+                             cholesky_solve, ensrf_transform, entkf_factors, ismf_solve,
+                             weighted_gram)
 
-from helpers import ismf_loop
+from helpers import ismf_loop, ismf_z
 
 
 class TestIsmfSolve:
@@ -13,8 +14,7 @@ class TestIsmfSolve:
         gen = np.random.default_rng(60)
         var = gen.uniform(0.5, 2.0, 12)
         rhs = gen.standard_normal((12, 3))
-        z, w = ismf_solve(ObservationSpaceSystem(var, np.zeros((12, 4)), rhs))
-        np.testing.assert_array_equal(z, rhs / var[:, None])
+        w = ismf_solve(ObservationSpaceSystem(var, np.zeros((12, 4)), rhs))
         np.testing.assert_array_equal(w, np.zeros((4, 3)))
 
     def test_rank_one_matches_sherman_morrison(self):
@@ -23,7 +23,7 @@ class TestIsmfSolve:
         var = gen.uniform(0.5, 2.0, n)
         v = gen.standard_normal((n, 1))
         d = gen.standard_normal(n)
-        z, _ = ismf_solve(ObservationSpaceSystem(var, v, d))
+        z = ismf_z(ObservationSpaceSystem(var, v, d))
         # classical rank-one update formula
         gd = d / var
         gv = v[:, 0] / var
@@ -36,7 +36,7 @@ class TestIsmfSolve:
         var = gen.uniform(0.5, 2.0, n)
         pi = gen.standard_normal((n, m))
         rhs = gen.standard_normal((n, 4))
-        z, _ = ismf_solve(ObservationSpaceSystem(var, pi, rhs))
+        z = ismf_z(ObservationSpaceSystem(var, pi, rhs))
         expected = np.linalg.solve(np.diag(var) + pi @ pi.T, rhs)
         assert np.linalg.norm(z - expected) / np.linalg.norm(expected) < 1e-10
 
@@ -57,14 +57,15 @@ class TestIsmfSolve:
         pi = 0.3 * gen.standard_normal((nobs, m))
         rhs = gen.standard_normal((nobs, r))
         system = ObservationSpaceSystem(var, pi, rhs)
-        z, w = ismf_solve(system)
+        w = ismf_solve(system)
+        z = (rhs - pi @ w) / var[:, None]
         loop = ismf_loop(system)
         dense = np.linalg.solve(np.diag(var) + pi @ pi.T, rhs)
         # float64 solves of a system with condition number below 1e3
         assert np.abs(z - loop).max() <= 1e-12 * np.abs(loop).max()
         assert np.abs(z - dense).max() <= 1e-12 * np.abs(dense).max()
         # W = Pi.T Z by the push-through identity, to the rounding of the product
-        assert np.abs(w - pi.T @ z).max() <= 1e-12 * (np.abs(pi).T @ np.abs(z)).max()
+        assert np.abs(w - pi.T @ dense).max() <= 1e-12 * (np.abs(pi).T @ np.abs(dense)).max()
 
     def test_row_counts_must_agree(self):
         var = np.ones(3)
@@ -82,6 +83,22 @@ class TestIsmfSolve:
         assert abs(np.linalg.det(gamma + pi @ pi.T)) > 0.5
         with pytest.raises(ValueError, match="diagonal entries must be positive"):
             ObservationSpaceSystem(np.diagonal(gamma), pi, np.array([1.0, 2.0]))
+
+
+class TestWeightedGram:
+    def test_matches_dense_and_is_exactly_symmetric(self):
+        # two full row blocks and one partial
+        gen = np.random.default_rng(71)
+        nrows = 2 * GRAM_ROW_BLOCK + 77
+        a = gen.standard_normal((nrows, 30))
+        weights = 10.0 ** gen.uniform(-1.0, 1.0, nrows)
+        rhs = gen.standard_normal((nrows, 4))
+        gram, cross = weighted_gram(a, np.sqrt(weights), rhs)
+        np.testing.assert_array_equal(gram, gram.T)
+        dense_gram = a.T @ (weights[:, None] * a)
+        dense_cross = a.T @ (weights[:, None] * rhs)
+        assert np.abs(gram - dense_gram).max() <= 1e-12 * np.abs(dense_gram).max()
+        assert np.abs(cross - dense_cross).max() <= 1e-12 * np.abs(dense_cross).max()
 
 
 class TestCholeskySolve:
