@@ -17,8 +17,8 @@ import numpy as np
 from .ensemble import Ensemble, anomalies, deviations, ensemble_mean
 from .observations import ObservationSpec
 # extend_ensemble is not called; perfbench/twinbench.py wraps filters.extend_ensemble by name
-from .sampling import (RngStream, draw_synthetic_members, extend_ensemble,  # noqa: F401
-                       member_normals, perturb_observations)
+from .sampling import (NON_FINITE_SYNTHETIC, RngStream, draw_synthetic_members,  # noqa: F401
+                       extend_ensemble, member_normals, perturb_observations)
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import (ObservationSpaceSystem, cholesky_factor, cholesky_solve, ensrf_transform,
                       entkf_factors, ismf_solve, triangular_solve, weighted_gram)
@@ -31,7 +31,6 @@ _OBS_STREAM = 1
 _SYNTH_STREAM = 2
 # The normals behind the full-space step's unobserved rows.
 _UNOBSERVED_STREAM = 3
-_NON_FINITE_SYNTHETIC = "synthetic members contain non-finite entries"
 
 # Abort threshold of the finite-size step's primal gradient, relative to
 # its norm at w = 0.
@@ -275,8 +274,9 @@ def enkf_du_analysis(bg: Ensemble, y, obs: ObservationSpec) -> AnalysisResult:
 def estimate_shrinkage(bg: Ensemble) -> ShrinkageCovariance:
     """RBLW estimate phi * I + delta * S @ S.T from the scaled deviations S.
 
-    Kept here, not in ``shrinkage``, because per-layer timers wrap the SVD
-    and RBLW steps where this module looks them up.
+    Kept here, not in ``shrinkage``, because per-layer timers wrap the
+    spectrum (:func:`deviation_singular_values`, from the nens-square Gram
+    S.T @ S) and RBLW steps where this module looks them up.
     """
     devs = deviations(bg)
     svals = deviation_singular_values(devs)
@@ -290,10 +290,12 @@ def _shrinkage_diagnostics(cov: ShrinkageCovariance) -> dict:
 
 def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
     """Shrinkage estimate, innovations D, the real mean and the extended
-    anomalies of FS and RS: one (nrows, nens + k) buffer holding the real
-    anomalies about the real mean, then the k synthetic members drawn
-    straight into their columns and centred there in place. It is the one
-    extended-ensemble array of the analysis; FS scales it in place.
+    anomalies of FS and RS: one column-major (nrows, nens + k) buffer
+    holding the real anomalies about the real mean, then the k synthetic
+    members drawn about a zero mean straight into their columns, which
+    gives their deviations from the real mean without adding and taking
+    it away again. It is the one extended-ensemble array of the analysis;
+    FS scales it in place.
 
     RS holds every row (``rows`` None). FS passes its observed rows: each
     synthetic member then draws eps1 on those rows only, and the members'
@@ -307,14 +309,11 @@ def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
     k, mean = int(k), ensemble_mean(bg)
     held = slice(None) if rows is None else rows
-    extended = np.empty((mean[held].shape[0], bg.nens + k))
+    extended = np.empty((mean[held].shape[0], bg.nens + k), order="F")
     np.subtract(bg.matrix[held], mean[held, None], out=extended[:, :bg.nens])
     eps2 = None if rows is None else np.empty((bg.nens, k))
-    synthetic = draw_synthetic_members(mean, cov, k, rng.child(_SYNTH_STREAM),
-                                       out=extended[:, bg.nens:], rows=rows, eps2=eps2)
-    if not np.all(np.isfinite(synthetic)):
-        raise ValueError(_NON_FINITE_SYNTHETIC)
-    synthetic -= mean[held, None]
+    draw_synthetic_members(np.zeros(bg.nstate), cov, k, rng.child(_SYNTH_STREAM),
+                           out=extended[:, bg.nens:], rows=rows, eps2=eps2)
     return cov, d, mean, extended, eps2
 
 
@@ -371,7 +370,7 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
         gram = w_syn.T @ w_syn
         term += np.sqrt(cov.delta) * (cov.deviations.columns[unobserved] @ (eps2 @ w_syn))
         if not (np.all(np.isfinite(term)) and np.all(np.isfinite(gram))):
-            raise ValueError(_NON_FINITE_SYNTHETIC)
+            raise ValueError(NON_FINITE_SYNTHETIC)
         normals = member_normals(rng.child(_UNOBSERVED_STREAM), nens, unobserved.size)
         term += np.sqrt(cov.phi) * (normals @ _psd_sqrt(gram))
     term *= scale
@@ -386,10 +385,13 @@ def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: Observation
     Returns (w_ens, rhs) with w_ens = U.T (Bhat^{-1} + H.T R^{-1} H) U
     and rhs = Q.T R^{-1} D for Q = H U, the basis U = ``u_ext`` and the
     innovations D = ``d``. By the Woodbury identity
-    w_ens = U.T diag(a) U - Y.T Y / phi, with a = 1/phi + H.T R^{-1} 1 and
-    Y = L^{-1} S.T U for L L.T = (phi/delta) I + S.T S (size nens). The
-    first term is the blocked Gram of :func:`weighted_gram` with weights a,
-    so it is exactly symmetric; delta = 0 drops the second. Given the
+    w_ens = U.T diag(a) U - Y.T Y, with a = 1/phi + H.T R^{-1} 1 and
+    Y = L^{-1} S.T U / sqrt(phi) for L L.T = (phi/delta) I + S.T S (size
+    nens). Both terms are symmetric rank-k products, so w_ens is exactly
+    symmetric; the first is the blocked Gram of :func:`weighted_gram` with
+    weights a, and delta = 0 drops the second. Scaling the (nens, m) Y,
+    not Y.T Y, spares an m-square temporary (m = nens + k - 1): 1.4 MiB
+    of qg33-compare's peak RSS. Given the
     right-hand side H.T R^{-1} D / a, zero on the unobserved rows, the same
     loop returns U.T H.T R^{-1} D = rhs, so Q is never formed.
     """
@@ -403,8 +405,8 @@ def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: Observation
         s = cov.deviations.columns
         inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s
         lower = cholesky_factor(inner, "shrunk covariance is not positive definite")
-        y = triangular_solve(lower, s.T @ u_ext, lower=True)
-        w_ens -= (y.T @ y) / cov.phi
+        y = triangular_solve(lower, s.T @ u_ext, lower=True) / np.sqrt(cov.phi)
+        w_ens -= y.T @ y
     return w_ens, rhs
 
 

@@ -70,12 +70,17 @@ class ExperimentConfig:
             raise ValueError("nens must be at least 2")
         if self.filter in _SHRINKAGE_FILTERS and self.nens < 3:
             raise ValueError("shrinkage filters need nens >= 3")
-        if self.synthetic_ratio < 0.0:
-            raise ValueError("synthetic_ratio must be nonnegative")
         if self.n_cycles < 1 or self.steps_per_cycle < 1:
             raise ValueError("n_cycles and steps_per_cycle must be positive")
-        if self.sigma_b <= 0.0 or self.obs_std <= 0.0:
-            raise ValueError("sigma_b and obs_std must be positive")
+        # a nan passes a plain <= 0 test, and nan or inf would surface only
+        # after the truth run, as non-finite members or a failed int()
+        for key in ("sigma_b", "obs_std"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} must be finite and positive, not {value!r}")
+        if not (math.isfinite(self.synthetic_ratio) and self.synthetic_ratio >= 0.0):
+            raise ValueError(f"synthetic_ratio must be finite and nonnegative, "
+                             f"not {self.synthetic_ratio!r}")
 
     @property
     def synthetic_members(self) -> int:

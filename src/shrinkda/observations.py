@@ -31,8 +31,9 @@ class ObservationSpec:
             raise ValueError("indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= self.nstate:
             raise ValueError("indices must lie in [0, nstate)")
-        if np.any(var <= 0.0):
-            raise ValueError("observation variances must be positive")
+        # a nan variance passes a plain <= 0 test
+        if not np.all(np.isfinite(var) & (var > 0.0)):
+            raise ValueError("observation variances must be finite and positive")
         idx.flags.writeable = False
         var.flags.writeable = False
         object.__setattr__(self, "indices", idx)

@@ -1,9 +1,11 @@
 """Rao-Blackwell Ledoit-Wolf (RBLW) shrinkage of ensemble covariances.
 
-The RBLW coefficients are evaluated matrix-free from the singular values
-of the deviation matrix, so the sample covariance is never formed. The
-plain Ledoit-Wolf and OAS estimators are not carried: no filter uses
-them.
+RBLW reads only tr(P) and tr(P^2) of the sample covariance P = S @ S.T,
+and both are power sums of the nonzero eigenvalues of P, which are those
+of the nens-square Gram S.T @ S. The coefficients are evaluated from the
+Gram's spectrum, so neither the (nstate, nstate) covariance nor an SVD
+of the (nstate, nens) deviations is formed. The plain Ledoit-Wolf and
+OAS estimators are not carried: no filter uses them.
 """
 
 from __future__ import annotations
@@ -55,18 +57,27 @@ class ShrinkageCovariance:
 
 
 def deviation_singular_values(devs: DeviationMatrix) -> np.ndarray:
-    """Nonincreasing singular values of the deviation matrix, padded to nens.
+    """Nonincreasing singular values of the deviation matrix, nens of them.
 
-    Their squares are the nonzero eigenvalues of S @ S.T; at most nens - 1
-    of them exceed the rank tolerance because the columns sum to zero.
+    They are the square roots of the eigenvalues of the nens-square Gram
+    S.T @ S. Rounding leaves the Gram's null directions (at least one,
+    the ones vector, because the columns sum to zero) eigenvalues of
+    order eps * lambda_max, whose roots would read about 1e-8 of the
+    largest singular value, so eigenvalues at most nens * eps *
+    lambda_max read as 0. A Gram that overflows, or underflows to zero
+    whole, raises ``ValueError``: deviations of about 1e154 and more or
+    1e-162 and less.
     """
     cols = devs.columns
     if not np.any(cols):
         raise ValueError("zero deviations")
-    svals = np.linalg.svd(cols, compute_uv=False)
-    if svals.shape[0] < devs.nens:
-        svals = np.concatenate([svals, np.zeros(devs.nens - svals.shape[0])])
-    return svals
+    with np.errstate(over="ignore"):
+        gram = cols.T @ cols
+    if not (np.all(np.isfinite(gram)) and np.trace(gram) > 0.0):
+        raise ValueError("deviations overflow or underflow their Gram matrix")
+    lam = np.linalg.eigvalsh(gram)[::-1]
+    lam[lam <= devs.nens * np.finfo(float).eps * lam[0]] = 0.0
+    return np.sqrt(lam)
 
 
 def rblw_parameters(sing_vals, nstate: int, nens: int):
@@ -75,21 +86,24 @@ def rblw_parameters(sing_vals, nstate: int, nens: int):
     Returns ``(mu, gamma)`` where mu is the mean sample variance
     tr(P)/nstate and gamma the min-clamped RBLW shrinkage intensity. Only
     the traces tr(P) and tr(P^2) enter, and both reduce to power sums of
-    the singular values. P = S @ S.T is normalised by 1/(nens - 1) and the
-    numerator carries (nens - 2)/nstate * tr(P^2); Chen et al. (2010,
-    eq. 17) normalise by 1/n and write (n - 2)/n with n the sample count.
+    the singular values. The sums are taken over the singular values
+    divided by the largest, so the fourth powers neither underflow nor
+    overflow; gamma, a ratio of degree-4 terms, does not change. P = S @ S.T
+    is normalised by 1/(nens - 1) and the numerator carries
+    (nens - 2)/nstate * tr(P^2); Chen et al. (2010, eq. 17) normalise by
+    1/n and write (n - 2)/n with n the sample count.
     """
     if nens < 3:
         raise ValueError("too few members for RBLW")
     svals = np.asarray(sing_vals, dtype=float)
     if svals.size == 0 or not np.any(svals > 0.0):
         raise ValueError("zero deviations")
-    kept = svals[svals > RANK_TOL * svals.max()]
+    top = svals.max()
+    kept = svals[svals > RANK_TOL * top] / top
     trace_p = float(np.sum(kept**2))
     trace_p2 = float(np.sum(kept**4))
-    mu = trace_p / nstate
+    mu = trace_p * top**2 / nstate
     numer = (nens - 2) / nstate * trace_p2 + trace_p**2
     denom = (nens + 2) * (trace_p2 - trace_p**2 / nstate)
     gamma = 1.0 if denom <= 0.0 else min(numer / denom, 1.0)
     return mu, gamma
-

@@ -401,10 +401,12 @@ def _shrinkage_memory_check(gen) -> CheckResult:
     """FS and RS hold the extended ensemble once: one enkf-fs and one
     enkf-rs analysis on a qg-65 shaped ensemble (nstate 3969, nens 40,
     k 400, p 0.7) peak below 1.35 and 2.0 (nstate, nens + k) float64
-    arrays of tracemalloc-traced memory. RS reads 1.64: its anomaly buffer
-    and block-sized temporaries, with no copy of the buffer's observed rows
-    (0.7 arrays). FS holds only those observed rows (0.7), as drawn, and
-    reads 1.25; it read 1.67 while it held every row, 2.3 while it copied
+    arrays of tracemalloc-traced memory. RS reads 1.64: its column-major
+    anomaly buffer, into which the synthetic members are drawn about a zero
+    mean, and block-sized temporaries, with no copy of the buffer's
+    observed rows (0.7 arrays). FS holds only those observed rows (0.7),
+    as drawn, and reads 1.26 (1.25 with the row-major buffer centred after
+    the draw); it read 1.67 while it held every row, 2.3 while it copied
     the observed rows out, and 3.8 (RS 3.2) while the draws, the anomalies
     and the scaled basis were separate arrays."""
     nstate, nens, k = 3969, 40, 400

@@ -508,23 +508,58 @@ class TestEnkfRs:
             enkf_rs_analysis(ens, y, obs, 2, RngStream(3), shrinkage=forced)
 
 
+@pytest.mark.parametrize("rows", ["all", "observed"], ids=["rs-every-row", "fs-observed-rows"])
+def test_synthetic_members_drawn_centred_into_a_column_major_buffer(rows):
+    # the shrinkage prologue draws the synthetic members about a zero mean
+    # straight into the column-major buffer of extended anomalies: those
+    # columns are the draw about a zero mean bit for bit, and the members
+    # drawn about the real mean, less that mean, to a few ulp of |mean|.
+    # k = 130 makes three chunks
+    gen = np.random.default_rng(100)
+    nstate, nens, k = 200, 10, 130
+    ens = Ensemble(50.0 + random_ensemble(gen, nstate, nens).matrix)
+    obs = ObservationSpec.from_fraction(nstate, 0.7, 0.1)
+    y = obs.project(ens.matrix[:, 0])
+    drawn_rows = obs.indices if rows == "observed" else None
+    rng = RngStream(12)
+    cov, _, mean, extended, _ = filters._shrinkage_prologue(ens, y, obs, k, rng, None, None,
+                                                            rows=drawn_rows)
+    held = slice(None) if drawn_rows is None else drawn_rows
+    assert extended.flags.f_contiguous and extended.shape == (mean[held].size, nens + k)
+    np.testing.assert_array_equal(extended[:, :nens], ens.matrix[held] - mean[held, None])
+    stream = rng.child(filters._SYNTH_STREAM)
+    synthetic = extended[:, nens:]
+
+    def draw(about):
+        return draw_synthetic_members(about, cov, k, stream, rows=drawn_rows,
+                                      out=np.empty(synthetic.shape, order="F"))
+
+    np.testing.assert_array_equal(synthetic, draw(np.zeros(nstate)))
+    members = draw(mean)
+    ulps = np.abs(synthetic - (members - mean[held, None])) / np.spacing(np.abs(mean[held]))[:, None]
+    assert ulps.max() <= 4.0
+
+
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])
 def test_non_finite_synthetic_members_refused(step):
-    # deviations near the float range overflow S @ eps2; the draws are
-    # checked before they are centred or enter a product. With the huge
-    # deviations on the unobserved rows alone, FS draws finite observed rows,
-    # and the overflow is in the S term of its unobserved rows, which it
-    # checks the same way before the update
+    # deviations near the float range overflow S @ eps2, and the draw checks
+    # each chunk as it is written, before the chunk enters a product. With
+    # the huge deviations on the unobserved rows alone, FS draws finite
+    # observed rows, and the overflow is in the S term of its unobserved
+    # rows, which it checks the same way before the update
     gen = np.random.default_rng(97)
     ens, obs, y = instance(gen, nens=4)
     huge = np.tile([1.5e308, -1.5e308, 1.5e308, -1.5e308], (ens.nstate, 1))
     huge_unobserved = huge.copy()
     huge_unobserved[obs.indices] = deviations(ens).columns[obs.indices]
-    for columns in (huge, huge_unobserved):
+    for columns, raised_in in ((huge, "draw_synthetic_members"),
+                               (huge_unobserved, "draw_synthetic_members"
+                                if step is enkf_rs_analysis else "enkf_fs_analysis")):
         with np.errstate(over="ignore", invalid="ignore"):
             forced = ShrinkageCovariance(mu=1.0, gamma=0.5, deviations=DeviationMatrix(columns))
-            with pytest.raises(ValueError, match="synthetic members contain non-finite entries"):
+            with pytest.raises(ValueError, match="synthetic members contain non-finite entries") as exc:
                 step(ens, y, obs, 3, RngStream(4), shrinkage=forced)
+        assert exc.traceback[-1].name == raised_in
 
 
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])

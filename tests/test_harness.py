@@ -155,6 +155,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown filter"):
             tiny_config(filter="kalman")
 
+    @pytest.mark.parametrize("key", ["sigma_b", "obs_std", "synthetic_ratio"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_setting_named(self, key, text):
+        # nan passes a plain <= 0 test; each of these used to fail only after
+        # the truth run (sigma_b) or in the first cycle (obs_std as non-finite
+        # synthetic members, synthetic_ratio as a failed int()), on enkf-fs
+        base = {"model": "l96-40", "filter": "enkf-fs", "nens": "20", "p": "0.7",
+                "sigma_b": "0.05", "n_cycles": "1", "rng_seed": "1"}
+        with pytest.raises(ValueError, match=f"^{key} must be finite and "):
+            ExperimentConfig.from_mapping({**base, key: text})
+
     def test_model_overrides_forwarded(self):
         cfg = ExperimentConfig.from_mapping({
             "model": "qg-33", "filter": "enkf", "nens": 4, "p": 0.5,

@@ -33,6 +33,15 @@ class TestObservationSpec:
             ObservationSpec(nstate=5, indices=np.array([0, 1]),
                             variances=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_variance_rejected(self, bad):
+        # a nan variance passes a plain <= 0 test
+        with pytest.raises(ValueError, match="observation variances must be finite and positive"):
+            ObservationSpec(nstate=5, indices=np.array([0, 1]),
+                            variances=np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="observation variances must be finite and positive"):
+            ObservationSpec.from_fraction(5, 0.4, bad)
+
     def test_project_and_scatter_adjoint(self):
         gen = np.random.default_rng(120)
         obs = ObservationSpec.from_fraction(12, 0.5, 0.1)

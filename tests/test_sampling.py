@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shrinkda.ensemble import deviations
+from shrinkda.ensemble import DeviationMatrix, deviations
 from shrinkda.observations import ObservationSpec
 from shrinkda.sampling import (ExtendedEnsemble, RngStream, draw_synthetic_members,
                                extend_ensemble, member_normals, perturb_observations,
@@ -158,6 +158,31 @@ class TestDrawSyntheticMembers:
         with pytest.raises(ValueError, match="out must be"):
             draw_synthetic_members(mean, cov, 70, RngStream(2), out=buffer)
 
+
+    def test_non_finite_chunk_refused(self):
+        # deviations near the float range overflow S @ eps2 in the first
+        # chunk; the draw stops there, whether it writes a new array or a
+        # column-major buffer
+        gen = np.random.default_rng(45)
+        cov = make_cov(gen, 8, 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            huge = ShrinkageCovariance(mu=1.0, gamma=0.5, deviations=DeviationMatrix(
+                np.tile([1.5e308, -1.5e308, 1.5e308, -1.5e308], (8, 1))))
+            for out in (None, np.empty((8, 100), order="F")):
+                with pytest.raises(ValueError, match="synthetic members contain non-finite entries"):
+                    draw_synthetic_members(np.zeros(8), huge, 100, RngStream(3), out=out)
+        assert np.all(np.isfinite(draw_synthetic_members(np.zeros(8), cov, 100, RngStream(3))))
+
+    def test_row_and_column_major_draws_agree_to_rounding(self):
+        # BLAS rounds S @ eps2 differently into the two layouts
+        gen = np.random.default_rng(48)
+        cov = make_cov(gen, 961, 40, mu=1.3, gamma=0.4)
+        mean = 10.0 + gen.standard_normal(961)
+        row_major = draw_synthetic_members(mean, cov, 130, RngStream(6))
+        column_major = draw_synthetic_members(mean, cov, 130, RngStream(6),
+                                              out=np.empty((961, 130), order="F"))
+        np.testing.assert_allclose(column_major, row_major, rtol=0,
+                                   atol=1e-14 * np.abs(row_major).max())
 
     def test_chosen_rows_draw_their_own_normals(self):
         # a draw on some rows takes nrows + nens normals a member, eps1 on

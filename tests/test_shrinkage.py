@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from shrinkda.ensemble import Ensemble, dense_sample_covariance, deviations, ensemble_mean
+from shrinkda.ensemble import (DeviationMatrix, Ensemble, dense_sample_covariance, deviations,
+                               ensemble_mean)
 from shrinkda.shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 
 from helpers import random_ensemble
@@ -38,6 +39,81 @@ class TestSingularValues:
         ens = random_ensemble(gen, 30, 8)
         svals = deviation_singular_values(deviations(ens))
         assert np.sum(svals > 1e-12 * svals[0]) <= ens.nens - 1
+
+
+def svd_gamma_oracle(ens):
+    """(mu, gamma) from the SVD of the deviations, with every singular value
+    in the power sums: the spectrum the Gram path replaces."""
+    nstate, nens = ens.nstate, ens.nens
+    svals = np.linalg.svd(deviations(ens).columns, compute_uv=False)
+    t1, t2 = np.sum(svals**2), np.sum(svals**4)
+    gamma = ((nens - 2) / nstate * t2 + t1**2) / ((nens + 2) * (t2 - t1**2 / nstate))
+    return t1 / nstate, min(gamma, 1.0)
+
+
+def low_rank_ensemble(gen, nstate, nens, rank):
+    """Members about a random mean that span only ``rank`` directions."""
+    base = gen.standard_normal(nstate)
+    return Ensemble(base[:, None] + gen.standard_normal((nstate, rank))
+                    @ gen.standard_normal((rank, nens)))
+
+
+class TestGramSpectrum:
+    @pytest.mark.parametrize("nstate,nens", [(30, 8), (961, 40), (3969, 40), (40, 20),
+                                             (5, 12), (3, 40)])
+    def test_null_values_read_exactly_zero(self, nstate, nens):
+        # the columns sum to zero, so at most nens - 1 (and at most nstate)
+        # singular values are nonzero; rounding leaves the Gram's null
+        # eigenvalues near eps * lambda_max, whose roots would read about
+        # 1e-8 of the largest singular value without the floor
+        gen = np.random.default_rng(nstate + nens)
+        for _ in range(5):
+            svals = deviation_singular_values(deviations(random_ensemble(gen, nstate, nens)))
+            rank = min(nstate, nens - 1)
+            assert svals.shape == (nens,)
+            assert np.all(np.diff(svals) <= 0.0)
+            assert np.all(svals[:rank] > 0.0)
+            assert np.all(svals[rank:] == 0.0)
+
+    @pytest.mark.parametrize("nstate,nens,rank", [(100, 40, None), (961, 40, None),
+                                                  (12, 30, None), (100, 40, 5),
+                                                  (961, 40, 12), (8, 20, 3)])
+    def test_gamma_matches_svd_oracle(self, nstate, nens, rank):
+        gen = np.random.default_rng(7 * nstate + nens)
+        for _ in range(5):
+            ens = (random_ensemble(gen, nstate, nens) if rank is None
+                   else low_rank_ensemble(gen, nstate, nens, rank))
+            svals = deviation_singular_values(deviations(ens))
+            if rank is not None:
+                assert np.count_nonzero(svals) == rank
+            mu, gamma = rblw_parameters(svals, nstate, nens)
+            mu_o, gamma_o = svd_gamma_oracle(ens)
+            assert abs(mu - mu_o) <= 1e-12 * mu_o
+            assert abs(gamma - gamma_o) <= 1e-12 * gamma_o
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_scale_homogeneity_at_extreme_scales(self, scale):
+        # the Gram squares the deviations and RBLW's power sums take fourth
+        # powers of the singular values: at 1e+-100 those would overflow or
+        # underflow unless the sums run on values divided by the largest
+        gen = np.random.default_rng(24)
+        ens = random_ensemble(gen, 60, 10)
+        centred = ens.matrix - ensemble_mean(ens)[:, None]
+        scaled = Ensemble(scale * centred)
+        s1 = deviation_singular_values(deviations(Ensemble(centred)))
+        s2 = deviation_singular_values(deviations(scaled))
+        np.testing.assert_allclose(s2, scale * s1, rtol=1e-12)
+        mu1, g1 = rblw_parameters(s1, 60, 10)
+        mu2, g2 = rblw_parameters(s2, 60, 10)
+        np.testing.assert_allclose(mu2, scale**2 * mu1, rtol=1e-12)
+        np.testing.assert_allclose(g2, g1, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_gram_out_of_range_refused(self, scale):
+        with np.errstate(over="ignore"):  # the column norms of the zero-sum check
+            devs = DeviationMatrix(scale * np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]))
+        with pytest.raises(ValueError, match="overflow or underflow their Gram matrix"):
+            deviation_singular_values(devs)
 
 
 class TestRblwParameters:
