@@ -169,9 +169,7 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance, k: int, r
     new row-major array; each chunk is checked for non-finite entries
     while it is in cache, and one raises ``ValueError``. BLAS rounds the
     product S @ eps2 differently into row-major and column-major columns,
-    so the two layouts agree to rounding, not bit for bit. An all-zero
-    ``mean`` is not added, so the draw is the deviations
-    sqrt(phi) eps1 + sqrt(delta) S eps2 themselves, bit for bit.
+    so the two layouts agree to rounding, not bit for bit.
     ``eps2``, an (nens, k) array, receives each member's eps2 when given.
     """
     if k < 0:
@@ -189,7 +187,6 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance, k: int, r
         raise ValueError("out must be (nrows, k)")
     if eps2 is not None and eps2.shape != (nens, k):
         raise ValueError("eps2 must be (nens, k)")
-    centred = not np.any(mean)
     chunks = np.array_split(np.arange(k), -(-k // SYNTHETIC_CHUNK)) if k else []
     for chunk in chunks:
         cols = slice(int(chunk[0]), int(chunk[0]) + chunk.size)
@@ -200,8 +197,7 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance, k: int, r
         draws *= np.sqrt(cov.delta)
         part1 = eps[:nrows]
         part1 *= np.sqrt(cov.phi)
-        if not centred:
-            part1 += mean[:, None]
+        part1 += mean[:, None]
         draws += part1
         # min and max are nan or inf when an entry is, and form no boolean
         # temporary: an isfinite mask per chunk raised the peak RSS of a

@@ -75,39 +75,6 @@ class TestGramSpectrum:
             assert np.all(svals[:rank] > 0.0)
             assert np.all(svals[rank:] == 0.0)
 
-    @pytest.mark.parametrize("nstate,nens,rank", [(100, 40, None), (961, 40, None),
-                                                  (12, 30, None), (100, 40, 5),
-                                                  (961, 40, 12), (8, 20, 3)])
-    def test_gamma_matches_svd_oracle(self, nstate, nens, rank):
-        gen = np.random.default_rng(7 * nstate + nens)
-        for _ in range(5):
-            ens = (random_ensemble(gen, nstate, nens) if rank is None
-                   else low_rank_ensemble(gen, nstate, nens, rank))
-            svals = deviation_singular_values(deviations(ens))
-            if rank is not None:
-                assert np.count_nonzero(svals) == rank
-            mu, gamma = rblw_parameters(svals, nstate, nens)
-            mu_o, gamma_o = svd_gamma_oracle(ens)
-            assert abs(mu - mu_o) <= 1e-12 * mu_o
-            assert abs(gamma - gamma_o) <= 1e-12 * gamma_o
-
-    @pytest.mark.parametrize("scale", [1e-100, 1e100])
-    def test_scale_homogeneity_at_extreme_scales(self, scale):
-        # the Gram squares the deviations and RBLW's power sums take fourth
-        # powers of the singular values: at 1e+-100 those would overflow or
-        # underflow unless the sums run on values divided by the largest
-        gen = np.random.default_rng(24)
-        ens = random_ensemble(gen, 60, 10)
-        centred = ens.matrix - ensemble_mean(ens)[:, None]
-        scaled = Ensemble(scale * centred)
-        s1 = deviation_singular_values(deviations(Ensemble(centred)))
-        s2 = deviation_singular_values(deviations(scaled))
-        np.testing.assert_allclose(s2, scale * s1, rtol=1e-12)
-        mu1, g1 = rblw_parameters(s1, 60, 10)
-        mu2, g2 = rblw_parameters(s2, 60, 10)
-        np.testing.assert_allclose(mu2, scale**2 * mu1, rtol=1e-12)
-        np.testing.assert_allclose(g2, g1, rtol=1e-12)
-
     @pytest.mark.parametrize("scale", [1e-170, 1e160])
     def test_gram_out_of_range_refused(self, scale):
         with np.errstate(over="ignore"):  # the column norms of the zero-sum check
@@ -125,25 +92,41 @@ class TestRblwParameters:
         assert gamma == 1.0
 
     def test_matches_dense_oracle(self):
+        # random and rank-deficient ensembles, nens > nstate among them: the
+        # Gram spectrum's (mu, gamma) against the explicit covariance and
+        # against the SVD of the deviations
         gen = np.random.default_rng(22)
-        ens = random_ensemble(gen, 100, 40)
-        svals = deviation_singular_values(deviations(ens))
-        mu, gamma = rblw_parameters(svals, ens.nstate, ens.nens)
-        mu_o, gamma_fn = dense_rblw_oracle(dense_sample_covariance(ens))
-        assert abs(mu - mu_o) / mu_o < 1e-10
-        assert abs(gamma - gamma_fn(ens.nens)) / gamma_fn(ens.nens) < 1e-10
+        for nstate, nens, rank in [(100, 40, None), (400, 40, None), (12, 30, None),
+                                   (100, 40, 5), (400, 40, 12), (8, 20, 3)]:
+            for _ in range(5):
+                ens = (random_ensemble(gen, nstate, nens) if rank is None
+                       else low_rank_ensemble(gen, nstate, nens, rank))
+                svals = deviation_singular_values(deviations(ens))
+                if rank is not None:
+                    assert np.count_nonzero(svals) == rank
+                mu, gamma = rblw_parameters(svals, nstate, nens)
+                mu_d, gamma_fn = dense_rblw_oracle(dense_sample_covariance(ens))
+                assert abs(mu - mu_d) / mu_d < 1e-10
+                assert abs(gamma - gamma_fn(nens)) / gamma_fn(nens) < 1e-10
+                mu_s, gamma_s = svd_gamma_oracle(ens)
+                assert abs(mu - mu_s) <= 1e-12 * mu_s
+                assert abs(gamma - gamma_s) <= 1e-12 * gamma_s
 
     def test_scaling_homogeneity(self):
+        # the Gram squares the deviations and RBLW's power sums take fourth
+        # powers of the singular values: at 1e+-100 those would overflow or
+        # underflow unless the sums run on values divided by the largest
         gen = np.random.default_rng(23)
         ens = random_ensemble(gen, 60, 10)
-        mean = ensemble_mean(ens)
-        scaled = Ensemble(mean[:, None] + 3.0 * (ens.matrix - mean[:, None]))
-        s1 = deviation_singular_values(deviations(ens))
-        s2 = deviation_singular_values(deviations(scaled))
+        centred = ens.matrix - ensemble_mean(ens)[:, None]
+        s1 = deviation_singular_values(deviations(Ensemble(centred)))
         mu1, g1 = rblw_parameters(s1, 60, 10)
-        mu2, g2 = rblw_parameters(s2, 60, 10)
-        np.testing.assert_allclose(mu2, 9.0 * mu1, rtol=1e-12)
-        np.testing.assert_allclose(g2, g1, rtol=1e-12)
+        for scale in (3.0, 1e-100, 1e100):
+            s2 = deviation_singular_values(deviations(Ensemble(scale * centred)))
+            np.testing.assert_allclose(s2, scale * s1, rtol=1e-12)
+            mu2, g2 = rblw_parameters(s2, 60, 10)
+            np.testing.assert_allclose(mu2, scale**2 * mu1, rtol=1e-12)
+            np.testing.assert_allclose(g2, g1, rtol=1e-12)
 
     def test_too_few_members(self):
         with pytest.raises(ValueError, match="too few members"):
