@@ -292,10 +292,8 @@ def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
     """Shrinkage estimate, innovations D, the real mean and the extended
     anomalies of FS and RS: one column-major (nrows, nens + k) buffer
     holding the real anomalies about the real mean, then the k synthetic
-    members drawn about a zero mean straight into their columns, which
-    gives their deviations from the real mean without adding and taking
-    it away again. It is the one extended-ensemble array of the analysis;
-    FS scales it in place.
+    deviations drawn straight into their columns. It is the one
+    extended-ensemble array of the analysis; FS scales it in place.
 
     RS holds every row (``rows`` None). FS passes its observed rows: each
     synthetic member then draws eps1 on those rows only, and the members'
@@ -303,8 +301,6 @@ def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
     the unobserved rows of its update in closed form."""
     y = _check_inputs(bg, y, obs)
     rng = _require_stream(rng, "draw synthetic members")
-    if shrinkage is None and bg.nens < 3:
-        raise ValueError("too few members for RBLW")
     cov = shrinkage if shrinkage is not None else estimate_shrinkage(bg)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
     k, mean = int(k), ensemble_mean(bg)
@@ -312,8 +308,8 @@ def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
     extended = np.empty((mean[held].shape[0], bg.nens + k), order="F")
     np.subtract(bg.matrix[held], mean[held, None], out=extended[:, :bg.nens])
     eps2 = None if rows is None else np.empty((bg.nens, k))
-    draw_synthetic_members(np.zeros(bg.nstate), cov, k, rng.child(_SYNTH_STREAM),
-                           out=extended[:, bg.nens:], rows=rows, eps2=eps2)
+    draw_synthetic_members(cov, k, rng.child(_SYNTH_STREAM), out=extended[:, bg.nens:],
+                           rows=rows, eps2=eps2)
     return cov, d, mean, extended, eps2
 
 

@@ -17,6 +17,7 @@ interior; ``pad`` adds that ring to a (d1, d2[, members]) field.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -356,11 +357,20 @@ def qg_model(d1: int, d2: int, params: QgParams | None = None,
 _QG_SIZES = {"qg-33": 31, "qg-65": 63, "qg-129": 127}
 
 
-def _reject_unread(key: str, overrides: dict, accepted) -> None:
+def _read_overrides(key: str, overrides: dict | None, accepted) -> dict:
+    """``overrides`` as floats. A key the model does not read, or a value
+    that is nan or inf, raises ``ValueError`` naming the key: a nan time
+    step or coefficient would surface only as a blow-up, cycles later."""
+    overrides = dict(overrides or {})
     unread = sorted(set(overrides) - set(accepted))
     if unread:
         raise ValueError(f"model {key!r} does not read override key(s) {', '.join(unread)}; "
                          f"it reads {', '.join(sorted(accepted))}")
+    values = {name: float(value) for name, value in overrides.items()}
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"model override {name} must be finite, not {value!r}")
+    return values
 
 
 def get_model(key: str, overrides: dict | None = None) -> ModelDefinition:
@@ -371,21 +381,19 @@ def get_model(key: str, overrides: dict | None = None) -> ModelDefinition:
 
     ``overrides`` may adjust coefficients: ``model_dt`` sets the time step,
     ``l96_forcing`` the Lorenz-96 forcing and ``qg_<name>`` the QgParams
-    field ``name``. A key the resolved model does not read raises
-    ``ValueError``.
+    field ``name``. A key the resolved model does not read, or a value
+    that is not finite, raises ``ValueError``.
     """
-    overrides = dict(overrides or {})
     if re.fullmatch(r"l96-[0-9]+", key) and int(key[4:]) >= 4:
-        _reject_unread(key, overrides, ("l96_forcing", "model_dt"))
-        return lorenz96_model(n=int(key[4:]),
-                              forcing=float(overrides.get("l96_forcing", 8.0)),
-                              dt=float(overrides.get("model_dt", 0.05)))
+        values = _read_overrides(key, overrides, ("l96_forcing", "model_dt"))
+        return lorenz96_model(n=int(key[4:]), forcing=values.get("l96_forcing", 8.0),
+                              dt=values.get("model_dt", 0.05))
     if key in _QG_SIZES:
         d = _QG_SIZES[key]
         names = {("model_dt" if f.name == "dt" else f"qg_{f.name}"): f.name
                  for f in fields(QgParams)}
-        _reject_unread(key, overrides, names)
-        params = replace(QgParams(), **{names[k]: float(v) for k, v in overrides.items()})
+        values = _read_overrides(key, overrides, names)
+        params = replace(QgParams(), **{names[k]: v for k, v in values.items()})
         return qg_model(d, d, params=params, name=key)
     raise ValueError(f"unknown model key {key!r}; choose l96-<n> with n >= 4, "
                      f"{', '.join(_QG_SIZES)}")

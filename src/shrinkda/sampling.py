@@ -9,19 +9,20 @@ reproducible regardless of evaluation order. The normals are numpy's
 J. Stat. Softw. 2000); NEP 19 lets numpy change that sequence between
 versions, and the golden test in ``tests/test_sampling.py`` would catch
 such a change.
-Synthetic members from N(mean, phi * I + delta * S @ S.T) are
-mean + sqrt(phi) * eps1 + sqrt(delta) * S @ eps2, with eps1 (length
-nstate) and eps2 (length nens) from one member's normals; S meets the
-eps2 of a chunk of members in one product, and the covariance matrix and
-its square root are never formed. A draw can be restricted to some rows
-of the state: each member then takes eps1 on those rows only, nrows +
-nens normals in all, and can hand its eps2 to the caller. The full-space
-filter draws only the observed rows this way and builds the
-contribution of the unobserved rows in closed form
-(``filters.enkf_fs_analysis``). The shrinkage filters draw about a zero
-mean into a column-major buffer, so each chunk's members land in
-contiguous columns as deviations from the real mean, and each chunk is
-checked for non-finite entries as it is written.
+Synthetic members from N(xbar, phi * I + delta * S @ S.T) enter the
+shrinkage filters only as deviations from the real mean xbar, so the draw
+returns those deviations, sqrt(phi) * eps1 + sqrt(delta) * S @ eps2, with
+eps1 (length nstate) and eps2 (length nens) from one member's normals; a
+caller that wants the members adds its mean. S meets the eps2 of a chunk
+of members in one product, and the covariance matrix and its square root
+are never formed. A draw can be restricted to some rows of the state:
+each member then takes eps1 on those rows only, nrows + nens normals in
+all, and can hand its eps2 to the caller. The full-space filter draws
+only the observed rows this way and builds the contribution of the
+unobserved rows in closed form (``filters.enkf_fs_analysis``). The
+shrinkage filters draw into the synthetic columns of their column-major
+anomaly buffer, and each chunk is checked for non-finite entries as it
+is written.
 """
 
 from __future__ import annotations
@@ -154,10 +155,10 @@ class ExtendedEnsemble:
         return self.anomalies() / np.sqrt(self.nk - 1)
 
 
-def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance, k: int, rng: RngStream,
+def draw_synthetic_members(cov: ShrinkageCovariance, k: int, rng: RngStream,
                            out: np.ndarray | None = None, *, rows: np.ndarray | None = None,
                            eps2: np.ndarray | None = None) -> np.ndarray:
-    """Draw k members from N(mean, phi*I + delta*S@S.T) as an (nrows, k) array.
+    """Draw k deviations from N(0, phi*I + delta*S@S.T) as an (nrows, k) array.
 
     Member i takes column i of ``member_normals(rng, k, nrows + nens)``:
     eps1 then eps2, so the output does not depend on evaluation order.
@@ -174,12 +175,7 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance, k: int, r
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    mean = np.asarray(mean, dtype=float)
-    s = cov.deviations.columns
-    if mean.shape[0] != s.shape[0]:
-        raise ValueError("mean length must equal nstate")
-    if rows is not None:
-        mean, s = mean[rows], s[rows]
+    s = cov.deviations.columns if rows is None else cov.deviations.columns[rows]
     nrows, nens = s.shape
     if out is None:
         out = np.empty((nrows, k))
@@ -197,7 +193,6 @@ def draw_synthetic_members(mean: np.ndarray, cov: ShrinkageCovariance, k: int, r
         draws *= np.sqrt(cov.delta)
         part1 = eps[:nrows]
         part1 *= np.sqrt(cov.phi)
-        part1 += mean[:, None]
         draws += part1
         # min and max are nan or inf when an entry is, and form no boolean
         # temporary: an isfinite mask per chunk raised the peak RSS of a

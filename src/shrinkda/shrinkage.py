@@ -16,10 +16,6 @@ import numpy as np
 
 from .ensemble import DeviationMatrix
 
-# Singular values below this fraction of the largest are treated as zero
-# rank; tiny values must not pollute the fourth-power sums.
-RANK_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ShrinkageCovariance:
@@ -50,10 +46,6 @@ class ShrinkageCovariance:
     @property
     def delta(self) -> float:
         return 1.0 - self.gamma
-
-    @property
-    def nstate(self) -> int:
-        return self.deviations.nstate
 
 
 def deviation_singular_values(devs: DeviationMatrix) -> np.ndarray:
@@ -92,14 +84,19 @@ def rblw_parameters(sing_vals, nstate: int, nens: int):
     is normalised by 1/(nens - 1) and the numerator carries
     (nens - 2)/nstate * tr(P^2); Chen et al. (2010, eq. 17) normalise by
     1/n and write (n - 2)/n with n the sample count.
+
+    :func:`deviation_singular_values` decides which singular values are
+    zero; the sums skip exactly those, so inserting zeros anywhere leaves
+    (mu, gamma) unchanged to the bit.
     """
     if nens < 3:
         raise ValueError("too few members for RBLW")
     svals = np.asarray(sing_vals, dtype=float)
-    if svals.size == 0 or not np.any(svals > 0.0):
+    kept = svals[svals > 0.0]
+    if kept.size == 0:
         raise ValueError("zero deviations")
-    top = svals.max()
-    kept = svals[svals > RANK_TOL * top] / top
+    top = kept.max()
+    kept /= top
     trace_p = float(np.sum(kept**2))
     trace_p2 = float(np.sum(kept**4))
     mu = trace_p * top**2 / nstate

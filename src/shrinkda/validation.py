@@ -19,8 +19,8 @@ import numpy as np
 from . import filters, harness, models
 from .ensemble import Ensemble, dense_sample_covariance, deviations
 from .observations import ObservationSpec
-from .sampling import (RngStream, draw_synthetic_members, extend_ensemble, member_normals,
-                       perturb_observations, standard_normal)
+from .sampling import (RngStream, draw_synthetic_members, member_normals, perturb_observations,
+                       standard_normal)
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import ObservationSpaceSystem, ensrf_transform, ismf_solve
 
@@ -136,7 +136,8 @@ def _sampling_checks() -> list:
     devs = deviations(ens)
     cov = ShrinkageCovariance(mu=1.0, gamma=0.3, deviations=devs)
     mean = gen.standard_normal(nstate)
-    draws = draw_synthetic_members(mean, cov, k, RngStream(7, 1))
+    draws = draw_synthetic_members(cov, k, RngStream(7, 1))
+    draws += mean[:, None]
     s = devs.columns
     dense = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)
     emp = np.cov(draws)
@@ -155,8 +156,7 @@ def _sampling_checks() -> list:
         part1[:, i] = np.sqrt(cov.phi) * standard_normal(g, nstate)
         eps2[:, i] = standard_normal(g, nens)
     part2 = np.sqrt(cov.delta) * (s @ eps2)
-    summed = np.array_equal(
-        draw_synthetic_members(np.zeros(nstate), cov, part1.shape[1], stream), part1 + part2)
+    summed = np.array_equal(draw_synthetic_members(cov, part1.shape[1], stream), part1 + part2)
     cross = part1 @ part2.T / (part1.shape[1] - 1)
     scale = float(np.linalg.norm(dense))
     rel = float(np.linalg.norm(cross)) / scale
@@ -164,7 +164,7 @@ def _sampling_checks() -> list:
                            f"cross-covariance at {rel:.3f} of signal scale, draws "
                            f"{'equal' if summed else 'differ from'} part1 + part2 bit-for-bit"))
 
-    again = draw_synthetic_members(mean, cov, 50, RngStream(7, 1))
+    again = draw_synthetic_members(cov, 50, RngStream(7, 1)) + mean[:, None]
     results.append(_result("sampling.deterministic_streams",
                            np.array_equal(draws[:, :50], again),
                            "first 50 draws repeat bit-for-bit"))
@@ -290,9 +290,10 @@ def _zero_innovation_check(ens, obs, y) -> CheckResult:
 
 
 def fs_replayed_members(ens, obs, cov, d, k, rng) -> np.ndarray:
-    """Synthetic members, (nstate, k), whose dense full-space update with
-    prior Bhat = phi I + delta * (extended scaled deviations) equals
-    ``filters.enkf_fs_analysis(ens, ..., k, rng, innovations=d)``.
+    """Synthetic members less the real mean, (nstate, k), whose dense
+    full-space update with prior Bhat = phi I + delta * (extended scaled
+    deviations) equals ``filters.enkf_fs_analysis(ens, ..., k, rng,
+    innovations=d)``.
 
     The observed rows replay the step's observed-row draw. The step's
     unobserved rows hold c sqrt(phi) G M in place of c sqrt(phi) E1_u W_s,
@@ -303,21 +304,21 @@ def fs_replayed_members(ens, obs, cov, d, k, rng) -> np.ndarray:
     the step's.
     """
     nens = ens.nens
-    mean = ens.matrix.mean(axis=1)
+    anomalies = ens.matrix - ens.matrix.mean(axis=1)[:, None]
     eps2 = np.empty((nens, k))
-    observed = draw_synthetic_members(mean, cov, k, rng.child(2), rows=obs.indices, eps2=eps2)
-    pi = np.hstack([obs.project(ens.matrix), observed]) - obs.project(mean)[:, None]
+    observed = draw_synthetic_members(cov, k, rng.child(filters._SYNTH_STREAM),
+                                      rows=obs.indices, eps2=eps2)
+    pi = np.hstack([obs.project(anomalies), observed])
     pi *= np.sqrt(cov.delta / (nens + k - 1))
     gamma = np.diag(obs.variances + cov.phi)
     w_syn = (pi.T @ np.linalg.solve(gamma + pi @ pi.T, d))[nens:]
     lam, vec = np.linalg.eigh(w_syn.T @ w_syn)
     root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
     unobserved = np.setdiff1d(np.arange(ens.nstate), obs.indices)
-    normals = member_normals(rng.child(3), nens, unobserved.size)
+    normals = member_normals(rng.child(filters._UNOBSERVED_STREAM), nens, unobserved.size)
     members = np.empty((ens.nstate, k))
     members[obs.indices] = observed
-    members[unobserved] = (mean[unobserved, None]
-                           + np.sqrt(cov.phi) * (normals @ root @ np.linalg.pinv(w_syn))
+    members[unobserved] = (np.sqrt(cov.phi) * (normals @ root @ np.linalg.pinv(w_syn))
                            + np.sqrt(cov.delta) * (cov.deviations.columns[unobserved] @ eps2))
     return members
 
@@ -330,11 +331,11 @@ def _fs_objective_check(gen) -> CheckResult:
 
     # rebuild the filter's internal quantities from the same streams
     cov = filters.estimate_shrinkage(ens)
-    perturbed = perturb_observations(y, obs, ens.nens, rng.child(1))
+    perturbed = perturb_observations(y, obs, ens.nens, rng.child(filters._OBS_STREAM))
     mean_b = ens.matrix.mean(axis=1)
     d = perturbed - obs.project(ens.matrix)
-    ext = extend_ensemble(ens, fs_replayed_members(ens, obs, cov, d, k, rng))
-    sdev = ext.scaled_deviations()
+    replayed = fs_replayed_members(ens, obs, cov, d, k, rng)
+    sdev = np.hstack([ens.matrix - mean_b[:, None], replayed]) / np.sqrt(ens.nens + k - 1)
     bhat = cov.phi * np.eye(ens.nstate) + cov.delta * (sdev @ sdev.T)
     data = perturbed.mean(axis=1)
 
@@ -402,13 +403,10 @@ def _shrinkage_memory_check(gen) -> CheckResult:
     enkf-rs analysis on a qg-65 shaped ensemble (nstate 3969, nens 40,
     k 400, p 0.7) peak below 1.35 and 2.0 (nstate, nens + k) float64
     arrays of tracemalloc-traced memory. RS reads 1.64: its column-major
-    anomaly buffer, into which the synthetic members are drawn about a zero
-    mean, and block-sized temporaries, with no copy of the buffer's
-    observed rows (0.7 arrays). FS holds only those observed rows (0.7),
-    as drawn, and reads 1.26 (1.25 with the row-major buffer centred after
-    the draw); it read 1.67 while it held every row, 2.3 while it copied
-    the observed rows out, and 3.8 (RS 3.2) while the draws, the anomalies
-    and the scaled basis were separate arrays."""
+    anomaly buffer, into which the synthetic deviations are drawn, and
+    block-sized temporaries, with no copy of the buffer's observed rows
+    (0.7 arrays). FS holds only those observed rows (0.7), as drawn, and
+    reads 1.26."""
     nstate, nens, k = 3969, 40, 400
     ens, obs, y = _filter_instance(gen, nstate, nens, 0.7, 0.1)
     unit = nstate * (nens + k) * 8

@@ -69,7 +69,7 @@ def enkf_fs_explicit(bg, y, obs, k, rng, *, shrinkage=None, innovations=None):
         d = perturb_observations(y, obs, bg.nens, rng.child(1)) - obs.project(bg.matrix)
     else:
         d = np.asarray(innovations, dtype=float)
-    synthetic = draw_synthetic_members(ensemble_mean(bg), cov, k, rng.child(2))
+    synthetic = ensemble_mean(bg)[:, None] + draw_synthetic_members(cov, k, rng.child(2))
     basis = np.sqrt(cov.delta) * extend_ensemble(bg, synthetic).scaled_deviations()
     system = ObservationSpaceSystem(obs.variances + cov.phi, obs.project(basis), d)
     w = ismf_solve(system)

@@ -62,7 +62,7 @@ def test_criterion_2_sampling_identity():
     nstate, nens, k = 20, 5, 200_000
     devs = deviations(random_ensemble(gen, nstate, nens))
     cov = ShrinkageCovariance(mu=1.0, gamma=0.3, deviations=devs)
-    draws = draw_synthetic_members(np.zeros(nstate), cov, k, RngStream(42))
+    draws = draw_synthetic_members(cov, k, RngStream(42))
     s = devs.columns
     dense = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)
     frob = np.linalg.norm(np.cov(draws) - dense) / np.linalg.norm(dense)
@@ -126,7 +126,7 @@ def test_criterion_4_filter_cross_checks():
     # FS draws only the observed rows; its unobserved rows are those of the
     # explicit draw with the implied block E1_u = G M W_s^+
     fs_syn = validation.fs_replayed_members(ens, obs, cov, d, k, rng)
-    sdev = extend_ensemble(ens, fs_syn).scaled_deviations()
+    sdev = extend_ensemble(ens, ensemble_mean(ens)[:, None] + fs_syn).scaled_deviations()
     bhat = cov.phi * np.eye(nstate) + cov.delta * (sdev @ sdev.T)
     h = selection_matrix(obs, nstate)
     r = np.diag(obs.variances)
@@ -136,7 +136,7 @@ def test_criterion_4_filter_cross_checks():
 
     # reduced-space filter against the dense normal equations; RS draws in full
     rs = enkf_rs_analysis(ens, y, obs, k, rng).analysis.matrix
-    syn = draw_synthetic_members(ensemble_mean(ens), cov, k, rng.child(2))
+    syn = ensemble_mean(ens)[:, None] + draw_synthetic_members(cov, k, rng.child(2))
     u = extend_ensemble(ens, syn).anomalies()
     s = cov.deviations.columns
     bhat_real = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)

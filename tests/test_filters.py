@@ -332,7 +332,7 @@ class TestEnkfFs:
         d = perturbed - obs.project(ens.matrix)
         # the observed-row draw, and the unobserved rows that make the
         # explicit draw's update the step's (E1_u = G M W_s^+)
-        synthetic = fs_replayed_members(ens, obs, cov, d, k, rng)
+        synthetic = ensemble_mean(ens)[:, None] + fs_replayed_members(ens, obs, cov, d, k, rng)
         ext = extend_ensemble(ens, synthetic)
         sdev = ext.scaled_deviations()
         bhat = cov.phi * np.eye(nstate) + cov.delta * (sdev @ sdev.T)
@@ -424,7 +424,7 @@ class TestEnkfRs:
         cov = estimate_shrinkage(ens)
         perturbed = perturb_observations(y, obs, nens, rng.child(1))
         d = perturbed - obs.project(ens.matrix)
-        synthetic = draw_synthetic_members(ensemble_mean(ens), cov, k, rng.child(2))
+        synthetic = ensemble_mean(ens)[:, None] + draw_synthetic_members(cov, k, rng.child(2))
         ext = extend_ensemble(ens, synthetic)
         u = ext.anomalies()
         s = cov.deviations.columns
@@ -449,7 +449,7 @@ class TestEnkfRs:
         obs = ObservationSpec.from_fraction(nstate, 0.75, 0.1)
         d = gen.standard_normal((obs.nobs, nens))
         cov = estimate_shrinkage(ens)
-        synthetic = draw_synthetic_members(ensemble_mean(ens), cov, k, RngStream(4))
+        synthetic = ensemble_mean(ens)[:, None] + draw_synthetic_members(cov, k, RngStream(4))
         ext = extend_ensemble(ens, synthetic)
         h = selection_matrix(obs, nstate)
         data_term = h.T @ np.diag(1.0 / obs.variances) @ h
@@ -484,8 +484,8 @@ class TestEnkfRs:
         # without the first real one, and the Cholesky pivot ratio bounds
         # the condition number of its weight matrix from below
         cov = estimate_shrinkage(ens)
-        synthetic = draw_synthetic_members(ensemble_mean(ens), cov, 3, RngStream(5).child(2))
-        basis = extend_ensemble(ens, synthetic).anomalies()[:, 1:]
+        draws = draw_synthetic_members(cov, 3, RngStream(5).child(2))
+        basis = extend_ensemble(ens, ensemble_mean(ens)[:, None] + draws).anomalies()[:, 1:]
         w_ens, _ = enkf_rs_system(cov, basis, obs, np.zeros((obs.nobs, ens.nens)))
         assert res.diagnostics["condition_estimate"] <= np.linalg.cond(w_ens)
 
@@ -510,11 +510,9 @@ class TestEnkfRs:
 
 @pytest.mark.parametrize("rows", ["all", "observed"], ids=["rs-every-row", "fs-observed-rows"])
 def test_synthetic_members_drawn_centred_into_a_column_major_buffer(rows):
-    # the shrinkage prologue draws the synthetic members about a zero mean
-    # straight into the column-major buffer of extended anomalies: those
-    # columns are the draw about a zero mean bit for bit, and the members
-    # drawn about the real mean, less that mean, to a few ulp of |mean|.
-    # k = 130 makes three chunks
+    # the shrinkage prologue draws the synthetic deviations straight into
+    # the column-major buffer of extended anomalies, bit for bit the draw
+    # into a column-major array of their own. k = 130 makes three chunks
     gen = np.random.default_rng(100)
     nstate, nens, k = 200, 10, 130
     ens = Ensemble(50.0 + random_ensemble(gen, nstate, nens).matrix)
@@ -527,17 +525,11 @@ def test_synthetic_members_drawn_centred_into_a_column_major_buffer(rows):
     held = slice(None) if drawn_rows is None else drawn_rows
     assert extended.flags.f_contiguous and extended.shape == (mean[held].size, nens + k)
     np.testing.assert_array_equal(extended[:, :nens], ens.matrix[held] - mean[held, None])
-    stream = rng.child(filters._SYNTH_STREAM)
     synthetic = extended[:, nens:]
-
-    def draw(about):
-        return draw_synthetic_members(about, cov, k, stream, rows=drawn_rows,
-                                      out=np.empty(synthetic.shape, order="F"))
-
-    np.testing.assert_array_equal(synthetic, draw(np.zeros(nstate)))
-    members = draw(mean)
-    ulps = np.abs(synthetic - (members - mean[held, None])) / np.spacing(np.abs(mean[held]))[:, None]
-    assert ulps.max() <= 4.0
+    np.testing.assert_array_equal(
+        synthetic, draw_synthetic_members(cov, k, rng.child(filters._SYNTH_STREAM),
+                                          rows=drawn_rows,
+                                          out=np.empty(synthetic.shape, order="F")))
 
 
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])

@@ -313,3 +313,14 @@ class TestModelRegistry:
         with pytest.raises(ValueError,
                            match=rf"model '{key}' does not read override key\(s\) {name};"):
             get_model(key, overrides)
+
+    @pytest.mark.parametrize("key,name,value", [("qg-33", "model_dt", "nan"),
+                                                ("qg-33", "qg_viscosity", "inf"),
+                                                ("qg-33", "qg_r", "nan"),
+                                                ("l96-40", "l96_forcing", "nan"),
+                                                ("l96-40", "model_dt", "-inf")])
+    def test_non_finite_override_rejected(self, key, name, value):
+        # a nan or inf coefficient would surface only cycles later, as a
+        # model blow-up or non-finite vorticity that does not name the key
+        with pytest.raises(ValueError, match=f"model override {name} must be finite"):
+            get_model(key, {name: value})

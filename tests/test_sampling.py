@@ -113,17 +113,17 @@ class TestRngStream:
 
 
 class TestDrawSyntheticMembers:
-    def test_zero_parameters_copy_mean(self):
+    def test_zero_parameters_draw_zeros(self):
+        # phi = delta = 0: every deviation is zero
         gen = np.random.default_rng(40)
         cov = make_cov(gen, 8, 4, mu=0.0, gamma=1.0)
-        mean = gen.standard_normal(8)
-        draws = draw_synthetic_members(mean, cov, 5, RngStream(1))
-        np.testing.assert_array_equal(draws, np.tile(mean[:, None], 5))
+        draws = draw_synthetic_members(cov, 5, RngStream(1))
+        np.testing.assert_array_equal(draws, np.zeros((8, 5)))
 
     def test_k_zero_empty(self):
         gen = np.random.default_rng(41)
         cov = make_cov(gen, 8, 4)
-        draws = draw_synthetic_members(np.zeros(8), cov, 0, RngStream(1))
+        draws = draw_synthetic_members(cov, 0, RngStream(1))
         assert draws.shape == (8, 0)
 
     @pytest.mark.parametrize("nstate,nens,k", [(40, 20, k) for k in (0, 1, 7, 64, 65, 401)]
@@ -137,26 +137,23 @@ class TestDrawSyntheticMembers:
         # differently, so the shapes here are the ones the runs use.
         gen = np.random.default_rng(42)
         cov = make_cov(gen, nstate, nens, mu=1.3, gamma=0.4)
-        mean = gen.standard_normal(nstate)
         rng = RngStream(9, 2)
         eps = member_normals(rng, k, nstate + nens)
         whole = ((cov.deviations.columns @ eps[nstate:]) * np.sqrt(cov.delta)
-                 + (eps[:nstate] * np.sqrt(cov.phi) + mean[:, None]))
-        np.testing.assert_array_equal(draw_synthetic_members(mean, cov, k, rng), whole)
+                 + eps[:nstate] * np.sqrt(cov.phi))
+        np.testing.assert_array_equal(draw_synthetic_members(cov, k, rng), whole)
 
     def test_draws_into_a_given_array(self):
         # the shrinkage filters draw into the synthetic columns of their
         # one extended-anomaly buffer
         gen = np.random.default_rng(43)
         cov = make_cov(gen, 8, 4)
-        mean = gen.standard_normal(8)
         buffer = np.zeros((8, 4 + 70))
-        out = draw_synthetic_members(mean, cov, 70, RngStream(2), out=buffer[:, 4:])
+        out = draw_synthetic_members(cov, 70, RngStream(2), out=buffer[:, 4:])
         assert out.base is buffer and not np.any(buffer[:, :4])
-        np.testing.assert_array_equal(buffer[:, 4:],
-                                      draw_synthetic_members(mean, cov, 70, RngStream(2)))
+        np.testing.assert_array_equal(buffer[:, 4:], draw_synthetic_members(cov, 70, RngStream(2)))
         with pytest.raises(ValueError, match="out must be"):
-            draw_synthetic_members(mean, cov, 70, RngStream(2), out=buffer)
+            draw_synthetic_members(cov, 70, RngStream(2), out=buffer)
 
 
     def test_non_finite_chunk_refused(self):
@@ -170,16 +167,15 @@ class TestDrawSyntheticMembers:
                 np.tile([1.5e308, -1.5e308, 1.5e308, -1.5e308], (8, 1))))
             for out in (None, np.empty((8, 100), order="F")):
                 with pytest.raises(ValueError, match="synthetic members contain non-finite entries"):
-                    draw_synthetic_members(np.zeros(8), huge, 100, RngStream(3), out=out)
-        assert np.all(np.isfinite(draw_synthetic_members(np.zeros(8), cov, 100, RngStream(3))))
+                    draw_synthetic_members(huge, 100, RngStream(3), out=out)
+        assert np.all(np.isfinite(draw_synthetic_members(cov, 100, RngStream(3))))
 
     def test_row_and_column_major_draws_agree_to_rounding(self):
         # BLAS rounds S @ eps2 differently into the two layouts
         gen = np.random.default_rng(48)
         cov = make_cov(gen, 961, 40, mu=1.3, gamma=0.4)
-        mean = 10.0 + gen.standard_normal(961)
-        row_major = draw_synthetic_members(mean, cov, 130, RngStream(6))
-        column_major = draw_synthetic_members(mean, cov, 130, RngStream(6),
+        row_major = draw_synthetic_members(cov, 130, RngStream(6))
+        column_major = draw_synthetic_members(cov, 130, RngStream(6),
                                               out=np.empty((961, 130), order="F"))
         np.testing.assert_allclose(column_major, row_major, rtol=0,
                                    atol=1e-14 * np.abs(row_major).max())
@@ -189,18 +185,17 @@ class TestDrawSyntheticMembers:
         # those rows then eps2, and hands the eps2 block back
         gen = np.random.default_rng(44)
         cov = make_cov(gen, 30, 5, mu=1.3, gamma=0.4)
-        mean = gen.standard_normal(30)
         rows = np.array([0, 3, 4, 17, 29])
         rng = RngStream(9, 3)
         eps = member_normals(rng, 70, rows.size + 5)
         eps2 = np.empty((5, 70))
-        draws = draw_synthetic_members(mean, cov, 70, rng, rows=rows, eps2=eps2)
+        draws = draw_synthetic_members(cov, 70, rng, rows=rows, eps2=eps2)
         expected = ((cov.deviations.columns[rows] @ eps[rows.size:]) * np.sqrt(cov.delta)
-                    + (eps[:rows.size] * np.sqrt(cov.phi) + mean[rows, None]))
+                    + eps[:rows.size] * np.sqrt(cov.phi))
         np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(eps2, eps[rows.size:])
         with pytest.raises(ValueError, match="eps2 must be"):
-            draw_synthetic_members(mean, cov, 70, rng, rows=rows, eps2=eps2[:, 1:])
+            draw_synthetic_members(cov, 70, rng, rows=rows, eps2=eps2[:, 1:])
 
 
 class TestExtendEnsemble:

@@ -105,6 +105,9 @@ class TestRblwParameters:
                 if rank is not None:
                     assert np.count_nonzero(svals) == rank
                 mu, gamma = rblw_parameters(svals, nstate, nens)
+                # only the spectrum's own zeros are skipped, wherever they sit
+                padded = np.insert(svals, [0, svals.size // 2, svals.size], 0.0)
+                assert rblw_parameters(padded, nstate, nens) == (mu, gamma)
                 mu_d, gamma_fn = dense_rblw_oracle(dense_sample_covariance(ens))
                 assert abs(mu - mu_d) / mu_d < 1e-10
                 assert abs(gamma - gamma_fn(nens)) / gamma_fn(nens) < 1e-10
