@@ -8,8 +8,7 @@ with a ``dacli`` command-line front end. ``estimate_shrinkage`` builds the
 shrunk covariance that the two shrinkage filters share.
 """
 
-from .ensemble import (DeviationMatrix, Ensemble, anomalies, dense_sample_covariance,
-                       deviations, ensemble_mean)
+from .ensemble import DeviationMatrix, Ensemble, dense_sample_covariance, deviations, ensemble_mean
 from .filters import (FILTER_KEYS, AnalysisResult, enkf_analysis, enkf_du_analysis,
                       enkf_fs_analysis, enkf_n_analysis, enkf_rs_analysis,
                       ensrf_analysis, entkf_analysis, estimate_shrinkage, run_filter)

@@ -53,9 +53,9 @@ class DeviationMatrix:
 
     Columns sum to zero by construction. :func:`deviations` applies the
     1/sqrt(nens - 1) factor, so ``columns @ columns.T`` is the sample
-    covariance; :func:`anomalies` does not. ``offset`` is the largest
-    |entry| of the mean the deviations were taken about: x - mean leaves
-    rounding in proportion to it, so it widens the zero-sum tolerance.
+    covariance. ``offset`` is the largest |entry| of the mean the
+    deviations were taken about: x - mean leaves rounding in proportion
+    to it, so it widens the zero-sum tolerance.
     """
 
     columns: np.ndarray
@@ -70,10 +70,6 @@ class DeviationMatrix:
             raise ValueError("deviation columns must sum to zero")
         c.flags.writeable = False
         object.__setattr__(self, "columns", c)
-
-    @property
-    def nstate(self) -> int:
-        return self.columns.shape[0]
 
     @property
     def nens(self) -> int:
@@ -92,14 +88,6 @@ def deviations(ens: Ensemble) -> DeviationMatrix:
     mean = ensemble_mean(ens)
     cols = (ens.matrix - mean[:, None]) / np.sqrt(ens.nens - 1)
     return DeviationMatrix(cols, float(np.abs(mean).max()))
-
-
-def anomalies(ens: Ensemble) -> DeviationMatrix:
-    """Unscaled anomalies: column i = x_i - mean."""
-    if ens.nens < 2:
-        raise ValueError("degenerate ensemble")
-    mean = ensemble_mean(ens)
-    return DeviationMatrix(ens.matrix - mean[:, None], float(np.abs(mean).max()))
 
 
 def dense_sample_covariance(ens: Ensemble) -> np.ndarray:

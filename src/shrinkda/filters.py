@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import Ensemble, anomalies, deviations, ensemble_mean
+from .ensemble import Ensemble, deviations, ensemble_mean
 from .observations import ObservationSpec
 # extend_ensemble is not called; perfbench/twinbench.py wraps filters.extend_ensemble by name
 from .sampling import (NON_FINITE_SYNTHETIC, RngStream, draw_synthetic_members,  # noqa: F401
@@ -122,7 +122,7 @@ def _ensemble_space_prologue(bg, y, obs):
     proj) of the deterministic ensemble-space filters."""
     y = _check_inputs(bg, y, obs)
     mean = ensemble_mean(bg)
-    u = anomalies(bg).columns
+    u = bg.matrix - mean[:, None]
     q, d0 = obs.project(u), y - obs.project(mean)
     return (mean, u, q, d0, *entkf_factors(q, d0, obs.variances))
 
@@ -289,10 +289,10 @@ def _shrinkage_diagnostics(cov: ShrinkageCovariance) -> dict:
 
 
 def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
-    """Shrinkage estimate, innovations D, the real mean and the extended
-    anomalies of FS and RS: one column-major (nrows, nens + k) buffer
-    holding the real anomalies about the real mean, then the k synthetic
-    deviations drawn straight into their columns. It is the one
+    """Shrinkage estimate, innovations D and the extended anomalies of FS
+    and RS: one column-major (nrows, nens + k) buffer holding the real
+    anomalies sqrt(nens - 1) S, from the estimate's deviations S, then the
+    k synthetic deviations drawn straight into their columns. It is the one
     extended-ensemble array of the analysis; FS scales it in place.
 
     RS holds every row (``rows`` None). FS passes its observed rows: each
@@ -303,14 +303,13 @@ def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
     rng = _require_stream(rng, "draw synthetic members")
     cov = shrinkage if shrinkage is not None else estimate_shrinkage(bg)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    k, mean = int(k), ensemble_mean(bg)
-    held = slice(None) if rows is None else rows
-    extended = np.empty((mean[held].shape[0], bg.nens + k), order="F")
-    np.subtract(bg.matrix[held], mean[held, None], out=extended[:, :bg.nens])
+    k, real = int(k), cov.deviations.columns[slice(None) if rows is None else rows]
+    extended = np.empty((real.shape[0], bg.nens + k), order="F")
+    np.multiply(real, np.sqrt(bg.nens - 1), out=extended[:, :bg.nens])
     eps2 = None if rows is None else np.empty((bg.nens, k))
     draw_synthetic_members(cov, k, rng.child(_SYNTH_STREAM), out=extended[:, bg.nens:],
                            rows=rows, eps2=eps2)
-    return cov, d, mean, extended, eps2
+    return cov, d, extended, eps2
 
 
 def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
@@ -329,18 +328,19 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     The background covariance estimate phi*I + delta*S@S.T comes from the
     real members only; k synthetic draws widen the deviation basis
     c [U | sqrt(phi) E1 + sqrt(delta) S E2], c = sqrt(delta / (nens + k - 1)),
-    with U the real anomalies and E1, E2 the synthetic members' normals.
-    For the observation-space system (Gamma + Pi Pi.T) Z = D with Gamma =
-    R + phi*I, :func:`ismf_solve` returns W = Pi.T Z through its
-    (nens + k)-square capacitance matrix; Pi, the observed rows of the
-    basis, is the only part of it that is formed, and the synthetic
-    members draw only their observed rows of E1. Only the real members
-    are updated, by basis @ W + phi * H.T Z.
+    with U = sqrt(nens - 1) S the real anomalies and E1, E2 the synthetic
+    members' normals. For the observation-space system (Gamma + Pi Pi.T) Z
+    = D with Gamma = R + phi*I, :func:`ismf_solve` returns W = Pi.T Z
+    through its (nens + k)-square capacitance matrix; Pi, the observed rows
+    of the basis, is the only part of it that is formed, and the synthetic
+    members draw only their observed rows of E1. Only the real members are
+    updated, by basis @ W + phi * H.T Z.
 
     On the observed rows that is Pi W + phi Z = (R Pi W + phi D) / Gamma,
     as Z = Gamma^{-1} (D - Pi W), so Z is never formed. On the unobserved rows
-    (subscript u) it is c [U_u W_r + sqrt(delta) S_u (E2 W_s) +
-    sqrt(phi) E1_u W_s] for W = [W_r; W_s] split at the real members. E1_u
+    (subscript u) it is c [S_u (sqrt(nens - 1) W_r + sqrt(delta) E2 W_s) +
+    sqrt(phi) E1_u W_s] for W = [W_r; W_s] split at the real members, so
+    S_u enters one product and the unobserved rows of U are never formed. E1_u
     is independent of everything that sets W, so given W the rows of
     E1_u W_s are i.i.d. N(0, W_s.T W_s), and the step draws them as
     G sqrt(W_s.T W_s): G is one (nunobs, nens) normal block from its own
@@ -351,8 +351,8 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     estimation and observation perturbation; the synthetic draws always
     need ``rng``.
     """
-    cov, d, mean, pi, eps2 = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations,
-                                                 rows=obs.indices)
+    cov, d, pi, eps2 = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations,
+                                           rows=obs.indices)
     nens, scale = bg.nens, np.sqrt(cov.delta / (pi.shape[1] - 1))
     pi *= scale
     gamma = obs.variances + cov.phi
@@ -361,10 +361,11 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     analysis[obs.indices] += (obs.variances[:, None] * (pi @ w) + cov.phi * d) / gamma[:, None]
     unobserved = np.setdiff1d(np.arange(bg.nstate), obs.indices, assume_unique=True)
     w_real, w_syn = w[:nens], w[nens:]
-    term = (bg.matrix[unobserved] - mean[unobserved, None]) @ w_real
+    # at k = 0, eps2 @ w_syn is an (nens, nens) zero block
+    term = cov.deviations.columns[unobserved] @ (np.sqrt(nens - 1) * w_real
+                                                 + np.sqrt(cov.delta) * (eps2 @ w_syn))
     if k:
         gram = w_syn.T @ w_syn
-        term += np.sqrt(cov.delta) * (cov.deviations.columns[unobserved] @ (eps2 @ w_syn))
         if not (np.all(np.isfinite(term)) and np.all(np.isfinite(gram))):
             raise ValueError(NON_FINITE_SYNTHETIC)
         normals = member_normals(rng.child(_UNOBSERVED_STREAM), nens, unobserved.size)
@@ -422,8 +423,8 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     ``condition_estimate`` is (max diag L / min diag L)^2 <= cond(W).
     """
     wide = bg.nens + int(k) - 1 > bg.nstate
-    cov, d, _, extended, _ = _shrinkage_prologue(bg, y, obs, 0 if wide else k, rng,
-                                                 shrinkage, innovations)
+    cov, d, extended, _ = _shrinkage_prologue(bg, y, obs, 0 if wide else k, rng,
+                                              shrinkage, innovations)
     basis = np.eye(bg.nstate) if wide else extended[:, 1:]
     w_ens, rhs = enkf_rs_system(cov, basis, obs, d)
     lam, lower = cholesky_solve(w_ens, rhs,

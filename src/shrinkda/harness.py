@@ -78,6 +78,10 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{key} must be finite and positive, not {value!r}")
+        # R = obs_std**2 I; a subnormal variance's reciprocal overflows in the solvers
+        if not np.finfo(float).tiny <= self.obs_std * self.obs_std < math.inf:
+            raise ValueError(f"obs_std must be finite and positive with a normal float as "
+                             f"its square, not {self.obs_std!r}")
         if not (math.isfinite(self.synthetic_ratio) and self.synthetic_ratio >= 0.0):
             raise ValueError(f"synthetic_ratio must be finite and nonnegative, "
                              f"not {self.synthetic_ratio!r}")

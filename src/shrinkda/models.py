@@ -358,9 +358,10 @@ _QG_SIZES = {"qg-33": 31, "qg-65": 63, "qg-129": 127}
 
 
 def _read_overrides(key: str, overrides: dict | None, accepted) -> dict:
-    """``overrides`` as floats. A key the model does not read, or a value
-    that is nan or inf, raises ``ValueError`` naming the key: a nan time
-    step or coefficient would surface only as a blow-up, cycles later."""
+    """``overrides`` as floats. A key the model does not read, a nan or
+    inf value, or a ``model_dt`` <= 0 raises ``ValueError`` naming the
+    key: each would surface only later, as a blow-up cycles on or as the
+    model's own "dt must be positive"."""
     overrides = dict(overrides or {})
     unread = sorted(set(overrides) - set(accepted))
     if unread:
@@ -368,8 +369,9 @@ def _read_overrides(key: str, overrides: dict | None, accepted) -> dict:
                          f"it reads {', '.join(sorted(accepted))}")
     values = {name: float(value) for name, value in overrides.items()}
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"model override {name} must be finite, not {value!r}")
+        if not math.isfinite(value) or (name == "model_dt" and value <= 0.0):
+            rule = "finite and positive" if name == "model_dt" else "finite"
+            raise ValueError(f"model override {name} must be {rule}, not {value!r}")
     return values
 
 
@@ -381,8 +383,9 @@ def get_model(key: str, overrides: dict | None = None) -> ModelDefinition:
 
     ``overrides`` may adjust coefficients: ``model_dt`` sets the time step,
     ``l96_forcing`` the Lorenz-96 forcing and ``qg_<name>`` the QgParams
-    field ``name``. A key the resolved model does not read, or a value
-    that is not finite, raises ``ValueError``.
+    field ``name``. A key the resolved model does not read, a value that
+    is not finite, or a ``model_dt`` that is not positive raises
+    ``ValueError``.
     """
     if re.fullmatch(r"l96-[0-9]+", key) and int(key[4:]) >= 4:
         values = _read_overrides(key, overrides, ("l96_forcing", "model_dt"))

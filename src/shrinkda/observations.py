@@ -50,8 +50,11 @@ class ObservationSpec:
             raise ValueError("observed fraction p must lie in (0, 1]")
         nobs = max(1, int(round(p * nstate)))
         idx = np.floor(np.arange(nobs) * nstate / nobs).astype(int)
-        return cls(nstate=nstate, indices=idx,
-                   variances=np.full(nobs, obs_std**2))
+        try:
+            variance = obs_std**2
+        except OverflowError:
+            raise ValueError(f"obs_std {obs_std!r} squares past the float range") from None
+        return cls(nstate=nstate, indices=idx, variances=np.full(nobs, variance))
 
     @property
     def nobs(self) -> int:

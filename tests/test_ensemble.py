@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from shrinkda.ensemble import (DENSE_ORACLE_CAP, DeviationMatrix, Ensemble, anomalies,
+from shrinkda.ensemble import (DENSE_ORACLE_CAP, DeviationMatrix, Ensemble,
                                dense_sample_covariance, deviations, ensemble_mean)
-from shrinkda.filters import run_filter
+from shrinkda.filters import FILTER_KEYS, run_filter
 from shrinkda.observations import ObservationSpec
 from shrinkda.sampling import RngStream
 
@@ -85,38 +85,19 @@ class TestDeviations:
 
     def test_large_offset_accepted_nonzero_sum_rejected(self):
         # x - mean rounds in proportion to |x|, not to the spread: at an
-        # offset of 1e5 the column sums reach about 1e-9
+        # offset of 1e5 the column sums reach about 1e-9. Every filter
+        # takes its anomalies about the mean at that offset
         gen = np.random.default_rng(17)
         ens = Ensemble(1e5 + gen.standard_normal((961, 40)))
         deviations(ens)
-        anomalies(ens)
         obs = ObservationSpec.from_fraction(ens.nstate, 0.5, 1.0)
         y = obs.project(1e5 + gen.standard_normal(ens.nstate))
-        for key in ("enkf", "enkf-fs"):
+        for key in FILTER_KEYS:
             res = run_filter(key, ens, y, obs, RngStream(3), synthetic_members=40)
             assert np.all(np.isfinite(res.analysis.matrix))
-        shifted = anomalies(ens).columns + 1e-3
+        shifted = ens.matrix - ensemble_mean(ens)[:, None] + 1e-3
         with pytest.raises(ValueError, match="deviation columns must sum to zero"):
             DeviationMatrix(shifted, 1e5)
-
-
-class TestAnomalies:
-    def test_identical_members_zero(self):
-        v = np.array([5.0, -3.0])
-        ens = Ensemble(np.column_stack([v, v]))
-        np.testing.assert_array_equal(anomalies(ens).columns, np.zeros((2, 2)))
-
-    def test_scaling_relation(self):
-        gen = np.random.default_rng(13)
-        ens = random_ensemble(gen, 15, 5)
-        u = anomalies(ens).columns
-        s = deviations(ens).columns
-        np.testing.assert_allclose(u, np.sqrt(ens.nens - 1) * s, rtol=0, atol=1e-14)
-
-    def test_column_sums(self):
-        gen = np.random.default_rng(14)
-        ens = random_ensemble(gen, 30, 9)
-        assert np.abs(anomalies(ens).columns.sum(axis=1)).max() < 1e-12 * ens.nens
 
 
 class TestDenseSampleCovariance:

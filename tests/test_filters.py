@@ -510,9 +510,11 @@ class TestEnkfRs:
 
 @pytest.mark.parametrize("rows", ["all", "observed"], ids=["rs-every-row", "fs-observed-rows"])
 def test_synthetic_members_drawn_centred_into_a_column_major_buffer(rows):
-    # the shrinkage prologue draws the synthetic deviations straight into
-    # the column-major buffer of extended anomalies, bit for bit the draw
-    # into a column-major array of their own. k = 130 makes three chunks
+    # the shrinkage prologue writes the real anomalies sqrt(nens - 1) S from
+    # the estimate's deviations S, then draws the synthetic deviations
+    # straight into the column-major buffer of extended anomalies, bit for
+    # bit the draw into a column-major array of their own. k = 130 makes
+    # three chunks
     gen = np.random.default_rng(100)
     nstate, nens, k = 200, 10, 130
     ens = Ensemble(50.0 + random_ensemble(gen, nstate, nens).matrix)
@@ -520,11 +522,12 @@ def test_synthetic_members_drawn_centred_into_a_column_major_buffer(rows):
     y = obs.project(ens.matrix[:, 0])
     drawn_rows = obs.indices if rows == "observed" else None
     rng = RngStream(12)
-    cov, _, mean, extended, _ = filters._shrinkage_prologue(ens, y, obs, k, rng, None, None,
-                                                            rows=drawn_rows)
+    cov, _, extended, _ = filters._shrinkage_prologue(ens, y, obs, k, rng, None, None,
+                                                      rows=drawn_rows)
     held = slice(None) if drawn_rows is None else drawn_rows
-    assert extended.flags.f_contiguous and extended.shape == (mean[held].size, nens + k)
-    np.testing.assert_array_equal(extended[:, :nens], ens.matrix[held] - mean[held, None])
+    s = cov.deviations.columns[held]
+    assert extended.flags.f_contiguous and extended.shape == (s.shape[0], nens + k)
+    np.testing.assert_array_equal(extended[:, :nens], np.sqrt(nens - 1) * s)
     synthetic = extended[:, nens:]
     np.testing.assert_array_equal(
         synthetic, draw_synthetic_members(cov, k, rng.child(filters._SYNTH_STREAM),

@@ -166,6 +166,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"^{key} must be finite and "):
             ExperimentConfig.from_mapping({**base, key: text})
 
+    @pytest.mark.parametrize("text", ["1e200", "1e-200", "1e-160"])
+    def test_obs_std_without_a_normal_square_named(self, text):
+        # R = obs_std**2 I: 1e200 overflowed the square, 1e-200 underflowed it
+        # to a zero variance, and 1e-160 left a subnormal variance whose
+        # reciprocal overflows, failing most filters in their first cycle
+        base = {"model": "l96-40", "filter": "enkf", "nens": "10", "p": "0.5",
+                "sigma_b": "0.05", "n_cycles": "1", "rng_seed": "1"}
+        with pytest.raises(ValueError, match="^obs_std must be finite and positive with a "
+                                             "normal float as its square"):
+            ExperimentConfig.from_mapping({**base, "obs_std": text})
+
     def test_model_overrides_forwarded(self):
         cfg = ExperimentConfig.from_mapping({
             "model": "qg-33", "filter": "enkf", "nens": 4, "p": 0.5,

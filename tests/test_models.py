@@ -318,9 +318,14 @@ class TestModelRegistry:
                                                 ("qg-33", "qg_viscosity", "inf"),
                                                 ("qg-33", "qg_r", "nan"),
                                                 ("l96-40", "l96_forcing", "nan"),
-                                                ("l96-40", "model_dt", "-inf")])
+                                                ("l96-40", "model_dt", "-inf"),
+                                                ("l96-40", "model_dt", "0"),
+                                                ("l96-40", "model_dt", "-0.05"),
+                                                ("qg-33", "model_dt", "0"),
+                                                ("qg-33", "model_dt", "-0.05")])
     def test_non_finite_override_rejected(self, key, name, value):
         # a nan or inf coefficient would surface only cycles later, as a
-        # model blow-up or non-finite vorticity that does not name the key
+        # model blow-up or non-finite vorticity that does not name the key;
+        # a zero or negative time step as "dt must be positive"
         with pytest.raises(ValueError, match=f"model override {name} must be finite"):
             get_model(key, {name: value})

@@ -42,6 +42,11 @@ class TestObservationSpec:
         with pytest.raises(ValueError, match="observation variances must be finite and positive"):
             ObservationSpec.from_fraction(5, 0.4, bad)
 
+    def test_overflowing_square_is_a_value_error(self):
+        # a Python float's ** raises OverflowError where * would give inf
+        with pytest.raises(ValueError, match="obs_std 1e[+]200 squares past the float range"):
+            ObservationSpec.from_fraction(5, 0.4, 1e200)
+
     def test_project_and_scatter_adjoint(self):
         gen = np.random.default_rng(120)
         obs = ObservationSpec.from_fraction(12, 0.5, 0.1)
