@@ -300,10 +300,13 @@ def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
     eps2 come back as an (nens, k) array (else None), from which FS builds
     the unobserved rows of its update in closed form."""
     y = _check_inputs(bg, y, obs)
+    k = int(k)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     rng = _require_stream(rng, "draw synthetic members")
     cov = shrinkage if shrinkage is not None else estimate_shrinkage(bg)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    k, real = int(k), cov.deviations.columns[slice(None) if rows is None else rows]
+    real = cov.deviations.columns[slice(None) if rows is None else rows]
     extended = np.empty((real.shape[0], bg.nens + k), order="F")
     np.multiply(real, np.sqrt(bg.nens - 1), out=extended[:, :bg.nens])
     eps2 = None if rows is None else np.empty((bg.nens, k))

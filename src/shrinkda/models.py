@@ -12,7 +12,7 @@ a single state vector or an (nstate, members) batch.
 
 The stencils ``arakawa_jacobian``, ``laplacian`` and ``x_derivative`` take
 fields that already sit inside their zero Dirichlet ring and return the
-interior; ``pad`` adds that ring to a (d1, d2[, members]) field.
+interior; ``pad`` adds that ring to an (n, n[, members]) field.
 """
 
 from __future__ import annotations
@@ -46,46 +46,37 @@ def lorenz96_tendency(x: np.ndarray, forcing: float) -> np.ndarray:
 class QgGrid:
     """Interior grid of the unit-square domain; boundary nodes carry zeros.
 
-    ``d1`` and ``d2`` count interior points in x and y; spacings are
-    1/(d1+1) and 1/(d2+1). The state is the row-major flattening of the
-    (d1, d2) interior vorticity field.
+    ``n`` counts interior points along each axis and ``dx`` = 1/(n+1) is
+    the spacing of both. The state is the row-major flattening of the
+    (n, n) interior vorticity field, x along the first axis and y along
+    the second.
     """
 
-    d1: int
-    d2: int
+    n: int
 
     def __post_init__(self):
-        if self.d1 < 3 or self.d2 < 3:
+        if self.n < 3:
             raise ValueError("grid needs at least 3 interior points per direction")
 
     @property
     def dx(self) -> float:
-        return 1.0 / (self.d1 + 1)
-
-    @property
-    def dy(self) -> float:
-        return 1.0 / (self.d2 + 1)
+        return 1.0 / (self.n + 1)
 
     @property
     def nstate(self) -> int:
-        return self.d1 * self.d2
+        return self.n * self.n
 
     @property
     def x(self) -> np.ndarray:
-        """Interior node x coordinates."""
-        return self.dx * np.arange(1, self.d1 + 1)
-
-    @property
-    def y(self) -> np.ndarray:
-        """Interior node y coordinates."""
-        return self.dy * np.arange(1, self.d2 + 1)
+        """Interior node coordinates, the same along both axes."""
+        return self.dx * np.arange(1, self.n + 1)
 
     def to_grid(self, state: np.ndarray) -> np.ndarray:
-        """Reshape flat state(s) to (d1, d2[, members])."""
+        """Reshape flat state(s) to (n, n[, members])."""
         state = np.asarray(state, dtype=float)
         if state.shape[0] != self.nstate:
             raise ValueError("state length does not match the grid")
-        return state.reshape((self.d1, self.d2) + state.shape[1:])
+        return state.reshape((self.n, self.n) + state.shape[1:])
 
     def to_state(self, field: np.ndarray) -> np.ndarray:
         return field.reshape((self.nstate,) + field.shape[2:])
@@ -122,14 +113,13 @@ def pad(field: np.ndarray) -> np.ndarray:
 
 def laplacian(f: np.ndarray, grid: QgGrid, scale: float = 1.0) -> np.ndarray:
     """scale * 5-point Laplacian of a padded field, on the interior."""
-    cx = scale / grid.dx**2
-    cy = scale / grid.dy**2
+    c = scale / grid.dx**2
     out = f[2:, 1:-1] + f[:-2, 1:-1]
-    out *= cx
+    out *= c
     tmp = f[1:-1, 2:] + f[1:-1, :-2]
-    tmp *= cy
+    tmp *= c
     out += tmp
-    np.multiply(f[1:-1, 1:-1], 2.0 * (cx + cy), out=tmp)
+    np.multiply(f[1:-1, 1:-1], 4.0 * c, out=tmp)
     out -= tmp
     return out
 
@@ -148,7 +138,7 @@ def arakawa_jacobian(p: np.ndarray, w: np.ndarray, grid: QgGrid,
     J = psi_x omega_y - psi_y omega_x as the average of the three canonical
     second-order forms, which conserves the domain integrals of J, psi * J
     and omega * J. The centred differences px, py of psi and wx, wy of
-    omega are formed once over the padded range. 12 dx dy J is
+    omega are formed once over the padded range. 12 dx^2 J is
     J1 + J2 + J3 with J1 = px wy - py wx; the eight terms of J2 + J3 pair
     into differences of two fluxes, Q = psi wy - omega py taken one row
     apart and R = omega px - psi wx taken one column apart.
@@ -173,37 +163,33 @@ def arakawa_jacobian(p: np.ndarray, w: np.ndarray, grid: QgGrid,
     r -= wx
     out += r[:, 2:]
     out -= r[:, :-2]
-    out *= scale / (12.0 * grid.dx * grid.dy)
+    out *= scale / (12.0 * grid.dx * grid.dx)
     return out
 
 
 @lru_cache(maxsize=16)
 def _sine_basis(grid: QgGrid):
-    """Orthonormal DST-I matrices Q1, Q2 and the Dirichlet eigenvalues.
+    """Orthonormal DST-I matrix Q and the Dirichlet eigenvalues Lam.
 
     Q = sqrt(2/(n+1)) sin(pi j k/(n+1)) is symmetric and its own inverse;
-    it diagonalizes the 1-D 3-point operator along one axis, and Lam holds
-    the (d1, d2) eigenvalues of the 5-point operator in that basis.
+    it diagonalizes the 1-D 3-point operator along either axis, and Lam
+    holds the (n, n) eigenvalues of the 5-point operator in that basis.
     """
-    def basis(n, spacing):
-        k = np.arange(1, n + 1)
-        # reduce j*k modulo the period 2(n+1) to keep the sine argument small
-        q = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1))) / (n + 1))
-        eig = (2.0 * np.cos(np.pi * k / (n + 1)) - 2.0) / spacing**2
-        return q, eig
-
-    q1, eig1 = basis(grid.d1, grid.dx)
-    q2, eig2 = basis(grid.d2, grid.dy)
-    lam = eig1[:, None] + eig2[None, :]
-    for a in (q1, q2, lam):
+    n = grid.n
+    k = np.arange(1, n + 1)
+    # reduce j*k modulo the period 2(n+1) to keep the sine argument small
+    q = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1))) / (n + 1))
+    eig = (2.0 * np.cos(np.pi * k / (n + 1)) - 2.0) / grid.dx**2
+    lam = eig[:, None] + eig[None, :]
+    for a in (q, lam):
         a.flags.writeable = False
-    return q1, q2, lam
+    return q, lam
 
 
 @lru_cache(maxsize=16)
 def _wind_profile(grid: QgGrid) -> np.ndarray:
-    """sin(2 pi y) on the interior y nodes."""
-    profile = np.sin(2.0 * np.pi * grid.y)
+    """sin(2 pi y) on the interior nodes of the y (second) axis."""
+    profile = np.sin(2.0 * np.pi * grid.x)
     profile.flags.writeable = False
     return profile
 
@@ -212,22 +198,22 @@ def poisson_solve(omega: np.ndarray, grid: QgGrid) -> np.ndarray:
     """Solve Lap(psi) = omega exactly for the discrete 5-point operator.
 
     Fast diagonalization in the orthonormal sine basis,
-    psi = Q1 ((Q1 omega Q2) / Lam) Q2, as four GEMMs per member; psi
-    vanishes on the boundary. A (d1, d2, m) batch is solved as a stack of
-    m contiguous (d1, d2) fields, one GEMM per member and factor, so each
+    psi = Q ((Q omega Q) / Lam) Q, as four GEMMs per member; psi
+    vanishes on the boundary. An (n, n, m) batch is solved as a stack of
+    m contiguous (n, n) fields, one GEMM per member and factor, so each
     member's bits do not depend on the batch width (a single GEMM over
     the whole batch would block differently at each width).
     """
     omega = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega contains non-finite entries")
-    q1, q2, lam = _sine_basis(grid)
-    # (m, d1, d2) stack of contiguous fields: a view of an F-ordered
+    q, lam = _sine_basis(grid)
+    # (m, n, n) stack of contiguous fields: a view of an F-ordered
     # (nstate, m) ensemble, a copy of any other layout
     stack = np.ascontiguousarray(np.moveaxis(omega, 2, 0) if omega.ndim == 3 else omega)
-    coeff = q1 @ stack @ q2
+    coeff = q @ stack @ q
     coeff /= lam
-    psi = q1 @ coeff @ q2
+    psi = q @ coeff @ q
     return np.moveaxis(psi, 0, 2) if omega.ndim == 3 else psi
 
 
@@ -259,7 +245,7 @@ def qg_tendency(omega: np.ndarray, grid: QgGrid, params: QgParams) -> np.ndarray
 
 def qg_initial_vorticity(grid: QgGrid) -> np.ndarray:
     """Initial interior vorticity sin(4xy)cos(2xy) + sin(2xy) + cos(4xy), flattened."""
-    xy = grid.x[:, None] * grid.y[None, :]
+    xy = grid.x[:, None] * grid.x[None, :]
     field = np.sin(4.0 * xy) * np.cos(2.0 * xy) + np.sin(2.0 * xy) + np.cos(4.0 * xy)
     return grid.to_state(field)
 
@@ -303,7 +289,6 @@ class ModelDefinition:
     for Lorenz-96.
     """
 
-    name: str
     nstate: int
     dt: float
     tendency: Callable[[np.ndarray], np.ndarray]
@@ -333,14 +318,12 @@ def lorenz96_model(n: int = 40, forcing: float = 8.0, dt: float = 0.05) -> Model
             x = rk4_step(tendency, x, dt)
         return x
 
-    return ModelDefinition(name=f"l96-{n}", nstate=n, dt=dt,
-                           tendency=tendency, initial_state=initial_state)
+    return ModelDefinition(nstate=n, dt=dt, tendency=tendency, initial_state=initial_state)
 
 
-def qg_model(d1: int, d2: int, params: QgParams | None = None,
-             name: str | None = None) -> ModelDefinition:
-    """Quasi-geostrophic model on a (d1, d2) interior grid."""
-    grid = QgGrid(d1=d1, d2=d2)
+def qg_model(n: int, params: QgParams | None = None) -> ModelDefinition:
+    """Quasi-geostrophic model on an (n, n) interior grid."""
+    grid = QgGrid(n)
     params = params if params is not None else QgParams()
 
     def tendency(state):
@@ -349,8 +332,7 @@ def qg_model(d1: int, d2: int, params: QgParams | None = None,
     def initial_state():
         return qg_initial_vorticity(grid)
 
-    return ModelDefinition(name=name or f"qg-{d1 + 2}", nstate=grid.nstate,
-                           dt=params.dt, tendency=tendency,
+    return ModelDefinition(nstate=grid.nstate, dt=params.dt, tendency=tendency,
                            initial_state=initial_state, params=params)
 
 
@@ -358,16 +340,22 @@ _QG_SIZES = {"qg-33": 31, "qg-65": 63, "qg-129": 127}
 
 
 def _read_overrides(key: str, overrides: dict | None, accepted) -> dict:
-    """``overrides`` as floats. A key the model does not read, a nan or
-    inf value, or a ``model_dt`` <= 0 raises ``ValueError`` naming the
-    key: each would surface only later, as a blow-up cycles on or as the
-    model's own "dt must be positive"."""
+    """``overrides`` as floats. A key the model does not read, a value
+    that is not a number, a nan or inf value, or a ``model_dt`` <= 0
+    raises ``ValueError`` naming the key: each would surface only later,
+    as a bare float() error, as a blow-up cycles on or as the model's own
+    "dt must be positive"."""
     overrides = dict(overrides or {})
     unread = sorted(set(overrides) - set(accepted))
     if unread:
         raise ValueError(f"model {key!r} does not read override key(s) {', '.join(unread)}; "
                          f"it reads {', '.join(sorted(accepted))}")
-    values = {name: float(value) for name, value in overrides.items()}
+    values = {}
+    for name, value in overrides.items():
+        try:
+            values[name] = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"model override {name} must be a number, not {value!r}") from None
     for name, value in values.items():
         if not math.isfinite(value) or (name == "model_dt" and value <= 0.0):
             rule = "finite and positive" if name == "model_dt" else "finite"
@@ -384,7 +372,7 @@ def get_model(key: str, overrides: dict | None = None) -> ModelDefinition:
     ``overrides`` may adjust coefficients: ``model_dt`` sets the time step,
     ``l96_forcing`` the Lorenz-96 forcing and ``qg_<name>`` the QgParams
     field ``name``. A key the resolved model does not read, a value that
-    is not finite, or a ``model_dt`` that is not positive raises
+    is not a finite number, or a ``model_dt`` that is not positive raises
     ``ValueError``.
     """
     if re.fullmatch(r"l96-[0-9]+", key) and int(key[4:]) >= 4:
@@ -392,11 +380,10 @@ def get_model(key: str, overrides: dict | None = None) -> ModelDefinition:
         return lorenz96_model(n=int(key[4:]), forcing=values.get("l96_forcing", 8.0),
                               dt=values.get("model_dt", 0.05))
     if key in _QG_SIZES:
-        d = _QG_SIZES[key]
         names = {("model_dt" if f.name == "dt" else f"qg_{f.name}"): f.name
                  for f in fields(QgParams)}
         values = _read_overrides(key, overrides, names)
         params = replace(QgParams(), **{names[k]: v for k, v in values.items()})
-        return qg_model(d, d, params=params, name=key)
+        return qg_model(_QG_SIZES[key], params=params)
     raise ValueError(f"unknown model key {key!r}; choose l96-<n> with n >= 4, "
                      f"{', '.join(_QG_SIZES)}")

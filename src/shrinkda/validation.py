@@ -438,17 +438,18 @@ def _shrinkage_memory_check(gen) -> CheckResult:
 def _model_checks() -> list:
     gen = np.random.default_rng(96)
     results = []
-    grid = models.QgGrid(17, 17)
+    grid = models.QgGrid(17)
+    n = grid.n
     # zero-flux fields: the integral identities hold only without a
     # discrete boundary flux, so taper the outermost interior ring
-    psi = np.zeros((grid.d1, grid.d2))
-    omega = np.zeros((grid.d1, grid.d2))
-    psi[1:-1, 1:-1] = gen.standard_normal((grid.d1 - 2, grid.d2 - 2))
-    omega[1:-1, 1:-1] = gen.standard_normal((grid.d1 - 2, grid.d2 - 2))
+    psi = np.zeros((n, n))
+    omega = np.zeros((n, n))
+    psi[1:-1, 1:-1] = gen.standard_normal((n - 2, n - 2))
+    omega[1:-1, 1:-1] = gen.standard_normal((n - 2, n - 2))
     jac = models.arakawa_jacobian(models.pad(psi), models.pad(omega), grid)
     scale = float(np.abs(jac).max())
-    full_psi = gen.standard_normal((grid.d1, grid.d2))
-    full_omega = gen.standard_normal((grid.d1, grid.d2))
+    full_psi = gen.standard_normal((n, n))
+    full_omega = gen.standard_normal((n, n))
     full_jac = models.arakawa_jacobian(models.pad(full_psi), models.pad(full_omega), grid)
     sums = (abs(jac.sum()) / scale,
             abs((full_psi * full_jac).sum()) / float(np.abs(full_jac).max()),
@@ -457,8 +458,8 @@ def _model_checks() -> list:
     results.append(_result("models.arakawa_conservation", worst < 1e-10,
                            f"worst normalized conservation sum {worst:.2e}"))
 
-    w1 = gen.standard_normal((grid.d1, grid.d2))
-    w2 = gen.standard_normal((grid.d1, grid.d2))
+    w1 = gen.standard_normal((n, n))
+    w2 = gen.standard_normal((n, n))
     lhs = models.poisson_solve(2.0 * w1 - 3.0 * w2, grid)
     rhs = 2.0 * models.poisson_solve(w1, grid) - 3.0 * models.poisson_solve(w2, grid)
     lin = float(np.abs(lhs - rhs).max() / max(1e-30, np.abs(lhs).max()))

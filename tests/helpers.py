@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from shrinkda import filters
 from shrinkda.ensemble import Ensemble, ensemble_mean
 from shrinkda.filters import estimate_shrinkage
 from shrinkda.sampling import draw_synthetic_members, extend_ensemble, perturb_observations
@@ -66,10 +67,12 @@ def enkf_fs_explicit(bg, y, obs, k, rng, *, shrinkage=None, innovations=None):
     """
     cov = shrinkage if shrinkage is not None else estimate_shrinkage(bg)
     if innovations is None:
-        d = perturb_observations(y, obs, bg.nens, rng.child(1)) - obs.project(bg.matrix)
+        perturbed = perturb_observations(y, obs, bg.nens, rng.child(filters._OBS_STREAM))
+        d = perturbed - obs.project(bg.matrix)
     else:
         d = np.asarray(innovations, dtype=float)
-    synthetic = ensemble_mean(bg)[:, None] + draw_synthetic_members(cov, k, rng.child(2))
+    draws = draw_synthetic_members(cov, k, rng.child(filters._SYNTH_STREAM))
+    synthetic = ensemble_mean(bg)[:, None] + draws
     basis = np.sqrt(cov.delta) * extend_ensemble(bg, synthetic).scaled_deviations()
     system = ObservationSpaceSystem(obs.variances + cov.phi, obs.project(basis), d)
     w = ismf_solve(system)
@@ -80,13 +83,10 @@ def enkf_fs_explicit(bg, y, obs, k, rng, *, shrinkage=None, innovations=None):
 def poisson_solve_dense(omega, grid):
     """Dense solve of the 5-point Dirichlet Poisson system, the oracle for
     ``models.poisson_solve``."""
-    n1, n2 = grid.d1, grid.d2
-    ix = np.eye(n1)
-    iy = np.eye(n2)
-    tx = (np.diag(np.full(n1 - 1, 1.0), 1) + np.diag(np.full(n1 - 1, 1.0), -1)
-          - 2.0 * ix) / grid.dx**2
-    ty = (np.diag(np.full(n2 - 1, 1.0), 1) + np.diag(np.full(n2 - 1, 1.0), -1)
-          - 2.0 * iy) / grid.dy**2
-    operator = np.kron(tx, iy) + np.kron(ix, ty)
+    n = grid.n
+    eye = np.eye(n)
+    t = (np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1)
+         - 2.0 * eye) / grid.dx**2
+    operator = np.kron(t, eye) + np.kron(eye, t)
     flat = omega.reshape(grid.nstate, -1)
     return np.linalg.solve(operator, flat).reshape(omega.shape)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from shrinkda import validation
+from shrinkda import filters, validation
 from shrinkda.ensemble import dense_sample_covariance, deviations, ensemble_mean
 from shrinkda.filters import (enkf_du_analysis, enkf_fs_analysis, enkf_n_analysis,
                               enkf_rs_analysis, ensrf_analysis, entkf_analysis,
@@ -122,7 +122,7 @@ def test_criterion_4_filter_cross_checks():
     rng = RngStream(77)
     fs = enkf_fs_analysis(ens, y, obs, k, rng).analysis.matrix
     cov = estimate_shrinkage(ens)
-    d = perturb_observations(y, obs, nens, rng.child(1)) - obs.project(ens.matrix)
+    d = perturb_observations(y, obs, nens, rng.child(filters._OBS_STREAM)) - obs.project(ens.matrix)
     # FS draws only the observed rows; its unobserved rows are those of the
     # explicit draw with the implied block E1_u = G M W_s^+
     fs_syn = validation.fs_replayed_members(ens, obs, cov, d, k, rng)
@@ -136,7 +136,8 @@ def test_criterion_4_filter_cross_checks():
 
     # reduced-space filter against the dense normal equations; RS draws in full
     rs = enkf_rs_analysis(ens, y, obs, k, rng).analysis.matrix
-    syn = ensemble_mean(ens)[:, None] + draw_synthetic_members(cov, k, rng.child(2))
+    syn = ensemble_mean(ens)[:, None] + draw_synthetic_members(
+        cov, k, rng.child(filters._SYNTH_STREAM))
     u = extend_ensemble(ens, syn).anomalies()
     s = cov.deviations.columns
     bhat_real = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)
@@ -163,7 +164,7 @@ def test_criterion_4_filter_cross_checks():
 
 def test_criterion_5_model_physics():
     gen = np.random.default_rng(1005)
-    grid = QgGrid(17, 17)
+    grid = QgGrid(17)
     psi = np.zeros((17, 17))
     omega = np.zeros((17, 17))
     psi[1:-1, 1:-1] = gen.standard_normal((15, 15))
@@ -180,7 +181,7 @@ def test_criterion_5_model_physics():
     assert max(sums) < 1e-10
 
     x = grid.x[:, None]
-    ygrid = grid.y[None, :]
+    ygrid = grid.x[None, :]
     psi_exact = np.sin(np.pi * x) * np.sin(np.pi * ygrid)
     recovered = poisson_solve(laplacian(pad(psi_exact), grid), grid)
     poisson_gap = np.abs(recovered - psi_exact).max()

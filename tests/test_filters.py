@@ -82,7 +82,7 @@ class TestEnkf:
         ens, obs, y = instance(gen, nstate=8, nens=4, p=5 / 8)
         rng = RngStream(17)
         res = enkf_analysis(ens, y, obs, rng)
-        perturbed = perturb_observations(y, obs, ens.nens, rng.child(1))
+        perturbed = perturb_observations(y, obs, ens.nens, rng.child(filters._OBS_STREAM))
         d = perturbed - obs.project(ens.matrix)
         oracle = ens.matrix + kalman_gain(ens, obs) @ d
         assert np.abs(res.analysis.matrix - oracle).max() < 1e-9
@@ -328,7 +328,7 @@ class TestEnkfFs:
         res = enkf_fs_analysis(ens, y, obs, k, rng)
         # rebuild every ingredient independently from the same streams
         cov = estimate_shrinkage(ens)
-        perturbed = perturb_observations(y, obs, nens, rng.child(1))
+        perturbed = perturb_observations(y, obs, nens, rng.child(filters._OBS_STREAM))
         d = perturbed - obs.project(ens.matrix)
         # the observed-row draw, and the unobserved rows that make the
         # explicit draw's update the step's (E1_u = G M W_s^+)
@@ -422,9 +422,10 @@ class TestEnkfRs:
         rng = RngStream(21)
         res = enkf_rs_analysis(ens, y, obs, k, rng)
         cov = estimate_shrinkage(ens)
-        perturbed = perturb_observations(y, obs, nens, rng.child(1))
+        perturbed = perturb_observations(y, obs, nens, rng.child(filters._OBS_STREAM))
         d = perturbed - obs.project(ens.matrix)
-        synthetic = ensemble_mean(ens)[:, None] + draw_synthetic_members(cov, k, rng.child(2))
+        synthetic = ensemble_mean(ens)[:, None] + draw_synthetic_members(
+            cov, k, rng.child(filters._SYNTH_STREAM))
         ext = extend_ensemble(ens, synthetic)
         u = ext.anomalies()
         s = cov.deviations.columns
@@ -484,7 +485,7 @@ class TestEnkfRs:
         # without the first real one, and the Cholesky pivot ratio bounds
         # the condition number of its weight matrix from below
         cov = estimate_shrinkage(ens)
-        draws = draw_synthetic_members(cov, 3, RngStream(5).child(2))
+        draws = draw_synthetic_members(cov, 3, RngStream(5).child(filters._SYNTH_STREAM))
         basis = extend_ensemble(ens, ensemble_mean(ens)[:, None] + draws).anomalies()[:, 1:]
         w_ens, _ = enkf_rs_system(cov, basis, obs, np.zeros((obs.nobs, ens.nens)))
         assert res.diagnostics["condition_estimate"] <= np.linalg.cond(w_ens)
@@ -565,6 +566,17 @@ def test_shrinkage_filters_require_a_stream(step):
     ens, obs, y = instance(gen, nens=5)
     with pytest.raises(ValueError, match="random stream is required"):
         step(ens, y, obs, 4, None, innovations=np.zeros((obs.nobs, ens.nens)))
+
+
+@pytest.mark.parametrize("k", [-1, -10])
+@pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])
+def test_negative_k_refused(step, k):
+    # refused before the extended-anomaly buffer is sized from nens + k,
+    # which would otherwise fail in numpy without naming k
+    gen = np.random.default_rng(98)
+    ens, obs, y = instance(gen, nstate=20, nens=5, p=0.5)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        step(ens, y, obs, k, RngStream(4))
 
 
 class TestRegistryAndInvariants:

@@ -13,27 +13,27 @@ from helpers import poisson_solve_dense
 
 def loop_laplacian(field, grid):
     """Non-vectorized 5-point Laplacian oracle with zero boundaries."""
-    d1, d2 = grid.d1, grid.d2
-    pad = np.zeros((d1 + 2, d2 + 2))
+    n = grid.n
+    pad = np.zeros((n + 2, n + 2))
     pad[1:-1, 1:-1] = field
-    out = np.zeros((d1, d2))
-    for i in range(1, d1 + 1):
-        for j in range(1, d2 + 1):
+    out = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
             out[i - 1, j - 1] = ((pad[i + 1, j] + pad[i - 1, j] - 2 * pad[i, j]) / grid.dx**2
-                                 + (pad[i, j + 1] + pad[i, j - 1] - 2 * pad[i, j]) / grid.dy**2)
+                                 + (pad[i, j + 1] + pad[i, j - 1] - 2 * pad[i, j]) / grid.dx**2)
     return out
 
 
 def loop_arakawa(psi, omega, grid):
     """Non-vectorized Arakawa oracle: average of the three canonical forms."""
-    d1, d2 = grid.d1, grid.d2
-    p = np.zeros((d1 + 2, d2 + 2))
-    w = np.zeros((d1 + 2, d2 + 2))
+    n = grid.n
+    p = np.zeros((n + 2, n + 2))
+    w = np.zeros((n + 2, n + 2))
     p[1:-1, 1:-1] = psi
     w[1:-1, 1:-1] = omega
-    out = np.zeros((d1, d2))
-    for i in range(1, d1 + 1):
-        for j in range(1, d2 + 1):
+    out = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
             j1 = ((p[i + 1, j] - p[i - 1, j]) * (w[i, j + 1] - w[i, j - 1])
                   - (p[i, j + 1] - p[i, j - 1]) * (w[i + 1, j] - w[i - 1, j]))
             j2 = (p[i + 1, j] * (w[i + 1, j + 1] - w[i + 1, j - 1])
@@ -44,7 +44,7 @@ def loop_arakawa(psi, omega, grid):
                   - w[i, j - 1] * (p[i + 1, j - 1] - p[i - 1, j - 1])
                   - w[i + 1, j] * (p[i + 1, j + 1] - p[i + 1, j - 1])
                   + w[i - 1, j] * (p[i - 1, j + 1] - p[i - 1, j - 1]))
-            out[i - 1, j - 1] = (j1 + j2 + j3) / (12.0 * grid.dx * grid.dy)
+            out[i - 1, j - 1] = (j1 + j2 + j3) / (12.0 * grid.dx**2)
     return out
 
 
@@ -54,10 +54,10 @@ def loop_tendency(field, grid, params):
     psi = poisson_solve_dense(field, grid)
     lap_psi = loop_laplacian(psi, grid)
     bilap_psi = loop_laplacian(lap_psi, grid)
-    pad = np.zeros((grid.d1 + 2, grid.d2 + 2))
+    pad = np.zeros((grid.n + 2, grid.n + 2))
     pad[1:-1, 1:-1] = psi
     psi_x = (pad[2:, 1:-1] - pad[:-2, 1:-1]) / (2 * grid.dx)
-    forcing = params.wind * np.sin(2 * np.pi * grid.y)[None, :]
+    forcing = params.wind * np.sin(2 * np.pi * grid.x)[None, :]
     return (-params.r * loop_arakawa(psi, field, grid)
             - params.beta * psi_x
             + params.viscosity * bilap_psi
@@ -109,50 +109,50 @@ class TestLorenz96:
 class TestArakawaJacobian:
     def test_self_jacobian_vanishes(self):
         gen = np.random.default_rng(101)
-        grid = QgGrid(9, 9)
+        grid = QgGrid(9)
         psi = gen.standard_normal((9, 9))
         assert np.abs(arakawa_jacobian(pad(psi), pad(psi), grid)).max() < 1e-13
 
     def test_constant_omega_sums_to_zero(self):
         gen = np.random.default_rng(102)
-        grid = QgGrid(11, 11)
+        grid = QgGrid(11)
         psi = gen.standard_normal((11, 11))
         jac = arakawa_jacobian(pad(psi), pad(np.ones((11, 11))), grid)
         assert abs(jac.sum()) < 1e-12 * np.abs(psi).max() / grid.dx
 
     def test_manufactured_linear_fields(self):
         # psi = x, omega = y gives J = 1 away from the zero boundary
-        grid = QgGrid(31, 31)
+        grid = QgGrid(31)
         x = grid.x[:, None] * np.ones((1, 31))
-        y = np.ones((31, 1)) * grid.y[None, :]
+        y = np.ones((31, 1)) * grid.x[None, :]
         jac = arakawa_jacobian(pad(x), pad(y), grid)
         interior = jac[4:-4, 4:-4]
         assert np.abs(interior - 1.0).max() < 10 * grid.dx**2
 
     def test_matches_loop_oracle(self):
         gen = np.random.default_rng(103)
-        grid = QgGrid(7, 9)
-        psi = gen.standard_normal((7, 9))
-        omega = gen.standard_normal((7, 9))
+        grid = QgGrid(8)
+        psi = gen.standard_normal((8, 8))
+        omega = gen.standard_normal((8, 8))
         np.testing.assert_allclose(arakawa_jacobian(pad(psi), pad(omega), grid),
                                    loop_arakawa(psi, omega, grid), atol=1e-12)
 
     def test_shape_mismatch(self):
-        grid = QgGrid(5, 5)
+        grid = QgGrid(5)
         with pytest.raises(ValueError, match="share a shape"):
             arakawa_jacobian(pad(np.zeros((5, 5))), pad(np.zeros((5, 4))), grid)
 
 
 class TestPoissonSolve:
     def test_zero_rhs(self):
-        grid = QgGrid(8, 8)
+        grid = QgGrid(8)
         np.testing.assert_array_equal(poisson_solve(np.zeros((8, 8)), grid),
                                       np.zeros((8, 8)))
 
     def test_exact_inverse_of_discrete_operator(self):
-        grid = QgGrid(15, 15)
+        grid = QgGrid(15)
         x = grid.x[:, None]
-        y = grid.y[None, :]
+        y = grid.x[None, :]
         psi_exact = np.sin(np.pi * x) * np.sin(np.pi * y)
         omega = laplacian(pad(psi_exact), grid)
         psi = poisson_solve(omega, grid)
@@ -160,10 +160,10 @@ class TestPoissonSolve:
 
     def test_residual_bound(self):
         # Lap(poisson_solve(omega)) = omega is the identity qg_tendency uses
-        # in place of Lap(psi); checked on a rectangle and a qg-33 batch
+        # in place of Lap(psi); checked on a single field and a qg-33 batch
         gen = np.random.default_rng(105)
-        for grid, omega in ((QgGrid(20, 14), gen.standard_normal((20, 14))),
-                            (QgGrid(31, 31), gen.standard_normal((31, 31, 40)))):
+        for grid, omega in ((QgGrid(16), gen.standard_normal((16, 16))),
+                            (QgGrid(31), gen.standard_normal((31, 31, 40)))):
             psi = poisson_solve(omega, grid)
             assert np.abs(laplacian(pad(psi), grid) - omega).max() < 1e-10 * np.abs(omega).max()
 
@@ -171,9 +171,9 @@ class TestPoissonSolve:
         # analytic pair psi = sin(pi x) sin(pi y), omega = -2 pi^2 psi
         errs = []
         for n in (15, 31, 63):
-            grid = QgGrid(n, n)
+            grid = QgGrid(n)
             x = grid.x[:, None]
-            y = grid.y[None, :]
+            y = grid.x[None, :]
             psi_exact = np.sin(np.pi * x) * np.sin(np.pi * y)
             omega = -2.0 * np.pi**2 * psi_exact
             psi = poisson_solve(omega, grid)
@@ -182,10 +182,10 @@ class TestPoissonSolve:
         assert all(1.8 < r < 2.2 for r in rates)
 
     def test_matches_dense_fallback(self):
-        # a rectangle and a qg-33 batch of 40 members
+        # a single field and a qg-33 batch of 40 members
         gen = np.random.default_rng(107)
-        for grid, omega in ((QgGrid(9, 7), gen.standard_normal((9, 7))),
-                            (QgGrid(31, 31), gen.standard_normal((31, 31, 40)))):
+        for grid, omega in ((QgGrid(10), gen.standard_normal((10, 10))),
+                            (QgGrid(31), gen.standard_normal((31, 31, 40)))):
             np.testing.assert_allclose(poisson_solve(omega, grid),
                                        poisson_solve_dense(omega, grid), atol=1e-12)
 
@@ -193,7 +193,7 @@ class TestPoissonSolve:
         # each member's bits must not depend on the batch it rides in or on
         # the batch layout; the threaded forecast relies on this
         gen = np.random.default_rng(110)
-        grid = QgGrid(31, 31)
+        grid = QgGrid(31)
         ensemble = np.asfortranarray(gen.standard_normal((grid.nstate, 40)))
         singles = np.stack([poisson_solve(grid.to_grid(ensemble[:, k]), grid)
                             for k in range(40)], axis=2)
@@ -203,23 +203,23 @@ class TestPoissonSolve:
 
 class TestQgTendency:
     def test_rest_state_no_forcing(self):
-        grid = QgGrid(9, 9)
+        grid = QgGrid(9)
         params = QgParams(wind=0.0)
         out = qg_tendency(np.zeros(grid.nstate), grid, params)
         np.testing.assert_array_equal(out, np.zeros(grid.nstate))
 
     def test_rest_state_pure_forcing(self):
-        grid = QgGrid(9, 9)
+        grid = QgGrid(9)
         params = QgParams(wind=1.0)
         out = grid.to_grid(qg_tendency(np.zeros(grid.nstate), grid, params))
-        expected = np.sin(2.0 * np.pi * grid.y)[None, :] * np.ones((9, 1))
+        expected = np.sin(2.0 * np.pi * grid.x)[None, :] * np.ones((9, 1))
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_matches_loop_oracle(self):
         # a single state and a 40-member batch, which runs the stencils and
         # the DST at the qg-33 ensemble width
         gen = np.random.default_rng(108)
-        grid = QgGrid(31, 31)
+        grid = QgGrid(31)
         params = QgParams()
         for omega in (gen.standard_normal(grid.nstate),
                       gen.standard_normal((grid.nstate, 40))):
@@ -230,7 +230,7 @@ class TestQgTendency:
 
     def test_batch_matches_single(self):
         gen = np.random.default_rng(109)
-        grid = QgGrid(7, 7)
+        grid = QgGrid(7)
         params = QgParams()
         states = gen.standard_normal((grid.nstate, 3))
         batch = qg_tendency(states, grid, params)
@@ -262,22 +262,22 @@ class TestRk4:
 
 class TestInitialVorticity:
     def test_matches_scalar_formula(self):
-        grid = QgGrid(9, 11)
+        grid = QgGrid(12)
         field = grid.to_grid(qg_initial_vorticity(grid))
         for i in (0, 4, 8):
             for j in (0, 5, 10):
-                t = grid.x[i] * grid.y[j]
+                t = grid.x[i] * grid.x[j]
                 expected = math.sin(4 * t) * math.cos(2 * t) + math.sin(2 * t) + math.cos(4 * t)
                 np.testing.assert_allclose(field[i, j], expected, rtol=1e-14)
 
     def test_boundary_limit_value(self):
         # as x*y -> 0 the formula approaches sin0*cos0 + sin0 + cos0 = 1
-        grid = QgGrid(31, 31)
+        grid = QgGrid(31)
         corner = grid.to_grid(qg_initial_vorticity(grid))[0, 0]
-        assert abs(corner - 1.0) < 10 * grid.x[0] * grid.y[0]
+        assert abs(corner - 1.0) < 10 * grid.x[0]**2
 
     def test_symmetric_under_axis_swap(self):
-        grid = QgGrid(13, 13)
+        grid = QgGrid(13)
         field = grid.to_grid(qg_initial_vorticity(grid))
         np.testing.assert_allclose(field, field.T, atol=1e-15)
 
@@ -328,4 +328,12 @@ class TestModelRegistry:
         # model blow-up or non-finite vorticity that does not name the key;
         # a zero or negative time step as "dt must be positive"
         with pytest.raises(ValueError, match=f"model override {name} must be finite"):
+            get_model(key, {name: value})
+
+    @pytest.mark.parametrize("key,name,value", [("qg-33", "qg_r", "abc"),
+                                                ("l96-40", "l96_forcing", None)])
+    def test_non_numeric_override_rejected(self, key, name, value):
+        # a bare float() error would not name the key
+        with pytest.raises(ValueError, match=re.escape(
+                f"model override {name} must be a number, not {value!r}")):
             get_model(key, {name: value})
