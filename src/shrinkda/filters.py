@@ -4,7 +4,10 @@ Stochastic EnKF, the square-root pair (EnSRF / ETKF), the
 inflation-free primal/dual pair, and the two shrinkage-based filters that
 assimilate with an extended ensemble: full-space (observation-space
 weighted covariance) and reduced-space (ensemble-space weighted
-covariance).
+covariance). Neither forms the unobserved rows of its synthetic members:
+FS draws their observed rows and takes the rest in closed form, and RS
+draws, group by group of rows, only the statistics of the synthetic
+block that its weight matrix and update read.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from .ensemble import Ensemble, deviations, ensemble_mean
 from .observations import ObservationSpec
 # extend_ensemble is not called; perfbench/twinbench.py wraps filters.extend_ensemble by name
 from .sampling import (NON_FINITE_SYNTHETIC, RngStream, draw_synthetic_members,  # noqa: F401
-                       extend_ensemble, member_normals, perturb_observations)
+                       extend_ensemble, group_basis, haar_frame, member_normals,
+                       normal_block, perturb_observations, wishart_root)
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import (ObservationSpaceSystem, cholesky_factor, cholesky_solve, ensrf_transform,
-                      entkf_factors, ismf_solve, triangular_solve, weighted_gram)
+                      entkf_factors, ismf_solve, triangular_solve)
 
 FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-rs")
 
@@ -31,6 +35,11 @@ _OBS_STREAM = 1
 _SYNTH_STREAM = 2
 # The normals behind the full-space step's unobserved rows.
 _UNOBSERVED_STREAM = 3
+# The reduced-space step's draws for row group g: the root of the Gram of
+# the synthetic block off the group's basis, child(_RS_ROOT_STREAM, g), and
+# the frame of its update term, child(_RS_FRAME_STREAM, g).
+_RS_ROOT_STREAM = 4
+_RS_FRAME_STREAM = 5
 
 # Abort threshold of the finite-size step's primal gradient, relative to
 # its norm at w = 0.
@@ -288,17 +297,9 @@ def _shrinkage_diagnostics(cov: ShrinkageCovariance) -> dict:
     return {"mu": cov.mu, "gamma": cov.gamma, "phi": cov.phi, "delta": cov.delta}
 
 
-def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
-    """Shrinkage estimate, innovations D and the extended anomalies of FS
-    and RS: one column-major (nrows, nens + k) buffer holding the real
-    anomalies sqrt(nens - 1) S, from the estimate's deviations S, then the
-    k synthetic deviations drawn straight into their columns. It is the one
-    extended-ensemble array of the analysis; FS scales it in place.
-
-    RS holds every row (``rows`` None). FS passes its observed rows: each
-    synthetic member then draws eps1 on those rows only, and the members'
-    eps2 come back as an (nens, k) array (else None), from which FS builds
-    the unobserved rows of its update in closed form."""
+def _shrinkage_inputs(bg, y, obs, k, rng, shrinkage, innovations):
+    """k, checked nonnegative, the stream the synthetic draws need, the
+    shrinkage estimate and the innovations D of FS and RS."""
     y = _check_inputs(bg, y, obs)
     k = int(k)
     if k < 0:
@@ -306,12 +307,25 @@ def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations, rows=None):
     rng = _require_stream(rng, "draw synthetic members")
     cov = shrinkage if shrinkage is not None else estimate_shrinkage(bg)
     d = _innovation_matrix(bg, y, obs, rng) if innovations is None else np.asarray(innovations, dtype=float)
-    real = cov.deviations.columns[slice(None) if rows is None else rows]
+    return k, rng, cov, d
+
+
+def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations):
+    """Shrinkage estimate, innovations D and the observed rows of FS's
+    extended anomalies: one column-major (nobs, nens + k) buffer holding the
+    real anomalies sqrt(nens - 1) H S, from the estimate's deviations S,
+    then the k synthetic deviations drawn straight into their columns, each
+    member drawing eps1 on the observed rows only. It is the one
+    extended-ensemble array of the analysis; FS scales it in place. The
+    members' eps2 come back as an (nens, k) array, from which FS builds the
+    unobserved rows of its update in closed form."""
+    k, rng, cov, d = _shrinkage_inputs(bg, y, obs, k, rng, shrinkage, innovations)
+    real = cov.deviations.columns[obs.indices]
     extended = np.empty((real.shape[0], bg.nens + k), order="F")
     np.multiply(real, np.sqrt(bg.nens - 1), out=extended[:, :bg.nens])
-    eps2 = None if rows is None else np.empty((bg.nens, k))
+    eps2 = np.empty((bg.nens, k))
     draw_synthetic_members(cov, k, rng.child(_SYNTH_STREAM), out=extended[:, bg.nens:],
-                           rows=rows, eps2=eps2)
+                           rows=obs.indices, eps2=eps2)
     return cov, d, extended, eps2
 
 
@@ -354,8 +368,7 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     estimation and observation perturbation; the synthetic draws always
     need ``rng``.
     """
-    cov, d, pi, eps2 = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations,
-                                           rows=obs.indices)
+    cov, d, pi, eps2 = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations)
     nens, scale = bg.nens, np.sqrt(cov.delta / (pi.shape[1] - 1))
     pi *= scale
     gamma = obs.variances + cov.phi
@@ -378,36 +391,166 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     return AnalysisResult(Ensemble(analysis), _shrinkage_diagnostics(cov))
 
 
-def enkf_rs_system(cov: ShrinkageCovariance, u_ext: np.ndarray, obs: ObservationSpec,
-                   d: np.ndarray):
+def enkf_rs_system(cov: ShrinkageCovariance, rows: np.ndarray, s_u: np.ndarray,
+                   data: np.ndarray):
     """Ensemble-space weighted covariance and projected data.
 
-    Returns (w_ens, rhs) with w_ens = U.T (Bhat^{-1} + H.T R^{-1} H) U
-    and rhs = Q.T R^{-1} D for Q = H U, the basis U = ``u_ext`` and the
-    innovations D = ``d``. By the Woodbury identity
-    w_ens = U.T diag(a) U - Y.T Y, with a = 1/phi + H.T R^{-1} 1 and
-    Y = L^{-1} S.T U / sqrt(phi) for L L.T = (phi/delta) I + S.T S (size
-    nens). Both terms are symmetric rank-k products, so w_ens is exactly
-    symmetric; the first is the blocked Gram of :func:`weighted_gram` with
-    weights a, and delta = 0 drops the second. Scaling the (nens, m) Y,
-    not Y.T Y, spares an m-square temporary (m = nens + k - 1): 1.4 MiB
-    of qg33-compare's peak RSS. Given the
-    right-hand side H.T R^{-1} D / a, zero on the unobserved rows, the same
-    loop returns U.T H.T R^{-1} D = rhs, so Q is never formed.
+    Returns (w_ens, rhs) with w_ens = U.T (Bhat^{-1} + H.T R^{-1} H) U and
+    rhs = U.T H.T R^{-1} D for a basis U given by weighted rows in
+    row-group coordinates: U = sum_g Q_g u_g, where each Q_g has
+    orthonormal columns on a group of state rows of equal weight
+    a_g = 1/phi + (H.T R^{-1} 1)_g. ``rows`` stacks sqrt(a_g) u_g,
+    ``data`` stacks Q_g.T H.T R^{-1} D / sqrt(a_g), which must lie in the
+    span of the Q_g, and ``s_u`` is S.T U. The wide step's U = I passes
+    rows = diag(sqrt(a)). By the Woodbury identity w_ens = rows.T rows -
+    Y.T Y, with Y = L^{-1} S.T U / sqrt(phi) for L L.T = (phi/delta) I +
+    S.T S (size nens), and rhs = rows.T data. Both terms of w_ens are
+    symmetric rank-k products (BLAS SYRK), so w_ens is exactly symmetric,
+    and delta = 0 drops the second. Scaling the (nens, m) Y, not Y.T Y,
+    spares an m-square temporary (m = nens + k - 1): 1.4 MiB of
+    qg33-compare's peak RSS.
     """
-    if cov.phi <= 0.0:
-        raise ValueError("invalid shrinkage parameters")
-    weights = obs.scatter(1.0 / obs.variances)
-    weights += 1.0 / cov.phi
-    w_ens, rhs = weighted_gram(u_ext, np.sqrt(weights),
-                               obs.scatter(d / (obs.variances * weights[obs.indices])[:, None]))
+    w_ens = rows.T @ rows
+    rhs = rows.T @ data
     if cov.delta > 0.0:
         s = cov.deviations.columns
         inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s
         lower = cholesky_factor(inner, "shrunk covariance is not positive definite")
-        y = triangular_solve(lower, s.T @ u_ext, lower=True) / np.sqrt(cov.phi)
+        y = triangular_solve(lower, s_u, lower=True) / np.sqrt(cov.phi)
         w_ens -= y.T @ y
     return w_ens, rhs
+
+
+@dataclass(frozen=True)
+class _RowGroup:
+    """State rows of equal reduced-space weight, an orthonormal basis B of
+    the span of their rows of S and of H.T R^{-1} D, the coordinates of
+    both in B (data None on the unobserved rows), and the group's place in
+    the compressed rows: rank b = ``basis.shape[1]`` rows from ``offset``,
+    then ``roots`` rows of the root of the synthetic block's Gram off B."""
+
+    rows: np.ndarray
+    weight: float
+    basis: np.ndarray
+    s: np.ndarray
+    data: np.ndarray | None
+    offset: int
+    roots: int
+
+    @property
+    def nu(self) -> int:
+        """Dimension of the complement of the basis in the group's rows."""
+        return self.rows.size - self.basis.shape[1]
+
+
+def _rs_row_groups(obs: ObservationSpec, s: np.ndarray, d: np.ndarray, phi: float,
+                   k: int) -> list:
+    """Row groups of the tall reduced-space step: the unobserved rows, with
+    weight a = 1/phi, then the observed rows of each distinct variance r,
+    with a = 1/phi + 1/r. The basis is :func:`group_basis` of S_g, or of
+    [S_g | D_g / r] for observed rows; the root has min(nu, k) rows."""
+    unobserved = np.setdiff1d(np.arange(obs.nstate), obs.indices, assume_unique=True)
+    parts = [(unobserved, 1.0 / phi, s[unobserved], None)] if unobserved.size else []
+    variances, which = np.unique(obs.variances, return_inverse=True)
+    for i, variance in enumerate(variances):
+        rows = obs.indices[which == i]
+        parts.append((rows, 1.0 / phi + 1.0 / variance, s[rows], d[which == i] / variance))
+    groups, offset = [], 0
+    for rows, weight, s_g, data in parts:
+        basis = group_basis(s_g if data is None else np.hstack([s_g, data]))
+        roots = min(rows.size - basis.shape[1], k)
+        groups.append(_RowGroup(rows, weight, basis, basis.T @ s_g,
+                                None if data is None else basis.T @ data, offset, roots))
+        offset += basis.shape[1] + roots
+    return groups
+
+
+def _rs_compressed_rows(nens: int, k: int, rng: RngStream, cov: ShrinkageCovariance,
+                        groups: list):
+    """The weighted rows of the tall basis U in row-group coordinates, with
+    the ``s_u`` and ``data`` of :func:`enkf_rs_system`.
+
+    On group g, with basis B and the synthetic block E1 split as
+    E1_g = B Z + E_perp, u_g = [[sqrt(nens - 1) B.T S_g[:, 1:],
+    sqrt(phi) Z + sqrt(delta) (B.T S_g) E2], [0, sqrt(phi) R]], where
+    R.T R is the Gram E_perp.T E_perp. Z is standard normal, the Gram is
+    Wishart_k(nu, I) and independent of Z, and these are all of E1_g that
+    the weight matrix and the data read, so they are drawn instead of E1.
+    The rows hold sqrt(a_g) u_g, so W needs one plain Gram of them and no
+    weighted copy. Z of every group and E2 are the rows of one
+    :func:`normal_block`, of (sum of ranks + nens) rows and k columns; R
+    comes from :func:`wishart_root` on substream (``_RS_ROOT_STREAM``, g).
+    A non-finite synthetic column is refused like a non-finite draw.
+    """
+    nb = nens - 1
+    ranks = sum(g.basis.shape[1] for g in groups)
+    normals = normal_block(rng.child(_SYNTH_STREAM), ranks + nens, k)
+    eps2 = normals[ranks:]
+    nrows = groups[-1].offset + groups[-1].basis.shape[1] + groups[-1].roots
+    rows = np.empty((nrows, nb + k))
+    data = np.zeros((nrows, nens))
+    s_u = np.zeros((nens, nb + k))
+    z_row = 0
+    for i, g in enumerate(groups):
+        b, start, scale = g.basis.shape[1], g.offset, np.sqrt(g.weight)
+        top = rows[start:start + b]
+        np.multiply(g.s[:, 1:], np.sqrt(nens - 1), out=top[:, :nb])
+        synthetic = np.matmul(g.s, eps2, out=top[:, nb:])
+        synthetic *= np.sqrt(cov.delta)
+        synthetic += np.sqrt(cov.phi) * normals[z_row:z_row + b]
+        z_row += b
+        s_u += g.s.T @ top
+        top *= scale
+        if g.data is not None:
+            data[start:start + b] = g.data / scale
+        root = rows[start + b:start + b + g.roots]
+        root[:, :nb] = 0.0
+        if g.roots:
+            np.multiply(wishart_root(rng.child(_RS_ROOT_STREAM, i), g.nu, k),
+                        np.sqrt(cov.phi) * scale, out=root[:, nb:])
+    if k and not (np.isfinite(rows[:, nb:].min()) and np.isfinite(rows[:, nb:].max())):
+        raise ValueError(NON_FINITE_SYNTHETIC)
+    return rows, s_u, data
+
+
+def _rs_tall_update(bg: Ensemble, rng: RngStream, groups: list, rows: np.ndarray,
+                    lam: np.ndarray) -> np.ndarray:
+    """X^b + U lambda from the weighted compressed ``rows``.
+
+    On group g, U_g lambda = B (u_g[:b] lambda) + sqrt(phi) E_perp lambda_s,
+    lambda_s the synthetic rows of lambda. Given the draws behind lambda,
+    E_perp is a Haar rotation in the complement of B applied to a matrix of
+    Gram R.T R, so the last term has the law of F diag(sqrt(ev)) V.T, with
+    (ev, V) the top r eigenpairs of A.T A for A = sqrt(phi) R lambda_s,
+    and F a :func:`haar_frame` of r columns off B on substream
+    (``_RS_FRAME_STREAM``, g). r = min(rows of R, nens) bounds the rank of
+    A, so no eigenpair beyond it is read: min(nu, nens) would take the
+    square roots of rounding-level eigenvalues when k < nens.
+    """
+    nens, nb = bg.nens, bg.nens - 1
+    analysis = np.array(bg.matrix)
+    for i, g in enumerate(groups):
+        b, start, scale = g.basis.shape[1], g.offset, np.sqrt(g.weight)
+        update = g.basis @ (rows[start:start + b] @ lam / scale)
+        if g.roots:
+            a = rows[start + b:start + b + g.roots, nb:] @ lam[nb:] / scale
+            ev, vec = np.linalg.eigh(a.T @ a)
+            r = min(g.roots, nens)
+            frame = haar_frame(rng.child(_RS_FRAME_STREAM, i), g.basis, r)
+            update += frame @ (np.sqrt(np.clip(ev[-r:], 0.0, None))[:, None] * vec[:, -r:].T)
+        analysis[g.rows] += update
+    return analysis
+
+
+def _rs_solve(cov: ShrinkageCovariance, system: tuple):
+    """lambda of W lambda = rhs, W and rhs from :func:`enkf_rs_system` on
+    the (rows, s_u, data) of ``system``, and the condition estimate (max diag L / min diag L)^2 of
+    its Cholesky factor L, which is dropped before the update."""
+    lam, lower = cholesky_solve(*enkf_rs_system(cov, *system),
+                                "rank-deficient ensemble space: weight matrix is not "
+                                "positive definite")
+    pivots = np.diagonal(lower)
+    return lam, float((pivots.max() / pivots.min()) ** 2)
 
 
 def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
@@ -416,27 +559,39 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
                      innovations: np.ndarray | None = None) -> AnalysisResult:
     """Reduced-space shrinkage step: assimilate in the extended ensemble span.
 
-    Per-member weights lambda solve W lambda = Q.T R^{-1} D, both sides from
-    :func:`enkf_rs_system`, by one Cholesky solve W = L L.T; the analysis is
-    X^b + U @ lambda. The shape picks the basis U. Tall (nens + k - 1 <=
-    nstate): the extended anomalies without the first real one, the same
-    span since the real ones sum to zero, so W is SPD. Wide: they span the
-    state, so U = I, the Kalman update with prior Bhat whatever the draws
-    are, and none are drawn. A failed factorization raises ``ValueError``;
+    Per-member weights lambda solve W lambda = U.T H.T R^{-1} D, both sides
+    from :func:`enkf_rs_system`, by one Cholesky solve W = L L.T; the
+    analysis is X^b + U @ lambda. The shape picks the basis U. Wide
+    (nens + k - 1 > nstate): the extended anomalies span the state, so
+    U = I, the Kalman update with prior Bhat whatever the draws are, and
+    none are drawn. Tall: the extended anomalies [sqrt(nens - 1) S,
+    sqrt(phi) E1 + sqrt(delta) S E2] without the first real one, the same
+    span since the real ones sum to zero, so W is SPD. The tall step never
+    forms them: on each group of rows of equal weight it draws the exact
+    joint law of what W, the data and the update read of the synthetic
+    block E1 (:func:`_rs_compressed_rows`, :func:`_rs_tall_update`). The
+    analysis has the distribution of the step with E1 drawn in full, not
+    its bits. A failed factorization raises ``ValueError``;
     ``condition_estimate`` is (max diag L / min diag L)^2 <= cond(W).
     """
-    wide = bg.nens + int(k) - 1 > bg.nstate
-    cov, d, extended, _ = _shrinkage_prologue(bg, y, obs, 0 if wide else k, rng,
-                                              shrinkage, innovations)
-    basis = np.eye(bg.nstate) if wide else extended[:, 1:]
-    w_ens, rhs = enkf_rs_system(cov, basis, obs, d)
-    lam, lower = cholesky_solve(w_ens, rhs,
-                                "rank-deficient ensemble space: weight matrix is not "
-                                "positive definite")
-    analysis = bg.matrix + basis @ lam
-    pivots = np.diagonal(lower)
+    k, rng, cov, d = _shrinkage_inputs(bg, y, obs, k, rng, shrinkage, innovations)
+    if cov.phi <= 0.0:
+        raise ValueError("invalid shrinkage parameters")
+    s = cov.deviations.columns
+    if bg.nens + k - 1 > bg.nstate:
+        scale = obs.scatter(1.0 / obs.variances)
+        scale += 1.0 / cov.phi
+        np.sqrt(scale, out=scale)
+        lam, condition = _rs_solve(cov, (np.diag(scale), s.T,
+                                         obs.scatter(d / obs.variances[:, None]) / scale[:, None]))
+        analysis = bg.matrix + lam
+    else:
+        groups = _rs_row_groups(obs, s, d, cov.phi, k)
+        system = _rs_compressed_rows(bg.nens, k, rng, cov, groups)
+        lam, condition = _rs_solve(cov, system)
+        analysis = _rs_tall_update(bg, rng, groups, system[0], lam)
     diag = _shrinkage_diagnostics(cov)
-    diag["condition_estimate"] = float((pivots.max() / pivots.min()) ** 2)
+    diag["condition_estimate"] = condition
     return AnalysisResult(Ensemble(analysis), diag)
 
 

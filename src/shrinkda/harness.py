@@ -125,7 +125,7 @@ def _coerce(values: dict) -> dict:
             if out.get(key) is not None:
                 try:
                     out[key] = kind(out[key])
-                except ValueError:
+                except (TypeError, ValueError):
                     raise ValueError(f"{key} must be {noun}, not {out[key]!r}") from None
     return out
 

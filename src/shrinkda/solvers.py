@@ -3,10 +3,9 @@
 ``ismf_solve`` solves the observation-space system (Gamma + Pi @ Pi.T) Z =
 rhs, for the diagonal Gamma every filter has, through its m x m
 capacitance matrix (Woodbury) and returns W = Pi.T @ Z, the only part
-of the solution the filters read. ``weighted_gram`` is the one blocked
-weighted Gram, behind that capacitance and the reduced-space weight
-matrix. ``cholesky_solve`` is the one SPD solve, and
-``triangular_solve`` the blocked substitution behind it.
+of the solution the filters read. ``weighted_gram`` is the blocked
+weighted Gram behind that capacitance. ``cholesky_solve`` is the one SPD
+solve, and ``triangular_solve`` the blocked substitution behind it.
 ``entkf_factors`` is the ensemble-space eigen kernel behind the ETKF, the
 dual finite-size step and, shifted by one, the EnSRF's capacitance
 (``ensrf_transform``).
@@ -22,12 +21,10 @@ import numpy as np
 # many unknowns is one block, solved as a whole.
 TRIANGULAR_BLOCK = 64
 # Rows per block of ``weighted_gram``, which builds the capacitance matrix
-# of ``ismf_solve`` and the weight matrix of ``filters.enkf_rs_system``: a
-# weighted copy of this many rows, 1.7 MiB at 440 columns, is its one
-# temporary, not a copy of the whole matrix.
+# of ``ismf_solve``: a weighted copy of this many rows, 1.7 MiB at 440
+# columns, is its one temporary, not a copy of the whole matrix.
 # On qg-65 (2 vCPU), 1024-row blocks left a 7-filter compare's peak RSS
-# at 131 MiB against 126 MiB, and made the reduced-space Gram (3969 rows)
-# about 2.5 ms faster per analysis, within 0.2 ms of one whole product.
+# at 131 MiB against 126 MiB.
 GRAM_ROW_BLOCK = 512
 
 

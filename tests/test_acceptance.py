@@ -24,7 +24,8 @@ from shrinkda.shrinkage import (ShrinkageCovariance, deviation_singular_values,
                                 rblw_parameters)
 from shrinkda.solvers import ObservationSpaceSystem
 
-from helpers import ismf_z, random_ensemble, selection_matrix
+from helpers import (dense_rs_analysis, ismf_z, random_ensemble, rs_replayed_members,
+                     selection_matrix)
 
 
 def report(name, detail):
@@ -134,17 +135,12 @@ def test_criterion_4_filter_cross_checks():
     fs_gap = np.abs(fs - fs_oracle).max()
     assert fs_gap < 1e-9
 
-    # reduced-space filter against the dense normal equations; RS draws in full
+    # reduced-space filter against the dense normal equations; RS draws only
+    # what its system and update read of the synthetic members, and the
+    # replay builds members whose explicit update is the step's
     rs = enkf_rs_analysis(ens, y, obs, k, rng).analysis.matrix
-    syn = ensemble_mean(ens)[:, None] + draw_synthetic_members(
-        cov, k, rng.child(filters._SYNTH_STREAM))
-    u = extend_ensemble(ens, syn).anomalies()
-    s = cov.deviations.columns
-    bhat_real = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)
-    q = h @ u
-    w = u.T @ np.linalg.solve(bhat_real, u) + q.T @ np.linalg.solve(r, q)
-    lam = np.linalg.pinv(w) @ (q.T @ np.linalg.solve(r, d))
-    rs_gap = np.abs(rs - (ens.matrix + u @ lam)).max()
+    rs_oracle, _ = dense_rs_analysis(ens, obs, cov, d, rs_replayed_members(ens, obs, cov, d, k, rng))
+    rs_gap = np.abs(rs - rs_oracle).max()
     assert rs_gap < 1e-8
 
     # strong duality between the primal and dual inflation-free filters

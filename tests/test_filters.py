@@ -17,7 +17,8 @@ from shrinkda.sampling import (RngStream, draw_synthetic_members, extend_ensembl
 from shrinkda.shrinkage import ShrinkageCovariance
 from shrinkda.validation import fs_replayed_members
 
-from helpers import enkf_fs_explicit, enkf_n_hessian, random_ensemble, selection_matrix
+from helpers import (dense_rs_analysis, enkf_fs_explicit, enkf_n_hessian, enkf_rs_explicit,
+                     random_ensemble, rs_replayed_members, selection_matrix)
 
 
 def instance(gen, nstate=10, nens=6, p=0.7, obs_std=0.1):
@@ -414,6 +415,9 @@ class TestEnkfFs:
 
 class TestEnkfRs:
     def test_matches_dense_normal_equations(self):
+        # the step draws only what its system and update read of the
+        # synthetic members; the replay builds members whose explicit
+        # update, from the dense normal equations, is the step's
         gen = np.random.default_rng(91)
         nstate, nens, k = 12, 4, 6
         ens = random_ensemble(gen, nstate, nens)
@@ -424,22 +428,51 @@ class TestEnkfRs:
         cov = estimate_shrinkage(ens)
         perturbed = perturb_observations(y, obs, nens, rng.child(filters._OBS_STREAM))
         d = perturbed - obs.project(ens.matrix)
-        synthetic = ensemble_mean(ens)[:, None] + draw_synthetic_members(
-            cov, k, rng.child(filters._SYNTH_STREAM))
-        ext = extend_ensemble(ens, synthetic)
-        u = ext.anomalies()
-        s = cov.deviations.columns
-        bhat = cov.phi * np.eye(nstate) + cov.delta * (s @ s.T)
-        h = selection_matrix(obs, nstate)
-        r_inv = np.diag(1.0 / obs.variances)
-        q = h @ u
-        w = u.T @ np.linalg.solve(bhat, u) + q.T @ r_inv @ q
-        lam = np.linalg.pinv(w) @ (q.T @ r_inv @ d)
-        oracle = ens.matrix + u @ lam
+        synthetic = rs_replayed_members(ens, obs, cov, d, k, rng)
+        oracle, _ = dense_rs_analysis(ens, obs, cov, d, synthetic)
         assert np.abs(res.analysis.matrix - oracle).max() < 1e-8
 
+    # shapes (nstate, p, nens, k) that reach each branch of the tall step:
+    # a Bartlett root (observed nu 19 >= k 8) beside an explicit one
+    # (unobserved nu 4), explicit roots only, a group with nu = 0 (7 observed
+    # rows, rank 7), and two observed variances (three groups)
+    @pytest.mark.parametrize("nstate, p, nens, k, two_variances", [
+        (30, 0.8, 3, 8, False), (20, 0.5, 4, 12, False), (14, 0.5, 4, 6, False),
+        (16, 0.75, 3, 10, True)], ids=["bartlett", "explicit-root", "nu-zero", "two-variances"])
+    def test_distribution_matches_explicit_draw(self, nstate, p, nens, k, two_variances):
+        # the explicit-draw reference draws every row of every synthetic
+        # member; the step draws their exact sufficient statistics group by
+        # group. With D fixed, the analyses' means, second moments and
+        # member cross-moments (raw moments of the increments A - X_b over
+        # all entries and their pairs) agree over 3000 draws a side, by the
+        # Welch t bound of TestEnkfFs::test_distribution_matches_explicit_draw
+        # (5.5, below 1e-4 by chance for up to 4185 statistics). The step
+        # without its frame term reads far beyond it.
+        gen = np.random.default_rng(101)
+        draws = 3000
+        ens = random_ensemble(gen, nstate, nens)
+        obs = ObservationSpec.from_fraction(nstate, p, 0.1)
+        if two_variances:
+            obs = ObservationSpec(nstate, obs.indices, np.where(np.arange(obs.nobs) % 2, 0.01, 0.04))
+        y = gen.standard_normal(obs.nobs)
+        d = 0.3 * gen.standard_normal((obs.nobs, nens))
+        explicit = np.array([enkf_rs_explicit(ens, y, obs, k, RngStream(seed), innovations=d)
+                             for seed in range(draws)])
+        rs = np.array([enkf_rs_analysis(ens, y, obs, k, RngStream(draws + seed),
+                                        innovations=d).analysis.matrix
+                       for seed in range(draws)])
+        upper = np.triu_indices(nstate * nens)
+
+        def statistics(analyses):
+            inc = (analyses - ens.matrix).reshape(draws, -1)
+            return np.hstack([inc, (inc[:, :, None] * inc[:, None, :])[:, upper[0], upper[1]]])
+
+        a, b = statistics(explicit), statistics(rs)
+        t = (a.mean(0) - b.mean(0)) / np.sqrt((a.var(0, ddof=1) + b.var(0, ddof=1)) / draws)
+        assert np.abs(t).max() < 5.5
+
     def test_projection_identity_two_ways(self):
-        for nstate in (12, 1100):  # one row block, three
+        for nstate in (12, 1100):
             self._check_projection_identity(nstate)
 
     @staticmethod
@@ -455,14 +488,17 @@ class TestEnkfRs:
         h = selection_matrix(obs, nstate)
         data_term = h.T @ np.diag(1.0 / obs.variances) @ h
         # the tall basis with the estimate, the same basis with gamma = 1
-        # (delta = 0, Bhat = mu I), and the wide basis U = I
+        # (delta = 0, Bhat = mu I), and the wide basis U = I, each in state
+        # coordinates: one row per state row
         unshrunk = ShrinkageCovariance(mu=cov.mu, gamma=1.0, deviations=cov.deviations)
         for case, u in ((cov, ext.anomalies()), (unshrunk, ext.anomalies()),
                         (cov, np.eye(nstate))):
-            w_fast, rhs = enkf_rs_system(case, u, obs, d)
+            scale = np.sqrt(obs.scatter(1.0 / obs.variances) + 1.0 / case.phi)
+            w_fast, rhs = enkf_rs_system(case, scale[:, None] * u, case.deviations.columns.T @ u,
+                                         obs.scatter(d / obs.variances[:, None]) / scale[:, None])
             np.testing.assert_array_equal(w_fast, w_fast.T)
-            # Q.T R^{-1} D with the dense Q = H U, to rounding: the row blocks
-            # sum it in another order, from weighted rows of U
+            # Q.T R^{-1} D with the dense Q = H U, to rounding: the step
+            # sums it from weighted rows of U and data divided by the weights
             rhs_dense = (h @ u).T @ (d / obs.variances[:, None])
             assert np.abs(rhs - rhs_dense).max() <= 1e-13 * np.abs(rhs_dense).max()
             # dense evaluation of the projected weighted covariance
@@ -482,12 +518,17 @@ class TestEnkfRs:
         res = enkf_rs_analysis(ens, y, obs, 3, RngStream(5))
         assert res.diagnostics["condition_estimate"] >= 1.0
         # tall (nens + k - 1 <= nstate): the basis is the extended anomalies
-        # without the first real one, and the Cholesky pivot ratio bounds
-        # the condition number of its weight matrix from below
+        # without the first real one, here with the replayed synthetic
+        # members, and the Cholesky pivot ratio bounds the condition number
+        # of its weight matrix from below
         cov = estimate_shrinkage(ens)
-        draws = draw_synthetic_members(cov, 3, RngStream(5).child(filters._SYNTH_STREAM))
-        basis = extend_ensemble(ens, ensemble_mean(ens)[:, None] + draws).anomalies()[:, 1:]
-        w_ens, _ = enkf_rs_system(cov, basis, obs, np.zeros((obs.nobs, ens.nens)))
+        rng = RngStream(5)
+        d = perturb_observations(y, obs, ens.nens, rng.child(filters._OBS_STREAM)) - obs.project(ens.matrix)
+        synthetic = rs_replayed_members(ens, obs, cov, d, 3, rng)
+        basis = np.hstack([ens.matrix - ensemble_mean(ens)[:, None], synthetic])[:, 1:]
+        scale = np.sqrt(obs.scatter(1.0 / obs.variances) + 1.0 / cov.phi)
+        w_ens, _ = enkf_rs_system(cov, scale[:, None] * basis, cov.deviations.columns.T @ basis,
+                                  np.zeros((ens.nstate, ens.nens)))
         assert res.diagnostics["condition_estimate"] <= np.linalg.cond(w_ens)
 
     def test_zero_basis_rank_deficient_error(self):
@@ -509,48 +550,47 @@ class TestEnkfRs:
             enkf_rs_analysis(ens, y, obs, 2, RngStream(3), shrinkage=forced)
 
 
-@pytest.mark.parametrize("rows", ["all", "observed"], ids=["rs-every-row", "fs-observed-rows"])
-def test_synthetic_members_drawn_centred_into_a_column_major_buffer(rows):
-    # the shrinkage prologue writes the real anomalies sqrt(nens - 1) S from
-    # the estimate's deviations S, then draws the synthetic deviations
-    # straight into the column-major buffer of extended anomalies, bit for
-    # bit the draw into a column-major array of their own. k = 130 makes
-    # three chunks
+@pytest.mark.parametrize("p", [0.7], ids=["fs-observed-rows"])
+def test_synthetic_members_drawn_centred_into_a_column_major_buffer(p):
+    # the full-space prologue writes the observed rows of the real anomalies
+    # sqrt(nens - 1) S from the estimate's deviations S, then draws the
+    # synthetic deviations straight into the column-major buffer of
+    # extended anomalies, bit for bit the draw into a column-major array of
+    # their own. k = 130 makes three chunks
     gen = np.random.default_rng(100)
     nstate, nens, k = 200, 10, 130
     ens = Ensemble(50.0 + random_ensemble(gen, nstate, nens).matrix)
-    obs = ObservationSpec.from_fraction(nstate, 0.7, 0.1)
+    obs = ObservationSpec.from_fraction(nstate, p, 0.1)
     y = obs.project(ens.matrix[:, 0])
-    drawn_rows = obs.indices if rows == "observed" else None
     rng = RngStream(12)
-    cov, _, extended, _ = filters._shrinkage_prologue(ens, y, obs, k, rng, None, None,
-                                                      rows=drawn_rows)
-    held = slice(None) if drawn_rows is None else drawn_rows
-    s = cov.deviations.columns[held]
+    cov, _, extended, _ = filters._shrinkage_prologue(ens, y, obs, k, rng, None, None)
+    s = cov.deviations.columns[obs.indices]
     assert extended.flags.f_contiguous and extended.shape == (s.shape[0], nens + k)
     np.testing.assert_array_equal(extended[:, :nens], np.sqrt(nens - 1) * s)
     synthetic = extended[:, nens:]
     np.testing.assert_array_equal(
         synthetic, draw_synthetic_members(cov, k, rng.child(filters._SYNTH_STREAM),
-                                          rows=drawn_rows,
+                                          rows=obs.indices,
                                           out=np.empty(synthetic.shape, order="F")))
 
 
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])
 def test_non_finite_synthetic_members_refused(step):
-    # deviations near the float range overflow S @ eps2, and the draw checks
+    # deviations near the float range overflow S @ eps2, and FS's draw checks
     # each chunk as it is written, before the chunk enters a product. With
     # the huge deviations on the unobserved rows alone, FS draws finite
     # observed rows, and the overflow is in the S term of its unobserved
-    # rows, which it checks the same way before the update
+    # rows, which it checks the same way before the update. RS overflows in
+    # the synthetic columns of its compressed rows, sqrt(delta) (B.T S) E2,
+    # and checks them before they enter its system
     gen = np.random.default_rng(97)
     ens, obs, y = instance(gen, nens=4)
     huge = np.tile([1.5e308, -1.5e308, 1.5e308, -1.5e308], (ens.nstate, 1))
     huge_unobserved = huge.copy()
     huge_unobserved[obs.indices] = deviations(ens).columns[obs.indices]
-    for columns, raised_in in ((huge, "draw_synthetic_members"),
-                               (huge_unobserved, "draw_synthetic_members"
-                                if step is enkf_rs_analysis else "enkf_fs_analysis")):
+    rs = step is enkf_rs_analysis
+    for columns, raised_in in ((huge, "_rs_compressed_rows" if rs else "draw_synthetic_members"),
+                               (huge_unobserved, "_rs_compressed_rows" if rs else "enkf_fs_analysis")):
         with np.errstate(over="ignore", invalid="ignore"):
             forced = ShrinkageCovariance(mu=1.0, gamma=0.5, deviations=DeviationMatrix(columns))
             with pytest.raises(ValueError, match="synthetic members contain non-finite entries") as exc:

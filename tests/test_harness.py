@@ -166,6 +166,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"^{key} must be finite and "):
             ExperimentConfig.from_mapping({**base, key: text})
 
+    @pytest.mark.parametrize("key, value, noun", [("nens", [3], "an integer"),
+                                                  ("p", [0.5], "a number"),
+                                                  ("rng_seed", {"seed": 1}, "an integer")])
+    def test_non_scalar_setting_named(self, key, value, noun):
+        # int() and float() raise TypeError, not ValueError, for a list or a
+        # dict, which used to escape without naming the key
+        base = {"model": "l96-40", "filter": "enkf", "nens": 10, "p": 0.5,
+                "sigma_b": 0.05, "n_cycles": 1, "rng_seed": 1}
+        with pytest.raises(ValueError, match=f"^{key} must be {noun}, not "):
+            ExperimentConfig.from_mapping({**base, key: value})
+
     @pytest.mark.parametrize("text", ["1e200", "1e-200", "1e-160"])
     def test_obs_std_without_a_normal_square_named(self, text):
         # R = obs_std**2 I: 1e200 overflowed the square, 1e-200 underflowed it

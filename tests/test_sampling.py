@@ -4,8 +4,9 @@ import pytest
 from shrinkda.ensemble import DeviationMatrix, deviations
 from shrinkda.observations import ObservationSpec
 from shrinkda.sampling import (ExtendedEnsemble, RngStream, draw_synthetic_members,
-                               extend_ensemble, member_normals, perturb_observations,
-                               standard_normal)
+                               extend_ensemble, group_basis, haar_frame, member_normals,
+                               normal_block, perturb_observations, standard_normal,
+                               wishart_root)
 from shrinkda.shrinkage import ShrinkageCovariance
 
 from helpers import random_ensemble
@@ -196,6 +197,69 @@ class TestDrawSyntheticMembers:
         np.testing.assert_array_equal(eps2, eps[rows.size:])
         with pytest.raises(ValueError, match="eps2 must be"):
             draw_synthetic_members(cov, 70, rng, rows=rows, eps2=eps2[:, 1:])
+
+
+class TestCompressedDraws:
+    """The helpers behind the reduced-space step's draws."""
+
+    @staticmethod
+    def columns(gen, case):
+        s = deviations(random_ensemble(gen, 60, 6)).columns
+        d = gen.standard_normal((60, 6))
+        if case == "zero-data":
+            d[:] = 0.0
+        elif case == "repeated-column":
+            d[:, 3] = d[:, 1]
+            s = np.hstack([s, s[:, :1]])
+        elif case == "scales-1e8-apart":
+            s = 1e8 * s
+        return np.hstack([s, d])
+
+    @pytest.mark.parametrize("case, rank", [("zero-data", 5), ("repeated-column", 10),
+                                            ("scales-1e8-apart", 11)])
+    def test_group_basis_orthonormal_and_spanning(self, case, rank):
+        # the deviations sum to zero across members, so they have rank 5
+        m = self.columns(np.random.default_rng(61), case)
+        basis = group_basis(m)
+        assert basis.shape == (60, rank)
+        assert np.abs(basis.T @ basis - np.eye(rank)).max() < 1e-12
+        # every column lies in the span, relative to its own scale
+        residual = m - basis @ (basis.T @ m)
+        scale = np.maximum(np.abs(m).max(axis=0), 1e-300)
+        assert (np.abs(residual).max(axis=0) / scale).max() < 1e-12
+
+    def test_group_basis_of_zero_columns_is_empty(self):
+        assert group_basis(np.zeros((7, 3))).shape == (7, 0)
+
+    @pytest.mark.parametrize("nu, k", [(12, 4), (3, 5)], ids=["bartlett", "explicit"])
+    def test_wishart_root_gram_has_mean_nu_identity(self, nu, k):
+        # E[R.T R] = nu I, with Var = 2 nu on the diagonal and nu off it; the
+        # sample mean of 4000 Grams stays within 5 standard errors
+        draws = 4000
+        grams = np.array([(lambda r: r.T @ r)(wishart_root(RngStream(seed), nu, k))
+                          for seed in range(draws)])
+        root = wishart_root(RngStream(0), nu, k)
+        assert root.shape == (min(nu, k), k)
+        if nu >= k:
+            np.testing.assert_array_equal(root, np.triu(root))
+            assert np.all(np.diag(root) > 0.0)
+        err = (grams.mean(0) - nu * np.eye(k)) / np.sqrt(nu * (1.0 + np.eye(k)) / draws)
+        assert np.abs(err).max() < 5.0
+
+    def test_haar_frame_orthonormal_off_the_basis(self):
+        gen = np.random.default_rng(62)
+        basis = group_basis(gen.standard_normal((30, 8)))
+        frame = haar_frame(RngStream(3), basis, 22)
+        assert np.abs(frame.T @ frame - np.eye(22)).max() < 1e-12
+        assert np.abs(basis.T @ frame).max() < 1e-12
+
+    def test_normal_block_is_consecutive_members_normals(self):
+        # 20000 normals take three members of NORMAL_BLOCK_CHUNK (8192)
+        block = normal_block(RngStream(4), 100, 200)
+        assert block.shape == (100, 200) and block.flags.f_contiguous
+        np.testing.assert_array_equal(block.ravel(order="F"),
+                                      member_normals(RngStream(4), 3, 8192).ravel(order="F")[:20000])
+        assert normal_block(RngStream(4), 0, 7).shape == (0, 7)
 
 
 class TestExtendEnsemble:
