@@ -7,7 +7,9 @@ weighted covariance) and reduced-space (ensemble-space weighted
 covariance). Neither forms the unobserved rows of its synthetic members:
 FS draws their observed rows and takes the rest in closed form, and RS
 draws, group by group of rows, only the statistics of the synthetic
-block that its weight matrix and update read.
+block that its weight matrix and update read. Where the extended ensemble
+spans the state, RS is the Kalman update with the shrunk prior whatever
+the draws are, and it runs FS's step without synthetic members.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ def _check_inputs(bg: Ensemble, y: np.ndarray, obs: ObservationSpec) -> np.ndarr
     y = np.asarray(y, dtype=float)
     if y.shape != (obs.nobs,):
         raise ValueError("observation vector length must equal nobs")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation vector contains non-finite entries")
     return y
 
 
@@ -401,14 +405,13 @@ def enkf_rs_system(cov: ShrinkageCovariance, rows: np.ndarray, s_u: np.ndarray,
     orthonormal columns on a group of state rows of equal weight
     a_g = 1/phi + (H.T R^{-1} 1)_g. ``rows`` stacks sqrt(a_g) u_g,
     ``data`` stacks Q_g.T H.T R^{-1} D / sqrt(a_g), which must lie in the
-    span of the Q_g, and ``s_u`` is S.T U. The wide step's U = I passes
-    rows = diag(sqrt(a)). By the Woodbury identity w_ens = rows.T rows -
-    Y.T Y, with Y = L^{-1} S.T U / sqrt(phi) for L L.T = (phi/delta) I +
-    S.T S (size nens), and rhs = rows.T data. Both terms of w_ens are
-    symmetric rank-k products (BLAS SYRK), so w_ens is exactly symmetric,
-    and delta = 0 drops the second. Scaling the (nens, m) Y, not Y.T Y,
-    spares an m-square temporary (m = nens + k - 1): 1.4 MiB of
-    qg33-compare's peak RSS.
+    span of the Q_g, and ``s_u`` is S.T U. By the Woodbury identity
+    w_ens = rows.T rows - Y.T Y, with Y = L^{-1} S.T U / sqrt(phi) for
+    L L.T = (phi/delta) I + S.T S (size nens), and rhs = rows.T data.
+    Both terms of w_ens are symmetric rank-k products (BLAS SYRK), so w_ens
+    is exactly symmetric, and delta = 0 drops the second. Scaling the
+    (nens, m) Y, not Y.T Y, spares an m-square temporary (m = nens + k - 1):
+    1.4 MiB of qg33-compare's peak RSS.
     """
     w_ens = rows.T @ rows
     rhs = rows.T @ data
@@ -542,17 +545,6 @@ def _rs_tall_update(bg: Ensemble, rng: RngStream, groups: list, rows: np.ndarray
     return analysis
 
 
-def _rs_solve(cov: ShrinkageCovariance, system: tuple):
-    """lambda of W lambda = rhs, W and rhs from :func:`enkf_rs_system` on
-    the (rows, s_u, data) of ``system``, and the condition estimate (max diag L / min diag L)^2 of
-    its Cholesky factor L, which is dropped before the update."""
-    lam, lower = cholesky_solve(*enkf_rs_system(cov, *system),
-                                "rank-deficient ensemble space: weight matrix is not "
-                                "positive definite")
-    pivots = np.diagonal(lower)
-    return lam, float((pivots.max() / pivots.min()) ** 2)
-
-
 def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
                      rng: RngStream | None = None, *,
                      shrinkage: ShrinkageCovariance | None = None,
@@ -561,38 +553,40 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
 
     Per-member weights lambda solve W lambda = U.T H.T R^{-1} D, both sides
     from :func:`enkf_rs_system`, by one Cholesky solve W = L L.T; the
-    analysis is X^b + U @ lambda. The shape picks the basis U. Wide
-    (nens + k - 1 > nstate): the extended anomalies span the state, so
-    U = I, the Kalman update with prior Bhat whatever the draws are, and
-    none are drawn. Tall: the extended anomalies [sqrt(nens - 1) S,
-    sqrt(phi) E1 + sqrt(delta) S E2] without the first real one, the same
-    span since the real ones sum to zero, so W is SPD. The tall step never
-    forms them: on each group of rows of equal weight it draws the exact
-    joint law of what W, the data and the update read of the synthetic
-    block E1 (:func:`_rs_compressed_rows`, :func:`_rs_tall_update`). The
-    analysis has the distribution of the step with E1 drawn in full, not
-    its bits. A failed factorization raises ``ValueError``;
-    ``condition_estimate`` is (max diag L / min diag L)^2 <= cond(W).
+    analysis is X^b + U @ lambda. The basis U is the extended anomalies
+    [sqrt(nens - 1) S, sqrt(phi) E1 + sqrt(delta) S E2] without the first
+    real one, the same span since the real ones sum to zero, so W is SPD.
+    The step never forms them: on each group of rows of equal weight it
+    draws the exact joint law of what W, the data and the update read of
+    the synthetic block E1 (:func:`_rs_compressed_rows`,
+    :func:`_rs_tall_update`). The analysis has the distribution of the step
+    with E1 drawn in full, not its bits. A failed factorization raises
+    ``ValueError``; ``condition_estimate`` is (max diag L / min diag L)^2
+    <= cond(W).
+
+    Once nens + k - 1 > nstate the extended anomalies span the state, and
+    the step is the Kalman update with prior Bhat = phi I + delta S S.T
+    whatever the draws are: :func:`enkf_fs_analysis` at k = 0 on the same
+    estimate and innovations, which draws nothing and reports FS's
+    diagnostics, without ``condition_estimate``.
     """
     k, rng, cov, d = _shrinkage_inputs(bg, y, obs, k, rng, shrinkage, innovations)
     if cov.phi <= 0.0:
         raise ValueError("invalid shrinkage parameters")
-    s = cov.deviations.columns
     if bg.nens + k - 1 > bg.nstate:
-        scale = obs.scatter(1.0 / obs.variances)
-        scale += 1.0 / cov.phi
-        np.sqrt(scale, out=scale)
-        lam, condition = _rs_solve(cov, (np.diag(scale), s.T,
-                                         obs.scatter(d / obs.variances[:, None]) / scale[:, None]))
-        analysis = bg.matrix + lam
-    else:
-        groups = _rs_row_groups(obs, s, d, cov.phi, k)
-        system = _rs_compressed_rows(bg.nens, k, rng, cov, groups)
-        lam, condition = _rs_solve(cov, system)
-        analysis = _rs_tall_update(bg, rng, groups, system[0], lam)
+        return enkf_fs_analysis(bg, y, obs, 0, rng, shrinkage=cov, innovations=d)
+    groups = _rs_row_groups(obs, cov.deviations.columns, d, cov.phi, k)
+    rows, s_u, data = _rs_compressed_rows(bg.nens, k, rng, cov, groups)
+    lam, lower = cholesky_solve(*enkf_rs_system(cov, rows, s_u, data),
+                                "rank-deficient ensemble space: weight matrix is not "
+                                "positive definite")
+    pivots = np.diagonal(lower)
     diag = _shrinkage_diagnostics(cov)
-    diag["condition_estimate"] = condition
-    return AnalysisResult(Ensemble(analysis), diag)
+    diag["condition_estimate"] = float((pivots.max() / pivots.min()) ** 2)
+    # an m-square factor held through the update adds 0.11 (nstate, nens + k)
+    # arrays to the peak of filters.shrinkage_peak_memory
+    del lower, pivots
+    return AnalysisResult(Ensemble(_rs_tall_update(bg, rng, groups, rows, lam)), diag)
 
 
 def run_filter(key: str, bg: Ensemble, y, obs: ObservationSpec,

@@ -63,11 +63,3 @@ class ObservationSpec:
     def project(self, x: np.ndarray) -> np.ndarray:
         """Apply H: select the observed rows of a vector or matrix."""
         return np.asarray(x, dtype=float)[self.indices]
-
-    def scatter(self, z: np.ndarray) -> np.ndarray:
-        """Apply H.T: place observation-space rows back into state space."""
-        z = np.asarray(z, dtype=float)
-        shape = (self.nstate,) + z.shape[1:]
-        out = np.zeros(shape)
-        out[self.indices] = z
-        return out

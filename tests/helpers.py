@@ -73,7 +73,7 @@ def enkf_fs_explicit(bg, y, obs, k, rng, *, shrinkage=None, innovations=None):
     system = ObservationSpaceSystem(obs.variances + cov.phi, obs.project(basis), d)
     w = ismf_solve(system)
     z = (system.rhs - system.pi @ w) / system.gamma_diagonal[:, None]
-    return bg.matrix + basis @ w + cov.phi * obs.scatter(z)
+    return bg.matrix + basis @ w + cov.phi * (selection_matrix(obs, bg.nstate).T @ z)
 
 
 def _shrinkage_innovations(bg, y, obs, rng, shrinkage, innovations):
@@ -97,9 +97,10 @@ def enkf_rs_explicit(bg, y, obs, k, rng, *, shrinkage=None, innovations=None):
     cov, d = _shrinkage_innovations(bg, y, obs, rng, shrinkage, innovations)
     draws = draw_synthetic_members(cov, k, rng.child(filters._SYNTH_STREAM))
     basis = extend_ensemble(bg, ensemble_mean(bg)[:, None] + draws).anomalies()[:, 1:]
-    scale = np.sqrt(obs.scatter(1.0 / obs.variances) + 1.0 / cov.phi)
+    ht = selection_matrix(obs, bg.nstate).T
+    scale = np.sqrt(ht @ (1.0 / obs.variances) + 1.0 / cov.phi)
     w_ens, rhs = enkf_rs_system(cov, scale[:, None] * basis, cov.deviations.columns.T @ basis,
-                                obs.scatter(d / obs.variances[:, None]) / scale[:, None])
+                                ht @ (d / obs.variances[:, None]) / scale[:, None])
     lam, _ = cholesky_solve(w_ens, rhs, "weight matrix is not positive definite")
     return bg.matrix + basis @ lam
 

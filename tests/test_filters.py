@@ -5,7 +5,7 @@ from scipy.linalg import sqrtm
 from shrinkda import filters, sampling, validation
 from shrinkda.ensemble import (DeviationMatrix, Ensemble, dense_sample_covariance, deviations,
                                ensemble_mean)
-from shrinkda.filters import (enkf_analysis, enkf_du_analysis, enkf_fs_analysis,
+from shrinkda.filters import (FILTER_KEYS, enkf_analysis, enkf_du_analysis, enkf_fs_analysis,
                               enkf_n_analysis, enkf_n_cost, enkf_n_gradient,
                               enkf_rs_analysis, enkf_rs_system, ensrf_analysis,
                               entkf_analysis, estimate_shrinkage, run_filter)
@@ -471,6 +471,23 @@ class TestEnkfRs:
         t = (a.mean(0) - b.mean(0)) / np.sqrt((a.var(0, ddof=1) + b.var(0, ddof=1)) / draws)
         assert np.abs(t).max() < 5.5
 
+    # wide shapes (nstate, nens, k, p), nens + k - 1 > nstate: partly and
+    # fully observed with draws, and a real span that alone is wide at k = 0
+    @pytest.mark.parametrize("nstate, nens, k, p", [
+        (12, 5, 20, 0.75), (10, 6, 8, 1.0), (6, 9, 0, 0.5)],
+        ids=["partly-observed", "fully-observed", "real-span"])
+    def test_full_span_is_fs_at_k_zero(self, nstate, nens, k, p):
+        # the extended anomalies span the state, so RS is the Kalman update
+        # with prior Bhat whatever it would draw: FS's step at k = 0, bit
+        # for bit and with its diagnostics, from the same stream
+        gen = np.random.default_rng(102)
+        ens, obs, y = instance(gen, nstate=nstate, nens=nens, p=p)
+        for seed in (3, 4):
+            rs = enkf_rs_analysis(ens, y, obs, k, RngStream(seed))
+            fs = enkf_fs_analysis(ens, y, obs, 0, RngStream(seed))
+            assert np.array_equal(rs.analysis.matrix, fs.analysis.matrix)
+            assert rs.diagnostics == fs.diagnostics
+
     def test_projection_identity_two_ways(self):
         for nstate in (12, 1100):
             self._check_projection_identity(nstate)
@@ -488,14 +505,16 @@ class TestEnkfRs:
         h = selection_matrix(obs, nstate)
         data_term = h.T @ np.diag(1.0 / obs.variances) @ h
         # the tall basis with the estimate, the same basis with gamma = 1
-        # (delta = 0, Bhat = mu I), and the wide basis U = I, each in state
-        # coordinates: one row per state row
+        # (delta = 0, Bhat = mu I), and U = I, each in state coordinates:
+        # one row per state row. No step passes U = I (RS at full span is
+        # FS at k = 0), but with it the system's Woodbury algebra must
+        # give Bhat^{-1} itself
         unshrunk = ShrinkageCovariance(mu=cov.mu, gamma=1.0, deviations=cov.deviations)
         for case, u in ((cov, ext.anomalies()), (unshrunk, ext.anomalies()),
                         (cov, np.eye(nstate))):
-            scale = np.sqrt(obs.scatter(1.0 / obs.variances) + 1.0 / case.phi)
+            scale = np.sqrt(h.T @ (1.0 / obs.variances) + 1.0 / case.phi)
             w_fast, rhs = enkf_rs_system(case, scale[:, None] * u, case.deviations.columns.T @ u,
-                                         obs.scatter(d / obs.variances[:, None]) / scale[:, None])
+                                         h.T @ (d / obs.variances[:, None]) / scale[:, None])
             np.testing.assert_array_equal(w_fast, w_fast.T)
             # Q.T R^{-1} D with the dense Q = H U, to rounding: the step
             # sums it from weighted rows of U and data divided by the weights
@@ -526,7 +545,8 @@ class TestEnkfRs:
         d = perturb_observations(y, obs, ens.nens, rng.child(filters._OBS_STREAM)) - obs.project(ens.matrix)
         synthetic = rs_replayed_members(ens, obs, cov, d, 3, rng)
         basis = np.hstack([ens.matrix - ensemble_mean(ens)[:, None], synthetic])[:, 1:]
-        scale = np.sqrt(obs.scatter(1.0 / obs.variances) + 1.0 / cov.phi)
+        ht = selection_matrix(obs, ens.nstate).T
+        scale = np.sqrt(ht @ (1.0 / obs.variances) + 1.0 / cov.phi)
         w_ens, _ = enkf_rs_system(cov, scale[:, None] * basis, cov.deviations.columns.T @ basis,
                                   np.zeros((ens.nstate, ens.nens)))
         assert res.diagnostics["condition_estimate"] <= np.linalg.cond(w_ens)
@@ -617,6 +637,18 @@ def test_negative_k_refused(step, k):
     ens, obs, y = instance(gen, nstate=20, nens=5, p=0.5)
     with pytest.raises(ValueError, match="k must be nonnegative"):
         step(ens, y, obs, k, RngStream(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("key", FILTER_KEYS)
+def test_non_finite_observations_refused(key, bad):
+    # refused with the inputs, before a later layer fails on them under
+    # its own name
+    gen = np.random.default_rng(103)
+    ens, obs, y = instance(gen, nstate=20, nens=5, p=0.5)
+    y[1] = bad
+    with pytest.raises(ValueError, match="observation vector contains non-finite entries"):
+        run_filter(key, ens, y, obs, RngStream(4), synthetic_members=4)
 
 
 class TestRegistryAndInvariants:

@@ -47,22 +47,11 @@ class TestObservationSpec:
         with pytest.raises(ValueError, match="obs_std 1e[+]200 squares past the float range"):
             ObservationSpec.from_fraction(5, 0.4, 1e200)
 
-    def test_project_and_scatter_adjoint(self):
-        gen = np.random.default_rng(120)
-        obs = ObservationSpec.from_fraction(12, 0.5, 0.1)
-        x = gen.standard_normal(12)
-        z = gen.standard_normal(obs.nobs)
-        # <Hx, z> = <x, H.T z>
-        np.testing.assert_allclose(obs.project(x) @ z, x @ obs.scatter(z), rtol=1e-14)
-
     def test_project_matrix(self):
         obs = ObservationSpec(nstate=4, indices=np.array([1, 3]),
                               variances=np.ones(2))
         m = np.arange(8.0).reshape(4, 2)
         np.testing.assert_array_equal(obs.project(m), m[[1, 3]])
-        back = obs.scatter(obs.project(m))
-        assert back.shape == (4, 2)
-        np.testing.assert_array_equal(back[[0, 2]], np.zeros((2, 2)))
 
     def test_selection_rows_orthonormal(self):
         obs = ObservationSpec.from_fraction(9, 0.6, 0.1)
