@@ -9,7 +9,8 @@ FS draws their observed rows and takes the rest in closed form, and RS
 draws, group by group of rows, only the statistics of the synthetic
 block that its weight matrix and update read. Where the extended ensemble
 spans the state, RS is the Kalman update with the shrunk prior whatever
-the draws are, and it runs FS's step without synthetic members.
+the draws are: it draws nothing and inverts its weight matrix by Woodbury
+in ensemble space.
 """
 
 from __future__ import annotations
@@ -416,12 +417,19 @@ def enkf_rs_system(cov: ShrinkageCovariance, rows: np.ndarray, s_u: np.ndarray,
     w_ens = rows.T @ rows
     rhs = rows.T @ data
     if cov.delta > 0.0:
-        s = cov.deviations.columns
-        inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s
-        lower = cholesky_factor(inner, "shrunk covariance is not positive definite")
-        y = triangular_solve(lower, s_u, lower=True) / np.sqrt(cov.phi)
+        y = _woodbury_rows(cov, s_u)
         w_ens -= y.T @ y
     return w_ens, rhs
+
+
+def _woodbury_rows(cov: ShrinkageCovariance, s_u: np.ndarray) -> np.ndarray:
+    """Y = L^{-1} S.T U / sqrt(phi) for L L.T = (phi/delta) I + S.T S, given
+    ``s_u`` = S.T U, so that U.T Bhat^{-1} U = U.T U / phi - Y.T Y
+    (delta > 0)."""
+    s = cov.deviations.columns
+    inner = (cov.phi / cov.delta) * np.eye(s.shape[1]) + s.T @ s
+    lower = cholesky_factor(inner, "shrunk covariance is not positive definite")
+    return triangular_solve(lower, s_u, lower=True) / np.sqrt(cov.phi)
 
 
 @dataclass(frozen=True)
@@ -566,15 +574,29 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
 
     Once nens + k - 1 > nstate the extended anomalies span the state, and
     the step is the Kalman update with prior Bhat = phi I + delta S S.T
-    whatever the draws are: :func:`enkf_fs_analysis` at k = 0 on the same
-    estimate and innovations, which draws nothing and reports FS's
-    diagnostics, without ``condition_estimate``.
+    whatever the draws are: :func:`enkf_fs_analysis` at k = 0, to rounding.
+    Nothing is drawn and U = I, so W = diag(a) - Y.T Y, a = 1/phi +
+    H.T R^{-1} 1 and Y from :func:`_woodbury_rows`. W is never formed:
+    Woodbury inverts it through the nens-square I - G Y.T, G = Y diag(1/a),
+    at O(nstate nens^2). The diagnostics are FS's, no ``condition_estimate``.
     """
     k, rng, cov, d = _shrinkage_inputs(bg, y, obs, k, rng, shrinkage, innovations)
     if cov.phi <= 0.0:
         raise ValueError("invalid shrinkage parameters")
     if bg.nens + k - 1 > bg.nstate:
-        return enkf_fs_analysis(bg, y, obs, 0, rng, shrinkage=cov, innovations=d)
+        a = np.full(bg.nstate, 1.0 / cov.phi)
+        a[obs.indices] += 1.0 / obs.variances
+        lam = np.zeros(bg.matrix.shape)
+        lam[obs.indices] = d / (obs.variances * a[obs.indices])[:, None]
+        if cov.delta > 0.0:
+            y_t = _woodbury_rows(cov, cov.deviations.columns.T)
+            g = y_t / a
+            v, _ = cholesky_solve(np.eye(bg.nens) - g @ y_t.T, y_t @ lam,
+                                  "rank-deficient ensemble space: weight matrix is not "
+                                  "positive definite")
+            lam += g.T @ v
+        lam += bg.matrix
+        return AnalysisResult(Ensemble(lam), _shrinkage_diagnostics(cov))
     groups = _rs_row_groups(obs, cov.deviations.columns, d, cov.phi, k)
     rows, s_u, data = _rs_compressed_rows(bg.nens, k, rng, cov, groups)
     lam, lower = cholesky_solve(*enkf_rs_system(cov, rows, s_u, data),

@@ -357,7 +357,8 @@ def _rs_fs_span_check(gen) -> CheckResult:
     at k = 0 so is FS. The innovations are injected, so two streams differ
     only in the draws. Shapes (nstate, nens, k): a full real span and a
     square basis with draws, both nens + k - 1 = nstate and so on RS's tall
-    path, and a wide basis, where RS runs FS's step at k = 0."""
+    path, and a wide basis, where RS draws nothing and inverts its weight
+    matrix by Woodbury through an nens-square system."""
     rs_gap = fs_gap = 0.0
     for nstate, nens, k in ((8, 9, 0), (12, 5, 8), (12, 5, 20)):
         ens = _random_ensemble(gen, nstate, nens)
