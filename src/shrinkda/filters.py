@@ -4,13 +4,15 @@ Stochastic EnKF, the square-root pair (EnSRF / ETKF), the
 inflation-free primal/dual pair, and the two shrinkage-based filters that
 assimilate with an extended ensemble: full-space (observation-space
 weighted covariance) and reduced-space (ensemble-space weighted
-covariance). Neither forms the unobserved rows of its synthetic members:
-FS draws their observed rows and takes the rest in closed form, and RS
-draws, group by group of rows, only the statistics of the synthetic
-block that its weight matrix and update read. Where the extended ensemble
-spans the state, RS is the Kalman update with the shrunk prior whatever
-the draws are: it draws nothing and inverts its weight matrix by Woodbury
-in ensemble space.
+covariance). Neither forms a row of its synthetic members. Both split
+the observed rows into groups of one observation variance and draw, group
+by group, only the statistics of the synthetic block that their systems
+and updates read: its coordinates in a basis of the group's deviations
+and data, a root of the Gram of the rest and a Haar frame. RS does the
+same on the unobserved rows, and FS takes them in closed form. Where the
+extended ensemble spans the state, RS is the Kalman update with the
+shrunk prior whatever the draws are: it draws nothing and inverts its
+weight matrix by Woodbury in ensemble space.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import Ensemble, deviations, ensemble_mean
+from .ensemble import DeviationMatrix, Ensemble, deviations, ensemble_mean
 from .observations import ObservationSpec
 # extend_ensemble is not called; perfbench/twinbench.py wraps filters.extend_ensemble by name
 from .sampling import (NON_FINITE_SYNTHETIC, RngStream, draw_synthetic_members,  # noqa: F401
@@ -38,11 +40,11 @@ _OBS_STREAM = 1
 _SYNTH_STREAM = 2
 # The normals behind the full-space step's unobserved rows.
 _UNOBSERVED_STREAM = 3
-# The reduced-space step's draws for row group g: the root of the Gram of
-# the synthetic block off the group's basis, child(_RS_ROOT_STREAM, g), and
-# the frame of its update term, child(_RS_FRAME_STREAM, g).
-_RS_ROOT_STREAM = 4
-_RS_FRAME_STREAM = 5
+# The shrinkage steps' draws for row group g: the root of the Gram of the
+# synthetic block off the group's basis, child(_ROOT_STREAM, g), and the
+# frame of its update term, child(_FRAME_STREAM, g).
+_ROOT_STREAM = 4
+_FRAME_STREAM = 5
 
 # Abort threshold of the finite-size step's primal gradient, relative to
 # its norm at w = 0.
@@ -315,30 +317,110 @@ def _shrinkage_inputs(bg, y, obs, k, rng, shrinkage, innovations):
     return k, rng, cov, d
 
 
-def _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations):
-    """Shrinkage estimate, innovations D and the observed rows of FS's
-    extended anomalies: one column-major (nobs, nens + k) buffer holding the
-    real anomalies sqrt(nens - 1) H S, from the estimate's deviations S,
-    then the k synthetic deviations drawn straight into their columns, each
-    member drawing eps1 on the observed rows only. It is the one
-    extended-ensemble array of the analysis; FS scales it in place. The
-    members' eps2 come back as an (nens, k) array, from which FS builds the
-    unobserved rows of its update in closed form."""
-    k, rng, cov, d = _shrinkage_inputs(bg, y, obs, k, rng, shrinkage, innovations)
-    real = cov.deviations.columns[obs.indices]
-    extended = np.empty((real.shape[0], bg.nens + k), order="F")
-    np.multiply(real, np.sqrt(bg.nens - 1), out=extended[:, :bg.nens])
-    eps2 = np.empty((bg.nens, k))
-    draw_synthetic_members(cov, k, rng.child(_SYNTH_STREAM), out=extended[:, bg.nens:],
-                           rows=obs.indices, eps2=eps2)
-    return cov, d, extended, eps2
-
-
 def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric PSD matrix, by ``eigh``; the
     negative eigenvalues that rounding can leave are clipped to 0."""
     lam, vec = np.linalg.eigh(gram)
     return (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+
+
+@dataclass(frozen=True)
+class _RowGroup:
+    """State rows of one observation variance (inf on the unobserved rows),
+    an orthonormal basis B of the span of their rows of S and of D /
+    variance, the coordinates of both in B (data None on the unobserved
+    rows), and ``roots``, the row count of the root of the synthetic
+    block's Gram off B in the compressed rows."""
+
+    rows: np.ndarray
+    variance: float
+    basis: np.ndarray
+    s: np.ndarray
+    data: np.ndarray | None
+    roots: int
+
+    @property
+    def nu(self) -> int:
+        """Dimension of the complement of the basis in the group's rows."""
+        return self.rows.size - self.basis.shape[1]
+
+
+def _row_groups(obs: ObservationSpec, s: np.ndarray, d: np.ndarray, k: int, *,
+                unobserved: bool) -> list:
+    """Row groups of the compressed shrinkage steps: the unobserved rows
+    when ``unobserved`` (RS), then the observed rows of each distinct
+    variance r. The basis is :func:`group_basis` of S_g, or of
+    [S_g | D_g / r] for observed rows; the root has min(nu, k) rows."""
+    parts = []
+    if unobserved:
+        rows = np.setdiff1d(np.arange(obs.nstate), obs.indices, assume_unique=True)
+        if rows.size:
+            parts.append((rows, np.inf, None))
+    variances, which = np.unique(obs.variances, return_inverse=True)
+    for i, variance in enumerate(variances):
+        parts.append((obs.indices[which == i], variance, d[which == i] / variance))
+    groups = []
+    for rows, variance, data in parts:
+        s_g = s[rows]
+        basis = group_basis(s_g if data is None else np.hstack([s_g, data]))
+        groups.append(_RowGroup(rows, variance, basis, basis.T @ s_g,
+                                None if data is None else basis.T @ data,
+                                min(rows.size - basis.shape[1], k)))
+    return groups
+
+
+def _frame_term(rng: RngStream, basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The law of E_perp A' given A = R A', for E_perp a Haar rotation in the
+    complement of the orthonormal ``basis`` applied to a matrix of Gram
+    R.T R: F diag(sqrt(ev)) V.T, with (ev, V) the top r eigenpairs of
+    A.T A and F a :func:`haar_frame` of r columns off the basis on ``rng``.
+    r = min(a.shape) bounds the rank of A, so no eigenpair beyond it is
+    read: more would take the square roots of rounding-level eigenvalues.
+    """
+    ev, vec = np.linalg.eigh(a.T @ a)
+    r = min(a.shape)
+    frame = haar_frame(rng, basis, r)
+    return frame @ (np.sqrt(np.clip(ev[-r:], 0.0, None))[:, None] * vec[:, -r:].T)
+
+
+def _fs_compressed_rows(nens: int, k: int, rng: RngStream, cov: ShrinkageCovariance,
+                        groups: list):
+    """FS's compressed system: rows Pi_c, their diagonal Gamma_c, the
+    right-hand side and the synthetic members' E2.
+
+    On group g, with basis B and E1_g = B Z + E_perp, the observed rows
+    Pi_g give the capacitance and right-hand side that the rows
+    P_g = c [sqrt(nens - 1) B.T S_g | sqrt(phi) Z + sqrt(delta) (B.T S_g) E2]
+    and (0 | c sqrt(phi) R) give, with R.T R = E_perp.T E_perp, Wishart_k(nu,
+    I) and independent of Z, Gamma_c = r_g + phi on both, and B.T D_g on the
+    first, 0 on the second. The rows hold every P_g, then every R. The
+    coordinates sqrt(phi) Z + sqrt(delta) (B.T S) E2 are one
+    :func:`draw_synthetic_members` from phi I + delta (B.T S)(B.T S).T,
+    straight into their rows; R is :func:`wishart_root` on substream
+    (``_ROOT_STREAM``, g).
+    """
+    coords = np.vstack([g.s for g in groups])
+    ranks = coords.shape[0]
+    pi = np.zeros((ranks + sum(g.roots for g in groups), nens + k))
+    np.multiply(coords, np.sqrt(nens - 1), out=pi[:ranks, :nens])
+    projected = ShrinkageCovariance(cov.mu, cov.gamma,
+                                    DeviationMatrix(coords, cov.deviations.offset))
+    eps2 = np.empty((nens, k))
+    draw_synthetic_members(projected, k, rng.child(_SYNTH_STREAM), out=pi[:ranks, nens:],
+                           eps2=eps2)
+    gamma = np.empty(pi.shape[0])
+    rhs = np.zeros((pi.shape[0], nens))
+    z_row, root = 0, ranks
+    for i, g in enumerate(groups):
+        b = g.basis.shape[1]
+        gamma[z_row:z_row + b] = gamma[root:root + g.roots] = g.variance + cov.phi
+        rhs[z_row:z_row + b] = g.data * g.variance
+        if g.roots:
+            np.multiply(wishart_root(rng.child(_ROOT_STREAM, i), g.nu, k), np.sqrt(cov.phi),
+                        out=pi[root:root + g.roots, nens:])
+        z_row, root = z_row + b, root + g.roots
+    pi *= np.sqrt(cov.delta / (nens + k - 1))
+    return pi, gamma, rhs, eps2
 
 
 def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
@@ -352,34 +434,50 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     c [U | sqrt(phi) E1 + sqrt(delta) S E2], c = sqrt(delta / (nens + k - 1)),
     with U = sqrt(nens - 1) S the real anomalies and E1, E2 the synthetic
     members' normals. For the observation-space system (Gamma + Pi Pi.T) Z
-    = D with Gamma = R + phi*I, :func:`ismf_solve` returns W = Pi.T Z
-    through its (nens + k)-square capacitance matrix; Pi, the observed rows
-    of the basis, is the only part of it that is formed, and the synthetic
-    members draw only their observed rows of E1. Only the real members are
-    updated, by basis @ W + phi * H.T Z.
+    = D with Gamma = R + phi*I and Pi the observed rows of the basis,
+    :func:`ismf_solve` returns W = Pi.T Z through its (nens + k)-square
+    capacitance matrix. Pi is never formed: on each group of observed rows
+    of one variance the step draws the exact joint law of what the
+    capacitance, the right-hand side and the update read of E1
+    (:func:`_fs_compressed_rows`), at most 2 nens - 1 + k rows a group
+    whatever its size. Only the real members are updated, by
+    basis @ W + phi * H.T Z.
 
     On the observed rows that is Pi W + phi Z = (R Pi W + phi D) / Gamma,
-    as Z = Gamma^{-1} (D - Pi W), so Z is never formed. On the unobserved rows
-    (subscript u) it is c [S_u (sqrt(nens - 1) W_r + sqrt(delta) E2 W_s) +
-    sqrt(phi) E1_u W_s] for W = [W_r; W_s] split at the real members, so
-    S_u enters one product and the unobserved rows of U are never formed. E1_u
-    is independent of everything that sets W, so given W the rows of
-    E1_u W_s are i.i.d. N(0, W_s.T W_s), and the step draws them as
-    G sqrt(W_s.T W_s): G is one (nunobs, nens) normal block from its own
-    substream, and the square root is :func:`_psd_sqrt`. The analysis
-    has the distribution of the step with E1 drawn in full, not its bits.
-    A non-finite unobserved-row term is refused like a non-finite draw.
-    ``shrinkage`` and ``innovations`` are testing hooks that bypass
-    estimation and observation perturbation; the synthetic draws always
-    need ``rng``.
+    as Z = Gamma^{-1} (D - Pi W), so Z is never formed. On group g,
+    Pi_g W = B (P_g W) + c sqrt(phi) E_perp W_s, W_s the synthetic rows of
+    W, and the last term is drawn by :func:`_frame_term` on substream
+    (``_FRAME_STREAM``, g). On the unobserved rows (subscript u) it is
+    c [S_u (sqrt(nens - 1) W_r + sqrt(delta) E2 W_s) + sqrt(phi) E1_u W_s]
+    for W = [W_r; W_s] split at the real members, so S_u enters one product
+    and the unobserved rows of U are never formed. E1_u is independent of
+    everything that sets W, so given W the rows of E1_u W_s are i.i.d.
+    N(0, W_s.T W_s), and the step draws them as G sqrt(W_s.T W_s): G is one
+    (nunobs, nens) normal block from its own substream, and the square root
+    is :func:`_psd_sqrt`. The analysis has the distribution of the step
+    with E1 drawn in full, not its bits. A non-finite unobserved-row term
+    is refused like a non-finite draw. ``shrinkage`` and ``innovations``
+    are testing hooks that bypass estimation and observation perturbation;
+    the synthetic draws always need ``rng``.
     """
-    cov, d, pi, eps2 = _shrinkage_prologue(bg, y, obs, k, rng, shrinkage, innovations)
-    nens, scale = bg.nens, np.sqrt(cov.delta / (pi.shape[1] - 1))
-    pi *= scale
-    gamma = obs.variances + cov.phi
-    w = ismf_solve(ObservationSpaceSystem(gamma, pi, d))
+    k, rng, cov, d = _shrinkage_inputs(bg, y, obs, k, rng, shrinkage, innovations)
+    nens = bg.nens
+    groups = _row_groups(obs, cov.deviations.columns, d, k, unobserved=False)
+    pi, gamma, rhs, eps2 = _fs_compressed_rows(nens, k, rng, cov, groups)
+    w = ismf_solve(ObservationSpaceSystem(gamma, pi, rhs))
+    pi_w = pi @ w
     analysis = np.array(bg.matrix)
-    analysis[obs.indices] += (obs.variances[:, None] * (pi @ w) + cov.phi * d) / gamma[:, None]
+    analysis[obs.indices] += (cov.phi / (obs.variances + cov.phi))[:, None] * d
+    z_row, root = 0, pi_w.shape[0] - sum(g.roots for g in groups)
+    for i, g in enumerate(groups):
+        b = g.basis.shape[1]
+        update = g.basis @ pi_w[z_row:z_row + b]
+        if g.roots:
+            update += _frame_term(rng.child(_FRAME_STREAM, i), g.basis,
+                                  pi_w[root:root + g.roots])
+        update *= g.variance / (g.variance + cov.phi)
+        analysis[g.rows] += update
+        z_row, root = z_row + b, root + g.roots
     unobserved = np.setdiff1d(np.arange(bg.nstate), obs.indices, assume_unique=True)
     w_real, w_syn = w[:nens], w[nens:]
     # at k = 0, eps2 @ w_syn is an (nens, nens) zero block
@@ -391,7 +489,7 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
             raise ValueError(NON_FINITE_SYNTHETIC)
         normals = member_normals(rng.child(_UNOBSERVED_STREAM), nens, unobserved.size)
         term += np.sqrt(cov.phi) * (normals @ _psd_sqrt(gram))
-    term *= scale
+    term *= np.sqrt(cov.delta / (nens + k - 1))
     analysis[unobserved] += term
     return AnalysisResult(Ensemble(analysis), _shrinkage_diagnostics(cov))
 
@@ -432,48 +530,9 @@ def _woodbury_rows(cov: ShrinkageCovariance, s_u: np.ndarray) -> np.ndarray:
     return triangular_solve(lower, s_u, lower=True) / np.sqrt(cov.phi)
 
 
-@dataclass(frozen=True)
-class _RowGroup:
-    """State rows of equal reduced-space weight, an orthonormal basis B of
-    the span of their rows of S and of H.T R^{-1} D, the coordinates of
-    both in B (data None on the unobserved rows), and the group's place in
-    the compressed rows: rank b = ``basis.shape[1]`` rows from ``offset``,
-    then ``roots`` rows of the root of the synthetic block's Gram off B."""
-
-    rows: np.ndarray
-    weight: float
-    basis: np.ndarray
-    s: np.ndarray
-    data: np.ndarray | None
-    offset: int
-    roots: int
-
-    @property
-    def nu(self) -> int:
-        """Dimension of the complement of the basis in the group's rows."""
-        return self.rows.size - self.basis.shape[1]
-
-
-def _rs_row_groups(obs: ObservationSpec, s: np.ndarray, d: np.ndarray, phi: float,
-                   k: int) -> list:
-    """Row groups of the tall reduced-space step: the unobserved rows, with
-    weight a = 1/phi, then the observed rows of each distinct variance r,
-    with a = 1/phi + 1/r. The basis is :func:`group_basis` of S_g, or of
-    [S_g | D_g / r] for observed rows; the root has min(nu, k) rows."""
-    unobserved = np.setdiff1d(np.arange(obs.nstate), obs.indices, assume_unique=True)
-    parts = [(unobserved, 1.0 / phi, s[unobserved], None)] if unobserved.size else []
-    variances, which = np.unique(obs.variances, return_inverse=True)
-    for i, variance in enumerate(variances):
-        rows = obs.indices[which == i]
-        parts.append((rows, 1.0 / phi + 1.0 / variance, s[rows], d[which == i] / variance))
-    groups, offset = [], 0
-    for rows, weight, s_g, data in parts:
-        basis = group_basis(s_g if data is None else np.hstack([s_g, data]))
-        roots = min(rows.size - basis.shape[1], k)
-        groups.append(_RowGroup(rows, weight, basis, basis.T @ s_g,
-                                None if data is None else basis.T @ data, offset, roots))
-        offset += basis.shape[1] + roots
-    return groups
+def _rs_weight_root(phi: float, group: _RowGroup) -> float:
+    """sqrt(a_g) for the group's reduced-space weight a_g = 1/phi + 1/r."""
+    return np.sqrt(1.0 / phi + 1.0 / group.variance)
 
 
 def _rs_compressed_rows(nens: int, k: int, rng: RngStream, cov: ShrinkageCovariance,
@@ -487,23 +546,24 @@ def _rs_compressed_rows(nens: int, k: int, rng: RngStream, cov: ShrinkageCovaria
     R.T R is the Gram E_perp.T E_perp. Z is standard normal, the Gram is
     Wishart_k(nu, I) and independent of Z, and these are all of E1_g that
     the weight matrix and the data read, so they are drawn instead of E1.
-    The rows hold sqrt(a_g) u_g, so W needs one plain Gram of them and no
-    weighted copy. Z of every group and E2 are the rows of one
-    :func:`normal_block`, of (sum of ranks + nens) rows and k columns; R
-    comes from :func:`wishart_root` on substream (``_RS_ROOT_STREAM``, g).
-    A non-finite synthetic column is refused like a non-finite draw.
+    The rows hold sqrt(a_g) u_g, group after group, so W needs one plain
+    Gram of them and no weighted copy. Z of every group and E2 are the rows
+    of one :func:`normal_block`, of (sum of ranks + nens) rows and k
+    columns; R comes from :func:`wishart_root` on substream
+    (``_ROOT_STREAM``, g). A non-finite synthetic column is refused like a
+    non-finite draw.
     """
     nb = nens - 1
     ranks = sum(g.basis.shape[1] for g in groups)
     normals = normal_block(rng.child(_SYNTH_STREAM), ranks + nens, k)
     eps2 = normals[ranks:]
-    nrows = groups[-1].offset + groups[-1].basis.shape[1] + groups[-1].roots
+    nrows = ranks + sum(g.roots for g in groups)
     rows = np.empty((nrows, nb + k))
     data = np.zeros((nrows, nens))
     s_u = np.zeros((nens, nb + k))
-    z_row = 0
+    z_row = start = 0
     for i, g in enumerate(groups):
-        b, start, scale = g.basis.shape[1], g.offset, np.sqrt(g.weight)
+        b, scale = g.basis.shape[1], _rs_weight_root(cov.phi, g)
         top = rows[start:start + b]
         np.multiply(g.s[:, 1:], np.sqrt(nens - 1), out=top[:, :nb])
         synthetic = np.matmul(g.s, eps2, out=top[:, nb:])
@@ -517,39 +577,35 @@ def _rs_compressed_rows(nens: int, k: int, rng: RngStream, cov: ShrinkageCovaria
         root = rows[start + b:start + b + g.roots]
         root[:, :nb] = 0.0
         if g.roots:
-            np.multiply(wishart_root(rng.child(_RS_ROOT_STREAM, i), g.nu, k),
+            np.multiply(wishart_root(rng.child(_ROOT_STREAM, i), g.nu, k),
                         np.sqrt(cov.phi) * scale, out=root[:, nb:])
+        start += b + g.roots
     if k and not (np.isfinite(rows[:, nb:].min()) and np.isfinite(rows[:, nb:].max())):
         raise ValueError(NON_FINITE_SYNTHETIC)
     return rows, s_u, data
 
 
-def _rs_tall_update(bg: Ensemble, rng: RngStream, groups: list, rows: np.ndarray,
-                    lam: np.ndarray) -> np.ndarray:
+def _rs_tall_update(bg: Ensemble, rng: RngStream, phi: float, groups: list,
+                    rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """X^b + U lambda from the weighted compressed ``rows``.
 
     On group g, U_g lambda = B (u_g[:b] lambda) + sqrt(phi) E_perp lambda_s,
     lambda_s the synthetic rows of lambda. Given the draws behind lambda,
     E_perp is a Haar rotation in the complement of B applied to a matrix of
-    Gram R.T R, so the last term has the law of F diag(sqrt(ev)) V.T, with
-    (ev, V) the top r eigenpairs of A.T A for A = sqrt(phi) R lambda_s,
-    and F a :func:`haar_frame` of r columns off B on substream
-    (``_RS_FRAME_STREAM``, g). r = min(rows of R, nens) bounds the rank of
-    A, so no eigenpair beyond it is read: min(nu, nens) would take the
-    square roots of rounding-level eigenvalues when k < nens.
+    Gram R.T R, so the last term is :func:`_frame_term` of
+    A = sqrt(phi) R lambda_s, on substream (``_FRAME_STREAM``, g).
     """
-    nens, nb = bg.nens, bg.nens - 1
+    nb = bg.nens - 1
     analysis = np.array(bg.matrix)
+    start = 0
     for i, g in enumerate(groups):
-        b, start, scale = g.basis.shape[1], g.offset, np.sqrt(g.weight)
+        b, scale = g.basis.shape[1], _rs_weight_root(phi, g)
         update = g.basis @ (rows[start:start + b] @ lam / scale)
         if g.roots:
             a = rows[start + b:start + b + g.roots, nb:] @ lam[nb:] / scale
-            ev, vec = np.linalg.eigh(a.T @ a)
-            r = min(g.roots, nens)
-            frame = haar_frame(rng.child(_RS_FRAME_STREAM, i), g.basis, r)
-            update += frame @ (np.sqrt(np.clip(ev[-r:], 0.0, None))[:, None] * vec[:, -r:].T)
+            update += _frame_term(rng.child(_FRAME_STREAM, i), g.basis, a)
         analysis[g.rows] += update
+        start += b + g.roots
     return analysis
 
 
@@ -597,7 +653,7 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
             lam += g.T @ v
         lam += bg.matrix
         return AnalysisResult(Ensemble(lam), _shrinkage_diagnostics(cov))
-    groups = _rs_row_groups(obs, cov.deviations.columns, d, cov.phi, k)
+    groups = _row_groups(obs, cov.deviations.columns, d, k, unobserved=True)
     rows, s_u, data = _rs_compressed_rows(bg.nens, k, rng, cov, groups)
     lam, lower = cholesky_solve(*enkf_rs_system(cov, rows, s_u, data),
                                 "rank-deficient ensemble space: weight matrix is not "
@@ -608,7 +664,7 @@ def enkf_rs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     # an m-square factor held through the update adds 0.11 (nstate, nens + k)
     # arrays to the peak of filters.shrinkage_peak_memory
     del lower, pivots
-    return AnalysisResult(Ensemble(_rs_tall_update(bg, rng, groups, rows, lam)), diag)
+    return AnalysisResult(Ensemble(_rs_tall_update(bg, rng, cov.phi, groups, rows, lam)), diag)
 
 
 def run_filter(key: str, bg: Ensemble, y, obs: ObservationSpec,

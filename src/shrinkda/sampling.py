@@ -14,23 +14,24 @@ such a change.
 Synthetic members from N(xbar, phi * I + delta * S @ S.T) enter the
 shrinkage filters only as deviations from the real mean xbar, so the draw
 returns those deviations, sqrt(phi) * eps1 + sqrt(delta) * S @ eps2, with
-eps1 (length nstate) and eps2 (length nens) from one member's normals; a
-caller that wants the members adds its mean. S meets the eps2 of a chunk
-of members in one product, and the covariance matrix and its square root
-are never formed. A draw can be restricted to some rows of the state:
-each member then takes eps1 on those rows only, nrows + nens normals in
-all, and can hand its eps2 to the caller. The full-space filter draws
-only the observed rows this way, into the synthetic columns of its
-column-major anomaly buffer, checking each chunk for non-finite entries
-as it is written, and builds the contribution of the unobserved rows in
-closed form (``filters.enkf_fs_analysis``).
+eps1 (one entry per row of S) and eps2 (length nens) from one member's
+normals, and can hand the eps2 back; a caller that wants the members adds
+its mean. S meets the eps2 of a chunk of members in one product, each
+chunk is checked for non-finite entries as it is written, and the
+covariance matrix and its square root are never formed.
 
-The reduced-space filter draws no synthetic member. On each group of
-rows it draws the coordinates of the block eps1 in an orthonormal basis
-of the group's deviations and data (``group_basis``) as one
-``normal_block``, the root of the Gram of the rest (``wishart_root``:
-Bartlett's factor or a normal block) and a Haar frame off the basis for
-its update (``haar_frame``); see ``filters.enkf_rs_analysis``.
+Neither shrinkage filter draws a synthetic member's rows. On each group
+of rows of one weight they draw the coordinates of the block eps1 in an
+orthonormal basis B of the group's deviations and data (``group_basis``),
+the root of the Gram of the rest (``wishart_root``: Bartlett's factor or
+a normal block) and a Haar frame off the basis for their update
+(``haar_frame``). The full-space filter takes the coordinates of its
+observed groups, with eps2, as one synthetic draw from the projected
+covariance phi * I + delta * (B.T S) @ (B.T S).T (``draw_synthetic_members``
+on the stacked B.T S), written straight into its compressed rows, and
+builds the unobserved rows in closed form; the reduced-space filter takes
+them from one ``normal_block``. See ``filters.enkf_fs_analysis`` and
+``filters.enkf_rs_analysis``.
 """
 
 from __future__ import annotations
@@ -43,14 +44,17 @@ from .ensemble import Ensemble
 from .shrinkage import ShrinkageCovariance
 
 _U64 = (1 << 64) - 1
-# Members drawn per chunk: a chunk's normals are (nstate + nens, about this
-# many), not (nstate + nens, k), and np.array_split keeps every chunk at
-# least half this wide once k exceeds it. On OpenBLAS the chunks' S @ eps2
-# columns of a row-major array then carry the bits of one whole-block
-# product at the shapes the compares run (k = 400 on qg-33 and qg-65, 200 on l96-40). A one-column
-# product (GEMV) rounds differently, and so do the trailing columns of some
-# whole-block widths (k = 300 and 401 at nstate 961), so at other shapes a
-# chunked draw can differ from a whole-block one in the last bit.
+# Members drawn per chunk: a chunk's normals are (nrows + nens, about this
+# many), not (nrows + nens, k), and np.array_split keeps every chunk at
+# least half this wide once k exceeds it. The full-space filter draws on
+# the coordinates of its row groups, at most 2 nens - 1 rows a group, so a
+# chunk is a few dozen KiB whatever nstate is. On OpenBLAS the chunks'
+# S @ eps2 columns of a row-major array carry the bits of one whole-block
+# product at the shapes ``tests/test_sampling.py`` pins (nstate 40 with
+# k up to 401, and nstate 961 with k 400). A one-column product (GEMV)
+# rounds differently, and so do the trailing columns of some whole-block
+# widths (k = 300 and 401 at nstate 961), so at other shapes a chunked
+# draw can differ from a whole-block one in the last bit.
 SYNTHETIC_CHUNK = 64
 NON_FINITE_SYNTHETIC = "synthetic members contain non-finite entries"
 # Normals per member in ``normal_block``: a 64 KiB draw stays in cache and
@@ -178,26 +182,25 @@ class ExtendedEnsemble:
 
 
 def draw_synthetic_members(cov: ShrinkageCovariance, k: int, rng: RngStream,
-                           out: np.ndarray | None = None, *, rows: np.ndarray | None = None,
+                           out: np.ndarray | None = None, *,
                            eps2: np.ndarray | None = None) -> np.ndarray:
-    """Draw k deviations from N(0, phi*I + delta*S@S.T) as an (nrows, k) array.
+    """Draw k deviations from N(0, phi*I + delta*S@S.T) as an (nrows, k) array,
+    nrows the rows of S.
 
     Member i takes column i of ``member_normals(rng, k, nrows + nens)``:
     eps1 then eps2, so the output does not depend on evaluation order.
-    ``rows`` (state indices) restricts the draw to those rows of the
-    members, with eps1 drawn on them alone; the default is every row,
-    nrows = nstate. The members are drawn ``SYNTHETIC_CHUNK`` at a time and
-    written into ``out`` (an (nrows, k) array, such as the synthetic
-    columns of a larger column-major buffer) when it is given, else into a
-    new row-major array; each chunk is checked for non-finite entries
-    while it is in cache, and one raises ``ValueError``. BLAS rounds the
-    product S @ eps2 differently into row-major and column-major columns,
-    so the two layouts agree to rounding, not bit for bit.
-    ``eps2``, an (nens, k) array, receives each member's eps2 when given.
+    The members are drawn ``SYNTHETIC_CHUNK`` at a time and written into
+    ``out`` (an (nrows, k) array, such as the synthetic columns of a larger
+    buffer) when it is given, else into a new row-major array; each chunk
+    is checked for non-finite entries while it is in cache, and one raises
+    ``ValueError``. BLAS rounds the product S @ eps2 differently into
+    row-major and column-major columns, so the two layouts agree to
+    rounding, not bit for bit. ``eps2``, an (nens, k) array, receives each
+    member's eps2 when given.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    s = cov.deviations.columns if rows is None else cov.deviations.columns[rows]
+    s = cov.deviations.columns
     nrows, nens = s.shape
     if out is None:
         out = np.empty((nrows, k))

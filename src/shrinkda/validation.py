@@ -19,8 +19,8 @@ import numpy as np
 from . import filters, harness, models
 from .ensemble import Ensemble, dense_sample_covariance, deviations
 from .observations import ObservationSpec
-from .sampling import (RngStream, draw_synthetic_members, member_normals, perturb_observations,
-                       standard_normal)
+from .sampling import (RngStream, draw_synthetic_members, haar_frame, member_normals,
+                       perturb_observations, standard_normal, wishart_root)
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import ObservationSpaceSystem, ensrf_transform, ismf_solve
 
@@ -289,37 +289,97 @@ def _zero_innovation_check(ens, obs, y) -> CheckResult:
                    f"moved: {', '.join(failed)}; {detail}" if failed else detail)
 
 
+def orthonormal_complement(frame: np.ndarray, ncols: int) -> np.ndarray:
+    """ncols orthonormal columns orthogonal to the orthonormal columns of
+    ``frame``: eigenvectors of the projector I - frame frame.T for its
+    eigenvalue 1."""
+    _, vec = np.linalg.eigh(np.eye(frame.shape[0]) - frame @ frame.T)
+    return vec[:, vec.shape[1] - ncols:]
+
+
+def replayed_roots(rng: RngStream, groups: list, k: int) -> list:
+    """The roots R_g that a compressed shrinkage step on ``rng`` draws for
+    its row groups (``filters._row_groups``); (0, k) for a group without."""
+    return [wishart_root(rng.child(filters._ROOT_STREAM, i), g.nu, k) if g.roots
+            else np.zeros((0, k)) for i, g in enumerate(groups)]
+
+
+def replayed_synthetic(cov, groups: list, normals: np.ndarray, roots: list,
+                       complements: list, nstate: int) -> np.ndarray:
+    """Synthetic deviations sqrt(phi) E1 + sqrt(delta) S E2, (nstate, k), with
+    E1_g = B Z_g + C_g R_g on each group's rows and 0 on rows of no group:
+    Z stacks the groups' rows of ``normals``, one per basis column, and E2
+    is the rest."""
+    e1, z_row = np.zeros((nstate, normals.shape[1])), 0
+    for g, comp, root in zip(groups, complements, roots):
+        b = g.basis.shape[1]
+        e1[g.rows] = g.basis @ normals[z_row:z_row + b] + comp @ root
+        z_row += b
+    return np.sqrt(cov.phi) * e1 + np.sqrt(cov.delta) * (cov.deviations.columns @ normals[z_row:])
+
+
+def replayed_complements(rng: RngStream, groups: list, roots: list, factor: np.ndarray) -> list:
+    """Per group, an orthonormal C off the basis B, as many columns as the
+    root R has rows, for which C A is the frame term
+    ``filters._frame_term`` that the step on ``rng`` draws for A = R factor.
+
+    With (ev, V) the top eigenpairs of A.T A and F the same frame off B,
+    C = F U_r.T + G W.T: U_r = A V / sqrt(ev) over the positive ev, W spans
+    the complement of U_r and G is a frame off [B, F]. Then
+    C A = F diag(sqrt(ev)) V.T.
+    """
+    complements = []
+    for i, (g, root) in enumerate(zip(groups, roots)):
+        if not g.roots:
+            complements.append(np.zeros((g.rows.size, 0)))
+            continue
+        a = root @ factor
+        ev, vec = np.linalg.eigh(a.T @ a)
+        r = min(a.shape)
+        frame = haar_frame(rng.child(filters._FRAME_STREAM, i), g.basis, r)
+        positive = ev[-r:] > 1e-12 * max(ev[-1], 1e-300)
+        frame, ev, vec = frame[:, positive], ev[-r:][positive], vec[:, -r:][:, positive]
+        u_r = a @ vec / np.sqrt(ev)
+        rest = g.roots - u_r.shape[1]
+        others = orthonormal_complement(np.hstack([g.basis, frame]), rest)
+        complements.append(frame @ u_r.T + others @ orthonormal_complement(u_r, rest).T)
+    return complements
+
+
 def fs_replayed_members(ens, obs, cov, d, k, rng) -> np.ndarray:
     """Synthetic members less the real mean, (nstate, k), whose dense
     full-space update with prior Bhat = phi I + delta * (extended scaled
     deviations) equals ``filters.enkf_fs_analysis(ens, ..., k, rng,
     innovations=d)``.
 
-    The observed rows replay the step's observed-row draw. The step's
-    unobserved rows hold c sqrt(phi) G M in place of c sqrt(phi) E1_u W_s,
-    with G its replayed normal block and M the symmetric root of
-    W_s.T W_s; here W = Pi.T (Gamma + Pi Pi.T)^{-1} D comes from a dense
-    solve. The rows of M lie in the row space of W_s, so E1_u = G M W_s^+
-    gives E1_u W_s = G M: the block that makes the explicit draw's update
-    the step's.
+    The observed rows replay the step's coordinates Z, with E2, and roots
+    R as E1_g = B Z + C R, with C from :func:`replayed_complements`. The
+    step's unobserved rows hold c sqrt(phi) G M in place of c sqrt(phi)
+    E1_u W_s, with G its replayed normal block and M the symmetric root of
+    W_s.T W_s. The rows of M lie in the row space of W_s, so
+    E1_u = G M W_s^+ gives E1_u W_s = G M. W = Pi.T (Gamma + Pi Pi.T)^{-1} D
+    comes from a dense solve; it reads E1 only through Z and R.T R, so a
+    first replay with any orthonormal C off B gives it.
     """
     nens = ens.nens
-    anomalies = ens.matrix - ens.matrix.mean(axis=1)[:, None]
-    eps2 = np.empty((nens, k))
-    observed = draw_synthetic_members(cov, k, rng.child(filters._SYNTH_STREAM),
-                                      rows=obs.indices, eps2=eps2)
-    pi = np.hstack([obs.project(anomalies), observed])
-    pi *= np.sqrt(cov.delta / (nens + k - 1))
-    gamma = np.diag(obs.variances + cov.phi)
-    w_syn = (pi.T @ np.linalg.solve(gamma + pi @ pi.T, d))[nens:]
+    groups = filters._row_groups(obs, cov.deviations.columns, d, k, unobserved=False)
+    normals = member_normals(rng.child(filters._SYNTH_STREAM), k,
+                             sum(g.basis.shape[1] for g in groups) + nens)
+    roots = replayed_roots(rng, groups, k)
+    first = replayed_synthetic(cov, groups, normals, roots,
+                               [orthonormal_complement(g.basis, g.roots) for g in groups],
+                               ens.nstate)
+    scale = np.sqrt(cov.delta / (nens + k - 1))
+    pi = scale * obs.project(np.hstack([ens.matrix - ens.matrix.mean(axis=1)[:, None], first]))
+    w_syn = (pi.T @ np.linalg.solve(np.diag(obs.variances + cov.phi) + pi @ pi.T, d))[nens:]
+    members = replayed_synthetic(
+        cov, groups, normals, roots,
+        replayed_complements(rng, groups, roots, scale * np.sqrt(cov.phi) * w_syn), ens.nstate)
     lam, vec = np.linalg.eigh(w_syn.T @ w_syn)
     root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
     unobserved = np.setdiff1d(np.arange(ens.nstate), obs.indices)
     normals = member_normals(rng.child(filters._UNOBSERVED_STREAM), nens, unobserved.size)
-    members = np.empty((ens.nstate, k))
-    members[obs.indices] = observed
-    members[unobserved] = (np.sqrt(cov.phi) * (normals @ root @ np.linalg.pinv(w_syn))
-                           + np.sqrt(cov.delta) * (cov.deviations.columns[unobserved] @ eps2))
+    members[unobserved] += np.sqrt(cov.phi) * (normals @ root @ np.linalg.pinv(w_syn))
     return members
 
 
@@ -403,17 +463,19 @@ def _enkf_n_stationary_check(gen) -> CheckResult:
 def _shrinkage_memory_check(gen) -> CheckResult:
     """FS and RS hold no whole extended ensemble: one enkf-fs and one
     enkf-rs analysis on a qg-65 shaped ensemble (nstate 3969, nens 40,
-    k 400, p 0.7) peak below 1.35 and 1.0 (nstate, nens + k) float64
-    arrays of tracemalloc-traced memory. FS holds only the observed rows of
-    its extended anomalies (0.7), as drawn, and reads 1.26. RS forms no row
-    of its synthetic members: it holds the compressed rows of its basis
-    (918 by nens + k - 1, 0.23 arrays), the bases of its row groups and
-    its weight matrix, and reads 0.92, against 1.64 when it drew every row
-    into an (nstate, nens + k) buffer."""
+    k 400, p 0.7) each peak below 1.0 (nstate, nens + k) float64 arrays of
+    tracemalloc-traced memory. Neither forms a row of its synthetic
+    members. FS holds the compressed rows of its observed group (479 by
+    nens + k, 0.12 arrays), the group's basis and its capacitance matrix,
+    and reads 0.80, against 1.26 when it drew the observed rows of every
+    member into an (nobs, nens + k) buffer. RS holds the compressed rows of
+    its basis (918 by nens + k - 1, 0.23 arrays), the bases of its row
+    groups and its weight matrix, and reads 0.89, against 1.64 when it drew
+    every row into an (nstate, nens + k) buffer."""
     nstate, nens, k = 3969, 40, 400
     ens, obs, y = _filter_instance(gen, nstate, nens, 0.7, 0.1)
     unit = nstate * (nens + k) * 8
-    bounds = {"enkf-fs": 1.35, "enkf-rs": 1.0}
+    bounds = {"enkf-fs": 1.0, "enkf-rs": 1.0}
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()

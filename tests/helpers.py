@@ -5,9 +5,11 @@ import numpy as np
 from shrinkda import filters
 from shrinkda.ensemble import Ensemble, ensemble_mean
 from shrinkda.filters import enkf_rs_system, estimate_shrinkage
-from shrinkda.sampling import (draw_synthetic_members, extend_ensemble, haar_frame,
-                               normal_block, perturb_observations, wishart_root)
+from shrinkda.sampling import (draw_synthetic_members, extend_ensemble, normal_block,
+                               perturb_observations)
 from shrinkda.solvers import ObservationSpaceSystem, cholesky_solve, ismf_solve
+from shrinkda.validation import (orthonormal_complement, replayed_complements, replayed_roots,
+                                 replayed_synthetic)
 
 
 def random_ensemble(gen, nstate, nens, spread=1.0):
@@ -84,6 +86,25 @@ def _shrinkage_innovations(bg, y, obs, rng, shrinkage, innovations):
     return cov, np.asarray(innovations, dtype=float)
 
 
+def increment_moment_t(background, first, second):
+    """Welch t statistics between two stacks of analyses, (draws, nstate,
+    nens) each with the same draw count, of the raw moments of their
+    increments A - X_b: every entry, and the product of every pair of
+    entries, the squares included. The pair moments and their variances
+    come from Grams of the increments and of their squares, so the draws'
+    products are never stacked."""
+    def moments(analyses):
+        inc = (analyses - background).reshape(analyses.shape[0], -1)
+        n, upper = inc.shape[0], np.triu_indices(inc.shape[1])
+        sq = inc**2
+        mean = np.concatenate([inc.mean(0), (inc.T @ inc / n)[upper]])
+        raw2 = np.concatenate([sq.mean(0), (sq.T @ sq / n)[upper]])
+        return mean, (raw2 - mean**2) * n / (n - 1), n
+
+    (mean_a, var_a, n), (mean_b, var_b, _) = moments(first), moments(second)
+    return (mean_a - mean_b) / np.sqrt((var_a + var_b) / n)
+
+
 def enkf_rs_explicit(bg, y, obs, k, rng, *, shrinkage=None, innovations=None):
     """The tall reduced-space step with every row of the synthetic members
     drawn: the reference for ``filters.enkf_rs_analysis``, which draws only
@@ -121,14 +142,6 @@ def dense_rs_analysis(bg, obs, cov, d, synthetic):
     return bg.matrix + u @ lam, lam
 
 
-def orthonormal_complement(frame, ncols):
-    """ncols orthonormal columns orthogonal to the orthonormal columns of
-    ``frame``: eigenvectors of the projector I - frame frame.T for its
-    eigenvalue 1."""
-    _, vec = np.linalg.eigh(np.eye(frame.shape[0]) - frame @ frame.T)
-    return vec[:, vec.shape[1] - ncols:]
-
-
 def rs_replayed_members(bg, obs, cov, d, k, rng):
     """Synthetic deviations (nstate, k) whose dense reduced-space update
     (:func:`dense_rs_analysis`) equals the tall
@@ -137,51 +150,24 @@ def rs_replayed_members(bg, obs, cov, d, k, rng):
 
     The step draws, on each row group g with basis B, the coordinates Z of
     the synthetic block E1 in B and a root R of the Gram of the rest, and
-    replaces sqrt(phi) E_perp lambda_s in its update by F diag(sqrt(ev))
-    V.T, with (ev, V) the top eigenpairs of A.T A for A = sqrt(phi) R
-    lambda_s and F a frame off B. This replays those draws from the same
-    substreams and returns sqrt(phi) E1 + sqrt(delta) S E2 for
-    E1_g = B Z + C R, with C = F U_r.T + G W.T orthonormal: U_r = A V / sqrt(ev)
-    over the positive ev, W spans the complement of U_r, and G is a frame
-    off [B, F]. Then C A = F diag(sqrt(ev)) V.T. lambda depends on E1 only
-    through Z and R.T R, so it comes from a first replay with any
-    orthonormal C off B.
+    replaces sqrt(phi) E_perp lambda_s in its update by its frame term for
+    A = sqrt(phi) R lambda_s. This replays those draws from the same
+    substreams as E1_g = B Z + C R, with C from
+    ``validation.replayed_complements``, so that C A is the frame term.
+    lambda depends on E1 only through Z and R.T R, so it comes from a first
+    replay with any orthonormal C off B.
     """
-    nens = bg.nens
-    s = cov.deviations.columns
-    groups = filters._rs_row_groups(obs, s, d, cov.phi, k)
-    ranks = sum(g.basis.shape[1] for g in groups)
-    normals = normal_block(rng.child(filters._SYNTH_STREAM), ranks + nens, k)
-    roots = [wishart_root(rng.child(filters._RS_ROOT_STREAM, i), g.nu, k)
-             if g.roots else np.zeros((0, k)) for i, g in enumerate(groups)]
-
-    def members(complements):
-        e1, z_row = np.empty((bg.nstate, k)), 0
-        for g, comp, root in zip(groups, complements, roots):
-            b = g.basis.shape[1]
-            e1[g.rows] = g.basis @ normals[z_row:z_row + b] + comp @ root
-            z_row += b
-        return np.sqrt(cov.phi) * e1 + np.sqrt(cov.delta) * (s @ normals[ranks:])
-
-    first = members([orthonormal_complement(g.basis, g.roots) for g in groups])
-    lam_s = dense_rs_analysis(bg, obs, cov, d, first)[1][nens:]
-    complements = []
-    for i, (g, root) in enumerate(zip(groups, roots)):
-        if not g.roots:
-            complements.append(np.zeros((g.rows.size, 0)))
-            continue
-        a = np.sqrt(cov.phi) * root @ lam_s
-        ev, vec = np.linalg.eigh(a.T @ a)
-        r = min(g.roots, nens)
-        frame = haar_frame(rng.child(filters._RS_FRAME_STREAM, i), g.basis, r)
-        positive = ev[-r:] > 1e-12 * max(ev[-1], 1e-300)
-        frame, ev, vec = frame[:, positive], ev[-r:][positive], vec[:, -r:][:, positive]
-        u_r = a @ vec / np.sqrt(ev)
-        rest = g.roots - u_r.shape[1]
-        w = orthonormal_complement(u_r, rest)
-        others = orthonormal_complement(np.hstack([g.basis, frame]), rest)
-        complements.append(frame @ u_r.T + others @ w.T)
-    return members(complements)
+    groups = filters._row_groups(obs, cov.deviations.columns, d, k, unobserved=True)
+    normals = normal_block(rng.child(filters._SYNTH_STREAM),
+                           sum(g.basis.shape[1] for g in groups) + bg.nens, k)
+    roots = replayed_roots(rng, groups, k)
+    first = replayed_synthetic(cov, groups, normals, roots,
+                               [orthonormal_complement(g.basis, g.roots) for g in groups],
+                               bg.nstate)
+    lam_s = dense_rs_analysis(bg, obs, cov, d, first)[1][bg.nens:]
+    return replayed_synthetic(cov, groups, normals, roots,
+                              replayed_complements(rng, groups, roots, np.sqrt(cov.phi) * lam_s),
+                              bg.nstate)
 
 
 def poisson_solve_dense(omega, grid):

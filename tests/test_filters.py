@@ -13,12 +13,13 @@ from shrinkda.harness import make_initial_ensemble, propagate_matrix
 from shrinkda.models import get_model
 from shrinkda.observations import ObservationSpec
 from shrinkda.sampling import (RngStream, draw_synthetic_members, extend_ensemble,
-                               perturb_observations)
+                               perturb_observations, wishart_root)
 from shrinkda.shrinkage import ShrinkageCovariance
 from shrinkda.validation import fs_replayed_members
 
 from helpers import (dense_rs_analysis, enkf_fs_explicit, enkf_n_hessian, enkf_rs_explicit,
-                     random_ensemble, rs_replayed_members, selection_matrix)
+                     increment_moment_t, random_ensemble, rs_replayed_members,
+                     selection_matrix)
 
 
 def instance(gen, nstate=10, nens=6, p=0.7, obs_std=0.1):
@@ -331,8 +332,10 @@ class TestEnkfFs:
         cov = estimate_shrinkage(ens)
         perturbed = perturb_observations(y, obs, nens, rng.child(filters._OBS_STREAM))
         d = perturbed - obs.project(ens.matrix)
-        # the observed-row draw, and the unobserved rows that make the
-        # explicit draw's update the step's (E1_u = G M W_s^+)
+        # the replayed observed rows (E1_g = B Z + C R, the coordinates and
+        # root the step drew, with C matched to its frame term), and the
+        # unobserved rows that make the explicit draw's update the step's
+        # (E1_u = G M W_s^+)
         synthetic = ensemble_mean(ens)[:, None] + fs_replayed_members(ens, obs, cov, d, k, rng)
         ext = extend_ensemble(ens, synthetic)
         sdev = ext.scaled_deviations()
@@ -374,10 +377,54 @@ class TestEnkfFs:
         assert t.size == 60 + 1830
         assert np.abs(t).max() < 5.5
 
-    @pytest.mark.parametrize("p, k", [(1.0, 6), (0.5, 0)])
+    # shapes (nstate, p, nens, k, two_variances) that reach each branch of
+    # the compressed step: a Bartlett root (observed nu 19 >= k 10), a
+    # normal-block root (nu 14 < k 40), a group with nu = 0 (7 observed
+    # rows, rank 7), and two observed variances (two groups, nu 1 each)
+    @pytest.mark.parametrize("nstate, p, nens, k, two_variances", [
+        (40, 0.7, 5, 10, False), (30, 0.7, 4, 40, False), (14, 0.5, 4, 6, False),
+        (16, 0.75, 3, 10, True)], ids=["bartlett", "normal-block", "nu-zero", "two-variances"])
+    def test_compressed_draw_matches_explicit_draw(self, nstate, p, nens, k, two_variances):
+        # the explicit-draw reference draws every row of every synthetic
+        # member; the step draws, group by group of observed rows, their
+        # coordinates in the group's basis, a root of the rest's Gram and a
+        # frame for the update. With D fixed, the raw first and second
+        # moments of the increments (every entry and every pair) agree over
+        # 3000 draws a side, by the Welch t bound of
+        # test_distribution_matches_explicit_draw (5.5: below 1e-4 by chance
+        # for up to 20300 statistics, union bound). The observation
+        # variances (1 and 4) are of the order of phi, so the observed rows'
+        # update r (Pi W) / (r + phi) carries the frame term with weight: the
+        # step without it reads 35, 30 and 15 on the shapes with roots
+        gen = np.random.default_rng(104)
+        draws = 3000
+        ens = random_ensemble(gen, nstate, nens)
+        obs = ObservationSpec.from_fraction(nstate, p, 1.0)
+        if two_variances:
+            obs = ObservationSpec(nstate, obs.indices, np.where(np.arange(obs.nobs) % 2, 1.0, 4.0))
+        y = gen.standard_normal(obs.nobs)
+        d = gen.standard_normal((obs.nobs, nens))
+        groups = filters._row_groups(obs, estimate_shrinkage(ens).deviations.columns, d, k,
+                                     unobserved=False)
+        nus = [g.nu for g in groups]
+        assert len(groups) == 1 + two_variances
+        assert {"bartlett": nus[0] >= k, "normal-block": 0 < nus[0] < k,
+                "nu-zero": nus == [0], "two-variances": all(0 < nu < k for nu in nus)}[
+            "two-variances" if two_variances else
+            "bartlett" if k == 10 else "normal-block" if k == 40 else "nu-zero"]
+        explicit = np.array([enkf_fs_explicit(ens, y, obs, k, RngStream(seed), innovations=d)
+                             for seed in range(draws)])
+        fs = np.array([enkf_fs_analysis(ens, y, obs, k, RngStream(draws + seed),
+                                        innovations=d).analysis.matrix
+                       for seed in range(draws)])
+        t = increment_moment_t(ens.matrix, explicit, fs)
+        assert t.size == nstate * nens * (nstate * nens + 3) // 2
+        assert np.abs(t).max() < 5.5
+
+    @pytest.mark.parametrize("p, k", [(0.5, 0)])
     def test_nothing_extra_drawn_when_every_row_observed_or_k_zero(self, monkeypatch, p, k):
-        # with no unobserved row, or no synthetic member, the step draws the
-        # normals of the explicit draw and no others, and updates as it does
+        # with no synthetic member, the step draws the normals of the
+        # explicit draw and no others, and updates as it does
         gen = np.random.default_rng(99)
         ens = random_ensemble(gen, 12, 4)
         obs = ObservationSpec.from_fraction(12, p, 0.1)
@@ -394,6 +441,46 @@ class TestEnkfFs:
         explicit = enkf_fs_explicit(ens, y, obs, k, RngStream(8))
         assert fs_normals == sum(counted) == k * (12 + 4) + 4 * obs.nobs
         assert np.abs(fs - explicit).max() <= 1e-12 * np.abs(explicit).max()
+
+    def test_normals_drawn_by_one_step(self, monkeypatch):
+        # one step draws, and draws only: the perturbed observations
+        # (nens nobs); k members of the projected synthetic draw (ranks +
+        # nens each); per observed group a root, Bartlett's K(K - 1)/2
+        # normals (nu >= k) or a (nu, k) block, and a frame of
+        # min(roots, nens) columns on the group's rows, each a normal block
+        # drawn in whole NORMAL_BLOCK_CHUNKs; and the unobserved rows'
+        # (nunobs, nens) block. Two variances split the 30 observed rows
+        # into a Bartlett group (18 rows) and a normal-block one (12 rows)
+        gen = np.random.default_rng(105)
+        nstate, nens, k = 40, 4, 10
+        ens = random_ensemble(gen, nstate, nens)
+        obs = ObservationSpec.from_fraction(nstate, 0.75, 0.1)
+        obs = ObservationSpec(nstate, obs.indices, np.where(np.arange(obs.nobs) < 18, 0.01, 0.04))
+        y = gen.standard_normal(obs.nobs)
+        rng = RngStream(8)
+        d = (perturb_observations(y, obs, nens, rng.child(filters._OBS_STREAM))
+             - obs.project(ens.matrix))
+        groups = filters._row_groups(obs, estimate_shrinkage(ens).deviations.columns, d, k,
+                                     unobserved=False)
+        assert [(g.rows.size, g.nu >= k, g.roots > 0) for g in groups] == [
+            (18, True, True), (12, False, True)]
+
+        def block(size):
+            return -(-size // sampling.NORMAL_BLOCK_CHUNK) * sampling.NORMAL_BLOCK_CHUNK
+
+        ranks = sum(g.basis.shape[1] for g in groups)
+        roots = sum(block(k * (k - 1) // 2 if g.nu >= k else g.nu * k) for g in groups)
+        frames = sum(block(g.rows.size * min(g.roots, nens)) for g in groups)
+        expected = nens * obs.nobs + k * (ranks + nens) + roots + frames + nens * (nstate - obs.nobs)
+        counted = []
+
+        def counting(gen, size):
+            counted.append(size)
+            return gen.standard_normal(size)
+
+        monkeypatch.setattr(sampling, "standard_normal", counting)
+        enkf_fs_analysis(ens, y, obs, k, rng)
+        assert sum(counted) == expected
 
     def test_zero_innovation_and_full_span_checks(self):
         # the property-suite checks at FS's edges, as they stand: zero
@@ -470,6 +557,31 @@ class TestEnkfRs:
         a, b = statistics(explicit), statistics(rs)
         t = (a.mean(0) - b.mean(0)) / np.sqrt((a.var(0, ddof=1) + b.var(0, ddof=1)) / draws)
         assert np.abs(t).max() < 5.5
+
+    @pytest.mark.parametrize("nstate, nens, k, p", [
+        (60, 6, 10, 0.5), (120, 8, 30, 0.3), (200, 10, 100, 0.7)])
+    def test_dense_analysis_reads_synthetic_block_only_through_span(self, nstate, nens, k, p):
+        # the update U (U.T A U)^+ U.T b is unchanged by U -> U M for an
+        # invertible M, and the synthetic columns sqrt(phi) E1 + sqrt(delta)
+        # S E2 span span(S) + span(E1) with the real ones. So, given E1, the
+        # dense RS analysis stays within 1e-12 of its increment when E2 is
+        # zeroed, when the synthetic columns are rescaled, and when E1 is
+        # rotated
+        gen = np.random.default_rng(106)
+        ens = random_ensemble(gen, nstate, nens)
+        obs = ObservationSpec.from_fraction(nstate, p, 0.1)
+        d = 0.3 * gen.standard_normal((obs.nobs, nens))
+        cov = estimate_shrinkage(ens)
+        e1, e2 = gen.standard_normal((nstate, k)), gen.standard_normal((nens, k))
+        s_e2 = np.sqrt(cov.delta) * (cov.deviations.columns @ e2)
+        synthetic = np.sqrt(cov.phi) * e1 + s_e2
+        base, _ = dense_rs_analysis(ens, obs, cov, d, synthetic)
+        increment = np.abs(base - ens.matrix).max()
+        rotation, _ = np.linalg.qr(gen.standard_normal((k, k)))
+        for changed in (np.sqrt(cov.phi) * e1, synthetic * gen.uniform(0.2, 5.0, k),
+                        np.sqrt(cov.phi) * (e1 @ rotation) + s_e2):
+            analysis, _ = dense_rs_analysis(ens, obs, cov, d, changed)
+            assert np.abs(analysis - base).max() <= 1e-12 * increment
 
     # wide shapes (nstate, nens, k, p), nens + k - 1 > nstate: partly and
     # fully observed with draws, and a real span that alone is wide at k = 0
@@ -572,36 +684,62 @@ class TestEnkfRs:
             enkf_rs_analysis(ens, y, obs, 2, RngStream(3), shrinkage=forced)
 
 
-@pytest.mark.parametrize("p", [0.7], ids=["fs-observed-rows"])
-def test_synthetic_members_drawn_centred_into_a_column_major_buffer(p):
-    # the full-space prologue writes the observed rows of the real anomalies
-    # sqrt(nens - 1) S from the estimate's deviations S, then draws the
-    # synthetic deviations straight into the column-major buffer of
-    # extended anomalies, bit for bit the draw into a column-major array of
-    # their own. k = 130 makes three chunks
+def test_fs_coordinate_block_is_a_synthetic_draw_on_the_projected_covariance():
+    # the full-space step's compressed rows hold, on each observed group of
+    # rows, the real columns c sqrt(nens - 1) B.T S_g and the synthetic
+    # coordinates, then the roots c sqrt(phi) R_g. The coordinates of all
+    # groups, with E2, are bit for bit one draw from the projected
+    # covariance phi I + delta (B.T S)(B.T S).T into a buffer of the same
+    # layout. k = 130 makes three chunks; two variances make two groups
     gen = np.random.default_rng(100)
     nstate, nens, k = 200, 10, 130
     ens = Ensemble(50.0 + random_ensemble(gen, nstate, nens).matrix)
-    obs = ObservationSpec.from_fraction(nstate, p, 0.1)
-    y = obs.project(ens.matrix[:, 0])
+    obs = ObservationSpec.from_fraction(nstate, 0.7, 0.1)
+    obs = ObservationSpec(nstate, obs.indices, np.where(np.arange(obs.nobs) % 3, 0.01, 0.04))
+    d = 0.3 * gen.standard_normal((obs.nobs, nens))
     rng = RngStream(12)
-    cov, _, extended, _ = filters._shrinkage_prologue(ens, y, obs, k, rng, None, None)
-    s = cov.deviations.columns[obs.indices]
-    assert extended.flags.f_contiguous and extended.shape == (s.shape[0], nens + k)
-    np.testing.assert_array_equal(extended[:, :nens], np.sqrt(nens - 1) * s)
-    synthetic = extended[:, nens:]
-    np.testing.assert_array_equal(
-        synthetic, draw_synthetic_members(cov, k, rng.child(filters._SYNTH_STREAM),
-                                          rows=obs.indices,
-                                          out=np.empty(synthetic.shape, order="F")))
+    cov = estimate_shrinkage(ens)
+    groups = filters._row_groups(obs, cov.deviations.columns, d, k, unobserved=False)
+    pi, gamma, rhs, eps2 = filters._fs_compressed_rows(nens, k, rng, cov, groups)
+    coords = np.vstack([g.s for g in groups])
+    ranks, scale = coords.shape[0], np.sqrt(cov.delta / (nens + k - 1))
+    assert len(groups) == 2 and pi.shape == (ranks + sum(g.roots for g in groups), nens + k)
+    projected = ShrinkageCovariance(cov.mu, cov.gamma,
+                                    DeviationMatrix(coords, cov.deviations.offset))
+    buffer, expected_eps2 = np.empty((ranks, nens + k)), np.empty((nens, k))
+    draw = draw_synthetic_members(projected, k, rng.child(filters._SYNTH_STREAM),
+                                  out=buffer[:, nens:], eps2=expected_eps2)
+    np.testing.assert_array_equal(pi[:ranks, nens:], draw * scale)
+    np.testing.assert_array_equal(eps2, expected_eps2)
+    np.testing.assert_array_equal(pi[:ranks, :nens], coords * np.sqrt(nens - 1) * scale)
+    np.testing.assert_array_equal(pi[ranks:, :nens], 0.0)
+    root = ranks
+    for i, g in enumerate(groups):
+        expected_root = wishart_root(rng.child(filters._ROOT_STREAM, i), g.nu, k)
+        np.testing.assert_array_equal(pi[root:root + g.roots, nens:],
+                                      expected_root * np.sqrt(cov.phi) * scale)
+        root += g.roots
+    # Gamma_c = r_g + phi on the group's rows and roots, right-hand side
+    # B.T D_g on its rows and 0 on the roots
+    z_row, root = 0, ranks
+    for g in groups:
+        b = g.basis.shape[1]
+        np.testing.assert_array_equal(gamma[z_row:z_row + b], g.variance + cov.phi)
+        np.testing.assert_array_equal(gamma[root:root + g.roots], g.variance + cov.phi)
+        observed = np.isin(obs.indices, g.rows)
+        np.testing.assert_allclose(rhs[z_row:z_row + b], g.basis.T @ d[observed],
+                                   rtol=0, atol=1e-13 * np.abs(d).max())
+        z_row, root = z_row + b, root + g.roots
+    assert not np.any(rhs[ranks:])
 
 
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])
 def test_non_finite_synthetic_members_refused(step):
-    # deviations near the float range overflow S @ eps2, and FS's draw checks
+    # deviations near the float range overflow their coordinates B.T S_g in
+    # the observed groups' bases, and FS's synthetic draw on them checks
     # each chunk as it is written, before the chunk enters a product. With
     # the huge deviations on the unobserved rows alone, FS draws finite
-    # observed rows, and the overflow is in the S term of its unobserved
+    # coordinates, and the overflow is in the S term of its unobserved
     # rows, which it checks the same way before the update. RS overflows in
     # the synthetic columns of its compressed rows, sqrt(delta) (B.T S) E2,
     # and checks them before they enter its system
@@ -633,8 +771,8 @@ def test_shrinkage_filters_require_a_stream(step):
 @pytest.mark.parametrize("k", [-1, -10])
 @pytest.mark.parametrize("step", [enkf_fs_analysis, enkf_rs_analysis])
 def test_negative_k_refused(step, k):
-    # refused before the extended-anomaly buffer is sized from nens + k,
-    # which would otherwise fail in numpy without naming k
+    # refused before the compressed rows are sized from nens + k, which
+    # would otherwise fail in numpy without naming k
     gen = np.random.default_rng(98)
     ens, obs, y = instance(gen, nstate=20, nens=5, p=0.5)
     with pytest.raises(ValueError, match="k must be nonnegative"):

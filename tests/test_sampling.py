@@ -142,11 +142,14 @@ class TestDrawSyntheticMembers:
         eps = member_normals(rng, k, nstate + nens)
         whole = ((cov.deviations.columns @ eps[nstate:]) * np.sqrt(cov.delta)
                  + eps[:nstate] * np.sqrt(cov.phi))
-        np.testing.assert_array_equal(draw_synthetic_members(cov, k, rng), whole)
+        # each member's eps2 is handed back when asked for
+        eps2 = np.empty((nens, k))
+        np.testing.assert_array_equal(draw_synthetic_members(cov, k, rng, eps2=eps2), whole)
+        np.testing.assert_array_equal(eps2, eps[nstate:])
 
     def test_draws_into_a_given_array(self):
-        # the shrinkage filters draw into the synthetic columns of their
-        # one extended-anomaly buffer
+        # the full-space filter draws into the synthetic columns of its
+        # compressed rows
         gen = np.random.default_rng(43)
         cov = make_cov(gen, 8, 4)
         buffer = np.zeros((8, 4 + 70))
@@ -155,6 +158,8 @@ class TestDrawSyntheticMembers:
         np.testing.assert_array_equal(buffer[:, 4:], draw_synthetic_members(cov, 70, RngStream(2)))
         with pytest.raises(ValueError, match="out must be"):
             draw_synthetic_members(cov, 70, RngStream(2), out=buffer)
+        with pytest.raises(ValueError, match="eps2 must be"):
+            draw_synthetic_members(cov, 70, RngStream(2), eps2=np.empty((4, 69)))
 
 
     def test_non_finite_chunk_refused(self):
@@ -180,23 +185,6 @@ class TestDrawSyntheticMembers:
                                               out=np.empty((961, 130), order="F"))
         np.testing.assert_allclose(column_major, row_major, rtol=0,
                                    atol=1e-14 * np.abs(row_major).max())
-
-    def test_chosen_rows_draw_their_own_normals(self):
-        # a draw on some rows takes nrows + nens normals a member, eps1 on
-        # those rows then eps2, and hands the eps2 block back
-        gen = np.random.default_rng(44)
-        cov = make_cov(gen, 30, 5, mu=1.3, gamma=0.4)
-        rows = np.array([0, 3, 4, 17, 29])
-        rng = RngStream(9, 3)
-        eps = member_normals(rng, 70, rows.size + 5)
-        eps2 = np.empty((5, 70))
-        draws = draw_synthetic_members(cov, 70, rng, rows=rows, eps2=eps2)
-        expected = ((cov.deviations.columns[rows] @ eps[rows.size:]) * np.sqrt(cov.delta)
-                    + eps[:rows.size] * np.sqrt(cov.phi))
-        np.testing.assert_allclose(draws, expected, rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(eps2, eps[rows.size:])
-        with pytest.raises(ValueError, match="eps2 must be"):
-            draw_synthetic_members(cov, 70, rng, rows=rows, eps2=eps2[:, 1:])
 
 
 class TestCompressedDraws:
