@@ -9,7 +9,9 @@ the observed rows into groups of one observation variance and draw, group
 by group, only the statistics of the synthetic block that their systems
 and updates read: its coordinates in a basis of the group's deviations
 and data, a root of the Gram of the rest and a Haar frame. RS does the
-same on the unobserved rows, and FS takes them in closed form. Where the
+same on the unobserved rows, and FS takes them in closed form. FS draws
+one root bidiagonal, which makes its share of the capacitance
+tridiagonal, and solves its system on the smaller side. Where the
 extended ensemble spans the state, RS is the Kalman update with the
 shrunk prior whatever the draws are: it draws nothing and inverts its
 weight matrix by Woodbury in ensemble space.
@@ -26,11 +28,12 @@ from .ensemble import DeviationMatrix, Ensemble, deviations, ensemble_mean
 from .observations import ObservationSpec
 # extend_ensemble is not called; perfbench/twinbench.py wraps filters.extend_ensemble by name
 from .sampling import (NON_FINITE_SYNTHETIC, RngStream, draw_synthetic_members,  # noqa: F401
-                       extend_ensemble, group_basis, haar_frame, member_normals,
-                       normal_block, perturb_observations, wishart_root)
+                       bidiagonal_root, extend_ensemble, group_basis, haar_frame,
+                       member_normals, normal_block, perturb_observations, wishart_root)
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
-from .solvers import (ObservationSpaceSystem, cholesky_factor, cholesky_solve, ensrf_transform,
-                      entkf_factors, ismf_solve, triangular_solve)
+from .solvers import (ObservationSpaceSystem, bidiagonal_solve, cholesky_factor, cholesky_solve,
+                      ensrf_transform, entkf_factors, ismf_solve, triangular_solve,
+                      tridiagonal_cholesky)
 
 FILTER_KEYS = ("enkf", "ensrf", "entkf", "enkf-n", "enkf-du", "enkf-fs", "enkf-rs")
 
@@ -383,25 +386,41 @@ def _frame_term(rng: RngStream, basis: np.ndarray, a: np.ndarray) -> np.ndarray:
     return frame @ (np.sqrt(np.clip(ev[-r:], 0.0, None))[:, None] * vec[:, -r:].T)
 
 
+def _banded_group(groups: list) -> int | None:
+    """Index of the group with the most root rows, the first on a tie;
+    None when no group has a root. FS draws this group's root as
+    :func:`bidiagonal_root`."""
+    roots = [g.roots for g in groups]
+    return roots.index(max(roots)) if roots and max(roots) else None
+
+
 def _fs_compressed_rows(nens: int, k: int, rng: RngStream, cov: ShrinkageCovariance,
-                        groups: list):
-    """FS's compressed system: rows Pi_c, their diagonal Gamma_c, the
-    right-hand side and the synthetic members' E2.
+                        groups: list, banded: int | None):
+    """FS's compressed system: its dense rows P, their diagonal Gamma_c,
+    the right-hand side, the synthetic members' E2 and the band (None
+    without one): the two diagonals of the banded group's root rows
+    c sqrt(phi) R and their Gamma_c.
 
     On group g, with basis B and E1_g = B Z + E_perp, the observed rows
     Pi_g give the capacitance and right-hand side that the rows
     P_g = c [sqrt(nens - 1) B.T S_g | sqrt(phi) Z + sqrt(delta) (B.T S_g) E2]
     and (0 | c sqrt(phi) R) give, with R.T R = E_perp.T E_perp, Wishart_k(nu,
     I) and independent of Z, Gamma_c = r_g + phi on both, and B.T D_g on the
-    first, 0 on the second. The rows hold every P_g, then every R. The
-    coordinates sqrt(phi) Z + sqrt(delta) (B.T S) E2 are one
-    :func:`draw_synthetic_members` from phi I + delta (B.T S)(B.T S).T,
-    straight into their rows; R is :func:`wishart_root` on substream
-    (``_ROOT_STREAM``, g).
+    first, 0 on the second. The coordinates sqrt(phi) Z + sqrt(delta)
+    (B.T S) E2 are one :func:`draw_synthetic_members` from
+    phi I + delta (B.T S)(B.T S).T, straight into their rows. The rows hold
+    every P_g, then the root R of every group but the banded one, from
+    :func:`wishart_root` on substream (``_ROOT_STREAM``, g). The step reads
+    its synthetic columns only through products that one rotation of all k
+    columns leaves unchanged, and rotating them keeps Z and E2 standard
+    normal, so the banded group's R is the bidiagonal of
+    :func:`bidiagonal_root` on its substream, kept as its two diagonals,
+    not as rows.
     """
     coords = np.vstack([g.s for g in groups])
     ranks = coords.shape[0]
-    pi = np.zeros((ranks + sum(g.roots for g in groups), nens + k))
+    pi = np.zeros((ranks + sum(g.roots for i, g in enumerate(groups) if i != banded), nens + k),
+                  order="F")
     np.multiply(coords, np.sqrt(nens - 1), out=pi[:ranks, :nens])
     projected = ShrinkageCovariance(cov.mu, cov.gamma,
                                     DeviationMatrix(coords, cov.deviations.offset))
@@ -413,14 +432,54 @@ def _fs_compressed_rows(nens: int, k: int, rng: RngStream, cov: ShrinkageCovaria
     z_row, root = 0, ranks
     for i, g in enumerate(groups):
         b = g.basis.shape[1]
-        gamma[z_row:z_row + b] = gamma[root:root + g.roots] = g.variance + cov.phi
+        gamma[z_row:z_row + b] = g.variance + cov.phi
         rhs[z_row:z_row + b] = g.data * g.variance
-        if g.roots:
+        z_row += b
+        if g.roots and i != banded:
+            gamma[root:root + g.roots] = g.variance + cov.phi
             np.multiply(wishart_root(rng.child(_ROOT_STREAM, i), g.nu, k), np.sqrt(cov.phi),
                         out=pi[root:root + g.roots, nens:])
-        z_row, root = z_row + b, root + g.roots
-    pi *= np.sqrt(cov.delta / (nens + k - 1))
-    return pi, gamma, rhs, eps2
+            root += g.roots
+    scale = np.sqrt(cov.delta / (nens + k - 1))
+    pi *= scale
+    if banded is None:
+        return pi, gamma, rhs, eps2, None
+    g = groups[banded]
+    diag, upper = bidiagonal_root(rng.child(_ROOT_STREAM, banded), g.nu, k)
+    band = (diag * np.sqrt(cov.phi) * scale, upper * np.sqrt(cov.phi) * scale,
+            g.variance + cov.phi)
+    return pi, gamma, rhs, eps2, band
+
+
+def _fs_weights(pi: np.ndarray, gamma: np.ndarray, rhs: np.ndarray, nens: int, band):
+    """W = Pi.T Z for FS's compressed system, and P W for its dense rows P.
+
+    Without a band, :func:`ismf_solve` on P. With one, the capacitance is
+    D + P.T Gamma^{-1} P, D = diag(I, I + B.T B / gamma_b) for the band's
+    rows B = c sqrt(phi) R and their gamma_b = r_g + phi. D is
+    tridiagonal with every eigenvalue at least 1; its lower bidiagonal
+    Cholesky factor L comes from :func:`tridiagonal_cholesky`. Then
+    W = L^{-T} W', with W' = :func:`ismf_solve` of the system whose rows
+    are P L^{-T}, its synthetic columns whitened by one substitution, and
+    P W = (P L^{-T}) W'.
+    """
+    if band is not None:
+        diag, upper, variance = band
+        k = pi.shape[1] - nens
+        tri = np.ones(k)
+        tri[:diag.size] += diag**2 / variance
+        tri[1:upper.size + 1] += upper**2 / variance
+        off = np.zeros(k - 1)
+        off[:upper.size] = diag[:upper.size] * upper / variance
+        lower, sub = tridiagonal_cholesky(tri, off)
+        del tri, off
+        # column-major, so the synthetic columns are the rows of a C-ordered view
+        bidiagonal_solve(lower, sub, pi[:, nens:].T, transpose=False)
+    w = ismf_solve(ObservationSpaceSystem(gamma, pi, rhs))
+    pi_w = pi @ w
+    if band is not None:
+        bidiagonal_solve(lower, sub, w[nens:], transpose=True)
+    return w, pi_w
 
 
 def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
@@ -434,20 +493,24 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     c [U | sqrt(phi) E1 + sqrt(delta) S E2], c = sqrt(delta / (nens + k - 1)),
     with U = sqrt(nens - 1) S the real anomalies and E1, E2 the synthetic
     members' normals. For the observation-space system (Gamma + Pi Pi.T) Z
-    = D with Gamma = R + phi*I and Pi the observed rows of the basis,
-    :func:`ismf_solve` returns W = Pi.T Z through its (nens + k)-square
-    capacitance matrix. Pi is never formed: on each group of observed rows
-    of one variance the step draws the exact joint law of what the
+    = D with Gamma = R + phi*I and Pi the observed rows of the basis, the
+    step needs W = Pi.T Z. Pi is never formed: on each group of observed
+    rows of one variance the step draws the exact joint law of what the
     capacitance, the right-hand side and the update read of E1
     (:func:`_fs_compressed_rows`), at most 2 nens - 1 + k rows a group
-    whatever its size. Only the real members are updated, by
-    basis @ W + phi * H.T Z.
+    whatever its size, and the root of the group with the most root rows
+    as two diagonals. :func:`_fs_weights` takes W from :func:`ismf_solve`
+    on the dense rows, whitened by the bidiagonal factor of that root's
+    tridiagonal share of the capacitance, so no (nens + k)-square matrix
+    is formed when the dense rows are fewer than nens + k. Only the real
+    members are updated, by basis @ W + phi * H.T Z.
 
     On the observed rows that is Pi W + phi Z = (R Pi W + phi D) / Gamma,
     as Z = Gamma^{-1} (D - Pi W), so Z is never formed. On group g,
     Pi_g W = B (P_g W) + c sqrt(phi) E_perp W_s, W_s the synthetic rows of
     W, and the last term is drawn by :func:`_frame_term` on substream
-    (``_FRAME_STREAM``, g). On the unobserved rows (subscript u) it is
+    (``_FRAME_STREAM``, g), for A = c sqrt(phi) R W_s; the banded group's
+    A comes from the two diagonals. On the unobserved rows (subscript u) it is
     c [S_u (sqrt(nens - 1) W_r + sqrt(delta) E2 W_s) + sqrt(phi) E1_u W_s]
     for W = [W_r; W_s] split at the real members, so S_u enters one product
     and the unobserved rows of U are never formed. E1_u is independent of
@@ -463,21 +526,27 @@ def enkf_fs_analysis(bg: Ensemble, y, obs: ObservationSpec, k: int,
     k, rng, cov, d = _shrinkage_inputs(bg, y, obs, k, rng, shrinkage, innovations)
     nens = bg.nens
     groups = _row_groups(obs, cov.deviations.columns, d, k, unobserved=False)
-    pi, gamma, rhs, eps2 = _fs_compressed_rows(nens, k, rng, cov, groups)
-    w = ismf_solve(ObservationSpaceSystem(gamma, pi, rhs))
-    pi_w = pi @ w
+    banded = _banded_group(groups)
+    pi, gamma, rhs, eps2, band = _fs_compressed_rows(nens, k, rng, cov, groups, banded)
+    w, pi_w = _fs_weights(pi, gamma, rhs, nens, band)
     analysis = np.array(bg.matrix)
     analysis[obs.indices] += (cov.phi / (obs.variances + cov.phi))[:, None] * d
-    z_row, root = 0, pi_w.shape[0] - sum(g.roots for g in groups)
+    z_row, root = 0, sum(g.basis.shape[1] for g in groups)
     for i, g in enumerate(groups):
         b = g.basis.shape[1]
         update = g.basis @ pi_w[z_row:z_row + b]
+        z_row += b
+        if i == banded:
+            diag, upper, _ = band
+            a = diag[:, None] * w[nens:nens + diag.size]
+            a[:upper.size] += upper[:, None] * w[nens + 1:nens + 1 + upper.size]
+        elif g.roots:
+            a = pi_w[root:root + g.roots]
+            root += g.roots
         if g.roots:
-            update += _frame_term(rng.child(_FRAME_STREAM, i), g.basis,
-                                  pi_w[root:root + g.roots])
+            update += _frame_term(rng.child(_FRAME_STREAM, i), g.basis, a)
         update *= g.variance / (g.variance + cov.phi)
         analysis[g.rows] += update
-        z_row, root = z_row + b, root + g.roots
     unobserved = np.setdiff1d(np.arange(bg.nstate), obs.indices, assume_unique=True)
     w_real, w_syn = w[:nens], w[nens:]
     # at k = 0, eps2 @ w_syn is an (nens, nens) zero block

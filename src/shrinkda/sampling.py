@@ -5,8 +5,8 @@ stream is the stream's Philox key with the counter advanced by i * 2**128,
 so one bit generator serves all members. ``member_normals`` is the one
 place where a stream becomes standard normals, so every draw is
 reproducible regardless of evaluation order; the chi-squares of
-``wishart_root`` are the only other variates, from a substream's own
-Generator. The normals are numpy's
+``wishart_root`` and ``bidiagonal_root`` are the only other variates,
+each from a substream's own Generator. The normals are numpy's
 ``Generator.standard_normal`` (the ziggurat method of Marsaglia & Tsang,
 J. Stat. Softw. 2000); NEP 19 lets numpy change that sequence between
 versions, and the golden test in ``tests/test_sampling.py`` would catch
@@ -28,10 +28,12 @@ a normal block) and a Haar frame off the basis for their update
 (``haar_frame``). The full-space filter takes the coordinates of its
 observed groups, with eps2, as one synthetic draw from the projected
 covariance phi * I + delta * (B.T S) @ (B.T S).T (``draw_synthetic_members``
-on the stacked B.T S), written straight into its compressed rows, and
-builds the unobserved rows in closed form; the reduced-space filter takes
-them from one ``normal_block``. See ``filters.enkf_fs_analysis`` and
-``filters.enkf_rs_analysis``.
+on the stacked B.T S), written straight into its compressed rows, takes
+the root of its group with the most root rows as the Golub-Kahan
+bidiagonal form of a normal block (``bidiagonal_root``: two diagonals of
+chi variates), and builds the unobserved rows in closed form; the
+reduced-space filter takes the coordinates from one ``normal_block``.
+See ``filters.enkf_fs_analysis`` and ``filters.enkf_rs_analysis``.
 """
 
 from __future__ import annotations
@@ -282,6 +284,25 @@ def wishart_root(rng: RngStream, nu: int, k: int) -> np.ndarray:
     chi = np.random.Generator(np.random.Philox(seed=rng.child(1)._seed_sequence()))
     root[np.diag_indices(k)] = np.sqrt(chi.chisquare(nu - np.arange(k)))
     return root
+
+
+def bidiagonal_root(rng: RngStream, nu: int, k: int):
+    """The two diagonals (diag, upper) of a (min(nu, k), k) upper
+    bidiagonal B whose Gram B.T @ B has the law of N.T @ N for an (nu, k)
+    standard normal block N: its Golub-Kahan bidiagonal form (the real
+    case of Dumitriu & Edelman, J. Math. Phys. 43, 5830, 2002).
+
+    diag[i] = sqrt(chi^2(nu - i)) for i < min(nu, k) and upper[i] =
+    B[i, i + 1] = sqrt(chi^2(k - 1 - i)) for i < min(nu, k - 1), all
+    independent: about 2 min(nu, k) chi-squares, in that order from the
+    Generator of ``rng``, and no normals. N = Q1 [B; 0] Q2.T with Q1 Haar,
+    so B stands in for N wherever N enters only as N Q2 with its columns
+    free to rotate.
+    """
+    nd, nup = min(nu, k), min(nu, k - 1)
+    chi = np.random.Generator(np.random.Philox(seed=rng._seed_sequence()))
+    roots = np.sqrt(chi.chisquare(np.concatenate([nu - np.arange(nd), k - 1 - np.arange(nup)])))
+    return roots[:nd], roots[nd:]
 
 
 def haar_frame(rng: RngStream, basis: np.ndarray, r: int) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Linear solvers shared by the filters, one kernel per system shape.
 
 ``ismf_solve`` solves the observation-space system (Gamma + Pi @ Pi.T) Z =
-rhs, for the diagonal Gamma every filter has, through its m x m
-capacitance matrix (Woodbury) and returns W = Pi.T @ Z, the only part
-of the solution the filters read. ``weighted_gram`` is the blocked
-weighted Gram behind that capacitance. ``cholesky_solve`` is the one SPD
-solve, and ``triangular_solve`` the blocked substitution behind it.
+rhs, for the diagonal Gamma every filter has, on the smaller side of
+Pi: through its m x m capacitance matrix (Woodbury) when Pi has at least
+as many rows as columns, else through the rho x rho system itself. It
+returns W = Pi.T @ Z, the only part of the solution the filters read.
+``weighted_gram`` is the blocked weighted Gram behind the capacitance.
+``cholesky_solve`` is the one dense SPD solve, and ``triangular_solve``
+the blocked substitution behind it; ``tridiagonal_cholesky`` and
+``bidiagonal_solve`` factor and solve a tridiagonal SPD matrix in O(n),
+which FS's banded root makes of the K-square part of its capacitance.
 ``entkf_factors`` is the ensemble-space eigen kernel behind the ETKF, the
 dual finite-size step and, shifted by one, the EnSRF's capacitance
 (``ensrf_transform``).
@@ -13,6 +17,7 @@ dual finite-size step and, shifted by one, the EnSRF's capacitance
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,7 @@ TRIANGULAR_BLOCK = 64
 # On qg-65 (2 vCPU), 1024-row blocks left a 7-filter compare's peak RSS
 # at 131 MiB against 126 MiB.
 GRAM_ROW_BLOCK = 512
+ROW_SIDE_FAILURE = "matrix I + Gamma^{-1/2} Pi Pi.T Gamma^{-1/2} is not positive definite"
 
 
 @dataclass(frozen=True)
@@ -76,23 +82,84 @@ def weighted_gram(a: np.ndarray, sqrt_weights: np.ndarray, rhs: np.ndarray):
 
 def ismf_solve(sys: ObservationSpaceSystem) -> np.ndarray:
     """W = Pi.T @ Z for the solution Z of (Gamma + Pi @ Pi.T) @ Z = rhs: the
-    ISMF identity applied to all columns of Pi at once.
+    ISMF identity applied to all columns of Pi at once, solved on the
+    smaller side of Pi's rho rows and m columns.
 
-    With the capacitance matrix C = I + Pi.T @ Gamma^{-1} @ Pi and
+    rho >= m: with the capacitance matrix C = I + Pi.T @ Gamma^{-1} @ Pi and
     T = Pi.T @ Gamma^{-1} rhs, both from :func:`weighted_gram`, W = C^{-1} T
     by the push-through identity Pi.T (Gamma + Pi Pi.T)^{-1} =
-    C^{-1} Pi.T Gamma^{-1}. A caller that needs Z takes it as
-    Z = Gamma^{-1} (rhs - Pi @ W) (Woodbury). C is factored once by
-    Cholesky; cost is O(m^2 * nobs + m^3) in BLAS-3 beyond the diagonal
-    scalings. Every eigenvalue of C is at least one, so a failed
-    factorization can only come from rounding or non-finite input and
-    raises ``ValueError``; there is no fallback.
+    C^{-1} Pi.T Gamma^{-1}, at O(m^2 * rho + m^3). rho < m: with
+    s = Gamma^{-1/2} 1, W = Pi.T (s * Y) for
+    (I + diag(s) Pi Pi.T diag(s)) Y = s * rhs, at O(rho^2 * m + rho^3) and
+    with no copy of Pi; Pi Pi.T is one symmetric rank-k product and s s.T
+    is symmetric, so the matrix is exactly symmetric, and a non-finite
+    entry in it is refused, as Cholesky lets a nan through.
+    A caller that needs Z takes it as Z = Gamma^{-1} (rhs - Pi @ W)
+    (Woodbury). Either matrix is factored once by Cholesky, and every
+    eigenvalue is at least one, so a failed factorization can only come
+    from rounding or non-finite input and raises ``ValueError``; there is
+    no fallback.
     """
-    capacitance, t = weighted_gram(sys.pi, np.sqrt(1.0 / sys.gamma_diagonal), sys.rhs)
-    capacitance[np.diag_indices_from(capacitance)] += 1.0
-    w, _ = cholesky_solve(capacitance, t,
-                          "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite")
-    return w
+    sqrt_weights = np.sqrt(1.0 / sys.gamma_diagonal)
+    rho, m = sys.pi.shape
+    if rho >= m:
+        capacitance, t = weighted_gram(sys.pi, sqrt_weights, sys.rhs)
+        capacitance[np.diag_indices_from(capacitance)] += 1.0
+        w, _ = cholesky_solve(capacitance, t,
+                              "capacitance matrix I + Pi.T Gamma^{-1} Pi is not positive definite")
+        return w
+    inner = (sys.pi @ sys.pi.T) * (sqrt_weights[:, None] * sqrt_weights)
+    inner[np.diag_indices_from(inner)] += 1.0
+    if not (np.isfinite(inner.min()) and np.isfinite(inner.max())):
+        raise ValueError(ROW_SIDE_FAILURE)
+    y, _ = cholesky_solve(inner, sys.rhs * sqrt_weights[:, None], ROW_SIDE_FAILURE)
+    y *= sqrt_weights[:, None]
+    return sys.pi.T @ y
+
+
+def tridiagonal_cholesky(diagonal: np.ndarray, offdiagonal: np.ndarray):
+    """Lower bidiagonal Cholesky factor L of the symmetric tridiagonal
+    matrix with ``diagonal`` (n) and ``offdiagonal`` (n - 1): its diagonal
+    l and subdiagonal s, by the scalar recurrence l_0 = sqrt(d_0),
+    s_j = e_j / l_j, l_{j+1} = sqrt(d_{j+1} - s_j^2). A pivot that is not
+    positive or not finite raises ``ValueError``.
+    """
+    n = diagonal.shape[0]
+    lower, sub = np.empty(n), np.empty(max(n - 1, 0))
+    carry = 0.0
+    for j in range(n):
+        pivot = float(diagonal[j]) - carry
+        if not (pivot > 0.0 and math.isfinite(pivot)):
+            raise ValueError("tridiagonal matrix is not positive definite")
+        lower[j] = math.sqrt(pivot)
+        if j + 1 < n:
+            sub[j] = offdiagonal[j] / lower[j]
+            carry = sub[j] * sub[j]
+    return lower, sub
+
+
+def bidiagonal_solve(lower: np.ndarray, sub: np.ndarray, x: np.ndarray, *,
+                     transpose: bool) -> np.ndarray:
+    """Solve L @ X = x, or L.T @ X = x when ``transpose``, in place, for the
+    lower bidiagonal L of :func:`tridiagonal_cholesky`, and return ``x``.
+
+    One substitution over the rows of ``x``, each step a vector operation
+    on one row, so its cost is n * x.shape[1]; a dense triangular solve of
+    L would cost n^2 per column. Rows contiguous in memory (a C-ordered
+    ``x``) keep each step in cache.
+    """
+    n = lower.shape[0]
+    if transpose:
+        x[n - 1] /= lower[n - 1]
+        for j in range(n - 2, -1, -1):
+            x[j] -= sub[j] * x[j + 1]
+            x[j] /= lower[j]
+    else:
+        x[0] /= lower[0]
+        for j in range(1, n):
+            x[j] -= sub[j - 1] * x[j - 1]
+            x[j] /= lower[j]
+    return x
 
 
 def cholesky_factor(matrix: np.ndarray, failure: str) -> np.ndarray:

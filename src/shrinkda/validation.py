@@ -19,8 +19,8 @@ import numpy as np
 from . import filters, harness, models
 from .ensemble import Ensemble, dense_sample_covariance, deviations
 from .observations import ObservationSpec
-from .sampling import (RngStream, draw_synthetic_members, haar_frame, member_normals,
-                       perturb_observations, standard_normal, wishart_root)
+from .sampling import (RngStream, bidiagonal_root, draw_synthetic_members, haar_frame,
+                       member_normals, perturb_observations, standard_normal, wishart_root)
 from .shrinkage import ShrinkageCovariance, deviation_singular_values, rblw_parameters
 from .solvers import ObservationSpaceSystem, ensrf_transform, ismf_solve
 
@@ -297,11 +297,25 @@ def orthonormal_complement(frame: np.ndarray, ncols: int) -> np.ndarray:
     return vec[:, vec.shape[1] - ncols:]
 
 
-def replayed_roots(rng: RngStream, groups: list, k: int) -> list:
+def replayed_roots(rng: RngStream, groups: list, k: int, banded: int | None = None) -> list:
     """The roots R_g that a compressed shrinkage step on ``rng`` draws for
-    its row groups (``filters._row_groups``); (0, k) for a group without."""
-    return [wishart_root(rng.child(filters._ROOT_STREAM, i), g.nu, k) if g.roots
-            else np.zeros((0, k)) for i, g in enumerate(groups)]
+    its row groups (``filters._row_groups``); (0, k) for a group without.
+    Group ``banded`` takes FS's :func:`bidiagonal_root`, as a dense
+    (min(nu, k), k) matrix."""
+    roots = []
+    for i, g in enumerate(groups):
+        stream = rng.child(filters._ROOT_STREAM, i)
+        if not g.roots:
+            roots.append(np.zeros((0, k)))
+        elif i == banded:
+            diag, upper = bidiagonal_root(stream, g.nu, k)
+            root = np.zeros((g.roots, k))
+            root[np.arange(diag.size), np.arange(diag.size)] = diag
+            root[np.arange(upper.size), np.arange(1, upper.size + 1)] = upper
+            roots.append(root)
+        else:
+            roots.append(wishart_root(stream, g.nu, k))
+    return roots
 
 
 def replayed_synthetic(cov, groups: list, normals: np.ndarray, roots: list,
@@ -353,7 +367,8 @@ def fs_replayed_members(ens, obs, cov, d, k, rng) -> np.ndarray:
     innovations=d)``.
 
     The observed rows replay the step's coordinates Z, with E2, and roots
-    R as E1_g = B Z + C R, with C from :func:`replayed_complements`. The
+    R as E1_g = B Z + C R, with C from :func:`replayed_complements`; the
+    banded group's R is its bidiagonal root, dense. The
     step's unobserved rows hold c sqrt(phi) G M in place of c sqrt(phi)
     E1_u W_s, with G its replayed normal block and M the symmetric root of
     W_s.T W_s. The rows of M lie in the row space of W_s, so
@@ -365,7 +380,7 @@ def fs_replayed_members(ens, obs, cov, d, k, rng) -> np.ndarray:
     groups = filters._row_groups(obs, cov.deviations.columns, d, k, unobserved=False)
     normals = member_normals(rng.child(filters._SYNTH_STREAM), k,
                              sum(g.basis.shape[1] for g in groups) + nens)
-    roots = replayed_roots(rng, groups, k)
+    roots = replayed_roots(rng, groups, k, filters._banded_group(groups))
     first = replayed_synthetic(cov, groups, normals, roots,
                                [orthonormal_complement(g.basis, g.roots) for g in groups],
                                ens.nstate)
@@ -465,10 +480,13 @@ def _shrinkage_memory_check(gen) -> CheckResult:
     enkf-rs analysis on a qg-65 shaped ensemble (nstate 3969, nens 40,
     k 400, p 0.7) each peak below 1.0 (nstate, nens + k) float64 arrays of
     tracemalloc-traced memory. Neither forms a row of its synthetic
-    members. FS holds the compressed rows of its observed group (479 by
-    nens + k, 0.12 arrays), the group's basis and its capacitance matrix,
-    and reads 0.80, against 1.26 when it drew the observed rows of every
-    member into an (nobs, nens + k) buffer. RS holds the compressed rows of
+    members. FS reads 0.80, against 1.26 when it drew the observed rows of
+    every member into an (nobs, nens + k) buffer, and its peak is the basis
+    of its observed group (``filters._row_groups``). Its compressed system,
+    the 79 dense rows by nens + k, the banded root's two diagonals and a
+    79-square matrix on the row side, peaks at 0.34 arrays; the 479 rows
+    and the 440-square capacitance it held before the banded root peaked
+    at 0.57, under the same 0.80. RS holds the compressed rows of
     its basis (918 by nens + k - 1, 0.23 arrays), the bases of its row
     groups and its weight matrix, and reads 0.89, against 1.64 when it drew
     every row into an (nstate, nens + k) buffer."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -12,8 +14,8 @@ from shrinkda.filters import (FILTER_KEYS, enkf_analysis, enkf_du_analysis, enkf
 from shrinkda.harness import make_initial_ensemble, propagate_matrix
 from shrinkda.models import get_model
 from shrinkda.observations import ObservationSpec
-from shrinkda.sampling import (RngStream, draw_synthetic_members, extend_ensemble,
-                               perturb_observations, wishart_root)
+from shrinkda.sampling import (RngStream, bidiagonal_root, draw_synthetic_members,
+                               extend_ensemble, perturb_observations, wishart_root)
 from shrinkda.shrinkage import ShrinkageCovariance
 from shrinkda.validation import fs_replayed_members
 
@@ -378,9 +380,11 @@ class TestEnkfFs:
         assert np.abs(t).max() < 5.5
 
     # shapes (nstate, p, nens, k, two_variances) that reach each branch of
-    # the compressed step: a Bartlett root (observed nu 19 >= k 10), a
-    # normal-block root (nu 14 < k 40), a group with nu = 0 (7 observed
-    # rows, rank 7), and two observed variances (two groups, nu 1 each)
+    # the compressed step: a banded root with nu >= k (observed nu 19 >=
+    # k 10; the ids name the root the group took before it was banded),
+    # one with nu < k (nu 14 < k 40), a group with nu = 0 (7 observed rows,
+    # rank 7), and two observed variances (two groups, nu 1 each: the first
+    # banded, the second a normal-block root)
     @pytest.mark.parametrize("nstate, p, nens, k, two_variances", [
         (40, 0.7, 5, 10, False), (30, 0.7, 4, 40, False), (14, 0.5, 4, 6, False),
         (16, 0.75, 3, 10, True)], ids=["bartlett", "normal-block", "nu-zero", "two-variances"])
@@ -445,12 +449,14 @@ class TestEnkfFs:
     def test_normals_drawn_by_one_step(self, monkeypatch):
         # one step draws, and draws only: the perturbed observations
         # (nens nobs); k members of the projected synthetic draw (ranks +
-        # nens each); per observed group a root, Bartlett's K(K - 1)/2
-        # normals (nu >= k) or a (nu, k) block, and a frame of
+        # nens each); per observed group a root and a frame of
         # min(roots, nens) columns on the group's rows, each a normal block
         # drawn in whole NORMAL_BLOCK_CHUNKs; and the unobserved rows'
-        # (nunobs, nens) block. Two variances split the 30 observed rows
-        # into a Bartlett group (18 rows) and a normal-block one (12 rows)
+        # (nunobs, nens) block. The root of the group with the most root
+        # rows is bidiagonal, chi-squares and no normals; any other group's
+        # is Bartlett's K(K - 1)/2 normals (nu >= k) or a (nu, k) block. Two
+        # variances split the 30 observed rows into a group of 18 rows
+        # (nu >= k, banded) and a normal-block one (12 rows)
         gen = np.random.default_rng(105)
         nstate, nens, k = 40, 4, 10
         ens = random_ensemble(gen, nstate, nens)
@@ -464,12 +470,13 @@ class TestEnkfFs:
                                      unobserved=False)
         assert [(g.rows.size, g.nu >= k, g.roots > 0) for g in groups] == [
             (18, True, True), (12, False, True)]
+        assert filters._banded_group(groups) == 0
 
         def block(size):
             return -(-size // sampling.NORMAL_BLOCK_CHUNK) * sampling.NORMAL_BLOCK_CHUNK
 
         ranks = sum(g.basis.shape[1] for g in groups)
-        roots = sum(block(k * (k - 1) // 2 if g.nu >= k else g.nu * k) for g in groups)
+        roots = sum(block(k * (k - 1) // 2 if g.nu >= k else g.nu * k) for g in groups[1:])
         frames = sum(block(g.rows.size * min(g.roots, nens)) for g in groups)
         expected = nens * obs.nobs + k * (ranks + nens) + roots + frames + nens * (nstate - obs.nobs)
         counted = []
@@ -498,6 +505,30 @@ class TestEnkfFs:
         ens, obs, y = instance(gen, nens=2)
         with pytest.raises(ValueError, match="too few members"):
             enkf_fs_analysis(ens, y, obs, 2, RngStream(1))
+
+    def test_memory_is_linear_in_k(self):
+        # nens 4 and K 20000 would ask for a 3.2 GB (nens + K)-square
+        # capacitance. FS solves on the row side of its rho = 7 dense rows
+        # and keeps the banded root (15 observed rows, nu = 8) as two
+        # diagonals, so it holds O(K (rho + 2 nens)) floats: the dense rows,
+        # E2, W and the band's bidiagonal factor. Its tracemalloc peak read
+        # 2.61 MiB, 17 floats a synthetic member; the bound is 24
+        gen = np.random.default_rng(107)
+        ens, obs, y = instance(gen, nstate=30, nens=4, p=0.5)
+        k = 20_000
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = enkf_fs_analysis(ens, y, obs, k, RngStream(5))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert np.all(np.isfinite(res.analysis.matrix))
+        assert peak < 24 * 8 * k, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestEnkfRs:
@@ -687,7 +718,9 @@ class TestEnkfRs:
 def test_fs_coordinate_block_is_a_synthetic_draw_on_the_projected_covariance():
     # the full-space step's compressed rows hold, on each observed group of
     # rows, the real columns c sqrt(nens - 1) B.T S_g and the synthetic
-    # coordinates, then the roots c sqrt(phi) R_g. The coordinates of all
+    # coordinates, then the roots c sqrt(phi) R_g of every group but the
+    # banded one, which comes back as the two diagonals of c sqrt(phi)
+    # times its bidiagonal draw, with their Gamma_c. The coordinates of all
     # groups, with E2, are bit for bit one draw from the projected
     # covariance phi I + delta (B.T S)(B.T S).T into a buffer of the same
     # layout. k = 130 makes three chunks; two variances make two groups
@@ -700,36 +733,40 @@ def test_fs_coordinate_block_is_a_synthetic_draw_on_the_projected_covariance():
     rng = RngStream(12)
     cov = estimate_shrinkage(ens)
     groups = filters._row_groups(obs, cov.deviations.columns, d, k, unobserved=False)
-    pi, gamma, rhs, eps2 = filters._fs_compressed_rows(nens, k, rng, cov, groups)
+    banded = filters._banded_group(groups)
+    # 93 rows (nu 74 < k) against 47 (nu 28)
+    assert len(groups) == 2 and banded == 0 and groups[0].roots > groups[1].roots > 0
+    pi, gamma, rhs, eps2, band = filters._fs_compressed_rows(nens, k, rng, cov, groups, banded)
     coords = np.vstack([g.s for g in groups])
     ranks, scale = coords.shape[0], np.sqrt(cov.delta / (nens + k - 1))
-    assert len(groups) == 2 and pi.shape == (ranks + sum(g.roots for g in groups), nens + k)
+    assert pi.shape == (ranks + groups[1].roots, nens + k)
     projected = ShrinkageCovariance(cov.mu, cov.gamma,
                                     DeviationMatrix(coords, cov.deviations.offset))
-    buffer, expected_eps2 = np.empty((ranks, nens + k)), np.empty((nens, k))
+    buffer, expected_eps2 = np.empty(pi.shape, order="F"), np.empty((nens, k))
     draw = draw_synthetic_members(projected, k, rng.child(filters._SYNTH_STREAM),
-                                  out=buffer[:, nens:], eps2=expected_eps2)
+                                  out=buffer[:ranks, nens:], eps2=expected_eps2)
     np.testing.assert_array_equal(pi[:ranks, nens:], draw * scale)
     np.testing.assert_array_equal(eps2, expected_eps2)
     np.testing.assert_array_equal(pi[:ranks, :nens], coords * np.sqrt(nens - 1) * scale)
     np.testing.assert_array_equal(pi[ranks:, :nens], 0.0)
-    root = ranks
-    for i, g in enumerate(groups):
-        expected_root = wishart_root(rng.child(filters._ROOT_STREAM, i), g.nu, k)
-        np.testing.assert_array_equal(pi[root:root + g.roots, nens:],
-                                      expected_root * np.sqrt(cov.phi) * scale)
-        root += g.roots
-    # Gamma_c = r_g + phi on the group's rows and roots, right-hand side
-    # B.T D_g on its rows and 0 on the roots
-    z_row, root = 0, ranks
+    expected_root = wishart_root(rng.child(filters._ROOT_STREAM, 1), groups[1].nu, k)
+    np.testing.assert_array_equal(pi[ranks:, nens:], expected_root * np.sqrt(cov.phi) * scale)
+    expected_band = bidiagonal_root(rng.child(filters._ROOT_STREAM, 0), groups[0].nu, k)
+    assert [x.size for x in band[:2]] == [groups[0].roots, groups[0].roots]
+    for got, expected in zip(band[:2], expected_band):
+        np.testing.assert_array_equal(got, expected * np.sqrt(cov.phi) * scale)
+    assert band[2] == groups[0].variance + cov.phi
+    # Gamma_c = r_g + phi on the group's rows and root rows, right-hand
+    # side B.T D_g on its rows and 0 on the root rows
+    z_row = 0
     for g in groups:
         b = g.basis.shape[1]
         np.testing.assert_array_equal(gamma[z_row:z_row + b], g.variance + cov.phi)
-        np.testing.assert_array_equal(gamma[root:root + g.roots], g.variance + cov.phi)
         observed = np.isin(obs.indices, g.rows)
         np.testing.assert_allclose(rhs[z_row:z_row + b], g.basis.T @ d[observed],
                                    rtol=0, atol=1e-13 * np.abs(d).max())
-        z_row, root = z_row + b, root + g.roots
+        z_row += b
+    np.testing.assert_array_equal(gamma[ranks:], groups[1].variance + cov.phi)
     assert not np.any(rhs[ranks:])
 
 

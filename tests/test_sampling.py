@@ -3,10 +3,10 @@ import pytest
 
 from shrinkda.ensemble import DeviationMatrix, deviations
 from shrinkda.observations import ObservationSpec
-from shrinkda.sampling import (ExtendedEnsemble, RngStream, draw_synthetic_members,
-                               extend_ensemble, group_basis, haar_frame, member_normals,
-                               normal_block, perturb_observations, standard_normal,
-                               wishart_root)
+from shrinkda.sampling import (ExtendedEnsemble, RngStream, bidiagonal_root,
+                               draw_synthetic_members, extend_ensemble, group_basis, haar_frame,
+                               member_normals, normal_block, perturb_observations,
+                               standard_normal, wishart_root)
 from shrinkda.shrinkage import ShrinkageCovariance
 
 from helpers import random_ensemble
@@ -233,6 +233,36 @@ class TestCompressedDraws:
             assert np.all(np.diag(root) > 0.0)
         err = (grams.mean(0) - nu * np.eye(k)) / np.sqrt(nu * (1.0 + np.eye(k)) / draws)
         assert np.abs(err).max() < 5.0
+
+    @pytest.mark.parametrize("nu, k", [(12, 5), (5, 12), (8, 8), (1, 6)])
+    def test_bidiagonal_root_gram_has_the_law_of_a_normal_block_gram(self, nu, k):
+        # B.T B against N.T N for an explicit (nu, k) normal block N, 4000
+        # draws a side, on rotation-invariant statistics of the Gram: tr G,
+        # tr G^2, tr G^3, the largest eigenvalue and the smallest of the
+        # min(nu, k) nonzero ones (the rest are zero up to rounding). Welch
+        # t bound 5.5, as in the filters' distribution tests
+        draws, rank = 4000, min(nu, k)
+        gen = np.random.default_rng(63)
+
+        def statistics(gram):
+            ev = np.linalg.eigvalsh(gram)[::-1]
+            return [np.trace(gram), np.trace(gram @ gram),
+                    np.trace(gram @ gram @ gram), ev[0], ev[rank - 1]]
+
+        explicit = np.array([statistics((lambda n: n.T @ n)(gen.standard_normal((nu, k))))
+                             for _ in range(draws)])
+        banded = []
+        for seed in range(draws):
+            diag, upper = bidiagonal_root(RngStream(seed), nu, k)
+            assert diag.shape == (rank,) and upper.shape == (min(nu, k - 1),)
+            root = np.zeros((rank, k))
+            root[np.arange(rank), np.arange(rank)] = diag
+            root[np.arange(upper.size), np.arange(1, upper.size + 1)] = upper
+            banded.append(statistics(root.T @ root))
+        banded = np.array(banded)
+        t = (explicit.mean(0) - banded.mean(0)) / np.sqrt(
+            (explicit.var(0, ddof=1) + banded.var(0, ddof=1)) / draws)
+        assert np.abs(t).max() < 5.5
 
     def test_haar_frame_orthonormal_off_the_basis(self):
         gen = np.random.default_rng(62)

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from shrinkda.observations import ObservationSpec
-from shrinkda.solvers import (GRAM_ROW_BLOCK, TRIANGULAR_BLOCK, ObservationSpaceSystem,
-                             cholesky_solve, ensrf_transform, entkf_factors, ismf_solve,
+from shrinkda.solvers import (GRAM_ROW_BLOCK, ROW_SIDE_FAILURE, TRIANGULAR_BLOCK,
+                             ObservationSpaceSystem, bidiagonal_solve, cholesky_solve,
+                             ensrf_transform, entkf_factors, ismf_solve, tridiagonal_cholesky,
                              weighted_gram)
 
 from helpers import ismf_loop, ismf_z
@@ -46,7 +49,9 @@ class TestIsmfSolve:
         (2000, 0.75, 15, 3, True),   # tall, nobs 1500 >> m, Gamma graded over two decades
         (400, 0.7, 60, 5, False),    # nobs 280, one partial row block
         (700, 1.0, 40, 40, False),   # p = 1 and K = 0: every row observed, m = nens
-    ], ids=["673-440-40-False", "1500-15-3-True", "280-60-5-False", "700-40-40-False"])
+        (79, 1.0, 440, 40, False),   # qg-33 enkf-fs's compressed rows: wide, the row side
+    ], ids=["673-440-40-False", "1500-15-3-True", "280-60-5-False", "700-40-40-False",
+            "79-440-40-False"])
     def test_matches_ismf_loop_and_dense_solve(self, nstate, p, m, r, graded_gamma):
         gen = np.random.default_rng(70)
         nobs = ObservationSpec.from_fraction(nstate, p, 1.0).nobs
@@ -66,6 +71,15 @@ class TestIsmfSolve:
         assert np.abs(z - dense).max() <= 1e-12 * np.abs(dense).max()
         # W = Pi.T Z by the push-through identity, to the rounding of the product
         assert np.abs(w - pi.T @ dense).max() <= 1e-12 * (np.abs(pi).T @ np.abs(dense)).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_pi_on_the_row_side_raises(self, bad):
+        # Cholesky lets a nan through, so the row side checks its matrix
+        gen = np.random.default_rng(72)
+        pi = gen.standard_normal((5, 9))
+        pi[2, 4] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(ROW_SIDE_FAILURE)}$"):
+            ismf_solve(ObservationSpaceSystem(np.ones(5), pi, np.ones(5)))
 
     def test_row_counts_must_agree(self):
         var = np.ones(3)
@@ -127,6 +141,29 @@ class TestCholeskySolve:
         matrix[-1, -1] = -1.0
         with pytest.raises(ValueError, match="^capacitance says no$"):
             cholesky_solve(matrix, np.ones(n), "capacitance says no")
+
+
+class TestTridiagonalCholesky:
+    def test_matches_dense_factor_and_solves(self):
+        # 70 unknowns: a bidiagonal factor and its two substitutions
+        # against the dense Cholesky factor and dense solves
+        gen = np.random.default_rng(73)
+        n = 70
+        diagonal, off = 1.0 + gen.uniform(0.0, 5.0, n), gen.uniform(-1.0, 1.0, n - 1)
+        matrix = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+        lower, sub = tridiagonal_cholesky(diagonal, off)
+        factor = np.diag(lower) + np.diag(sub, -1)
+        np.testing.assert_allclose(factor, np.linalg.cholesky(matrix), rtol=0, atol=1e-14)
+        rhs = gen.standard_normal((n, 9))
+        for transpose, dense in ((False, factor), (True, factor.T)):
+            x = bidiagonal_solve(lower, sub, rhs.copy(), transpose=transpose)
+            expected = np.linalg.solve(dense, rhs)
+            assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["indefinite", "nan"])
+    def test_bad_pivot_raises(self, bad):
+        with pytest.raises(ValueError, match="tridiagonal matrix is not positive definite"):
+            tridiagonal_cholesky(np.array([1.0, bad, 1.0]), np.array([0.5, 0.5]))
 
 
 def ensrf_contraction(v, r_var):
